@@ -26,7 +26,10 @@ check:
 	$(GO) test -race ./internal/faults/
 	$(GO) test -race ./internal/approx/
 	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestStreaming' ./internal/core/
-	$(GO) test -race -run 'TestShardEquivalence' ./internal/shard/
+	# Every HNN path (flat, blocked, fused, sharded p=1..4, per-vertex)
+	# against a brute-force oracle, racing the per-worker hub bitmaps.
+	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence' ./internal/shard/
+	$(GO) test -race -run 'TestHNNCancellationLeavesBitmapsClear' ./internal/core/
 	# Auto-tuner surface: the probe's parallel reductions, the policy,
 	# and the cover-edge kernel's parallel sweep all race-tested in
 	# full (they are small packages; the engine's auto kernel rides in

@@ -309,22 +309,20 @@ func BenchmarkPhase1Kernels(b *testing.B) {
 }
 
 // BenchmarkIntersectDispatch compares unconditional merge join
-// against the adaptive merge/galloping dispatch in the HNN and NNN
-// phases.
+// against the adaptive merge/galloping dispatch in the NNN phase (HNN
+// always probes the hub bitmap).
 func BenchmarkIntersectDispatch(b *testing.B) {
 	g := benchGraph()
 	pool := sched.NewPool(0)
 	lg := core.Preprocess(g, core.Options{Pool: pool})
 	for _, k := range []core.IntersectKernel{core.IntersectMerge, core.IntersectAdaptive} {
 		b.Run(k.String(), func(b *testing.B) {
-			var hnn, nnn float64
+			var nnn float64
 			for i := 0; i < b.N; i++ {
 				res := lg.CountWithOptions(pool, core.CountOptions{Intersect: k})
-				hnn += res.HNNTime.Seconds()
 				nnn += res.NNNTime.Seconds()
 				benchSink += res.Total
 			}
-			b.ReportMetric(hnn/float64(b.N)*1e3, "hnn-ms/op")
 			b.ReportMetric(nnn/float64(b.N)*1e3, "nnn-ms/op")
 		})
 	}

@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out        = fs.String("o", "", "with -report json: write the report to this file instead of stdout")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 		phase1     = fs.String("phase1", "", "LOTUS phase-1 kernel for lotus runs: auto | scalar | word (default auto)")
-		isect      = fs.String("intersect", "", "LOTUS HNN/NNN intersection kernel: adaptive | merge (default adaptive)")
+		isect      = fs.String("intersect", "", "LOTUS NNN intersection kernel: adaptive | merge (default adaptive); HNN always uses the hub bitmap")
 		shards     = fs.Int("shards", 0, "add a lotus-sharded run with this grid dimension to the comparator sweep (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {

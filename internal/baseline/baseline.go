@@ -60,9 +60,15 @@ func (k Kernel) String() string {
 }
 
 // prepareForward applies degree ordering and orientation, the
-// preprocessing every Forward-family baseline performs.
-func prepareForward(g *graph.Graph) *graph.Graph {
+// preprocessing every Forward-family baseline performs. It returns nil
+// when the pool is cancelled after the ordering: relabeling is the
+// longest step (about half a second at R-MAT scale 18) and polls
+// nothing, so skipping it keeps cancellation prompt.
+func prepareForward(g *graph.Graph, pool *sched.Pool) *graph.Graph {
 	ra := reorder.DegreeOrder(g)
+	if pool.Cancelled() {
+		return nil
+	}
 	return g.Relabel(ra).Orient()
 }
 
@@ -80,7 +86,10 @@ func Forward(g *graph.Graph, pool *sched.Pool, kernel Kernel) uint64 {
 // hot loop.
 func ForwardWithMetrics(g *graph.Graph, pool *sched.Pool, kernel Kernel, m *obs.Metrics) uint64 {
 	t0 := time.Now()
-	og := prepareForward(g)
+	og := prepareForward(g, pool)
+	if og == nil {
+		return 0 // cancelled; the engine discards the result
+	}
 	m.AddDuration("baseline.preprocess.ns", time.Since(t0))
 	m.Set("baseline.oriented_edges", g.NumEdges())
 	return CountOrientedWithMetrics(og, pool, kernel, m)
@@ -214,7 +223,10 @@ func EdgeIterator(g *graph.Graph, pool *sched.Pool) uint64 {
 // oriented edges (flattened), so a single huge vertex cannot
 // serialize a worker. Includes degree-ordering preprocessing.
 func GBBS(g *graph.Graph, pool *sched.Pool) uint64 {
-	og := prepareForward(g)
+	og := prepareForward(g, pool)
+	if og == nil {
+		return 0
+	}
 	offsets := og.Offsets()
 	nbrs := og.RawNeighbors()
 	m := len(nbrs)
@@ -261,7 +273,10 @@ func BBTC(g *graph.Graph, pool *sched.Pool, blocks int) uint64 {
 	if blocks < 1 {
 		blocks = 2 * pool.Workers()
 	}
-	og := prepareForward(g)
+	og := prepareForward(g, pool)
+	if og == nil {
+		return 0
+	}
 	n := og.NumVertices()
 	if n == 0 {
 		return 0

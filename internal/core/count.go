@@ -71,9 +71,9 @@ type CountOptions struct {
 	// always the word-parallel bitmap kernel. All three produce
 	// bit-identical HHH/HHN counts.
 	Phase1Kernel Phase1Kernel
-	// Intersect selects the HNN/NNN intersection strategy: adaptive
+	// Intersect selects the NNN intersection strategy: adaptive
 	// merge-vs-galloping dispatch (default) or unconditional merge
-	// join (the ablation baseline).
+	// join (the ablation baseline). HNN always uses the hub bitmap.
 	Intersect IntersectKernel
 	// Metrics, when non-nil, receives the per-phase observability
 	// counters (phase timings, tile/probe/intersection counts,
@@ -84,38 +84,42 @@ type CountOptions struct {
 	Metrics *obs.Metrics
 	// Scratch, when non-nil, supplies reusable per-worker kernel
 	// scratch so a resident service's warm counts stop allocating
-	// phase-1 hub bitmaps per request. One CountScratch must never be
+	// phase-1/HNN hub bitmaps per request. One CountScratch must never be
 	// used by two concurrent counts; sequential reuse across graphs
-	// and hub counts is fine (the slabs regrow on demand).
+	// and hub counts is fine (each bitmap spans the whole 16-bit hub
+	// ID space).
 	Scratch *CountScratch
 }
 
 // CountScratch holds reusable per-worker kernel scratch across
 // sequential counts. The zero value is ready to use.
 type CountScratch struct {
-	phase1  *sched.WorkerLocal[phase1Scratch]
+	hubs    *sched.WorkerLocal[intersect.HubBitmap]
 	workers int
-	bmWords int
 }
 
 // NewCountScratch returns an empty scratch set; slabs materialize on
-// first use and are reused while the worker count and hub-bitmap
-// width keep fitting.
+// first use and are reused while the worker count stays the same.
 func NewCountScratch() *CountScratch { return &CountScratch{} }
 
-// phase1Local returns per-worker phase-1 scratch for (workers,
-// bmWords), recycling the previous count's bitmaps when the worker
-// count matches and the slabs are wide enough. The kernel's bitmap
-// invariant (cleared after every tile) makes stale contents harmless.
-func (s *CountScratch) phase1Local(workers, bmWords int) *sched.WorkerLocal[phase1Scratch] {
-	if s.phase1 == nil || workers != s.workers || bmWords > s.bmWords {
-		width := bmWords
-		s.phase1 = sched.NewWorkerLocal(workers, func() *phase1Scratch {
-			return &phase1Scratch{bm: make([]uint64, width)}
-		})
-		s.workers, s.bmWords = workers, bmWords
+// hubBitmaps returns the per-worker hub bitmaps phase 1 and HNN share.
+// With a CountScratch the previous count's bitmaps are recycled when
+// the worker count matches; both kernels clear what they mark before
+// moving on, so recycled bitmaps are always all-zero.
+func hubBitmaps(s *CountScratch, workers int) *sched.WorkerLocal[intersect.HubBitmap] {
+	if s == nil {
+		return newHubBitmaps(workers)
 	}
-	return s.phase1
+	if s.hubs == nil || s.workers != workers {
+		s.hubs, s.workers = newHubBitmaps(workers), workers
+	}
+	return s.hubs
+}
+
+// newHubBitmaps returns per-worker hub bitmaps, each allocated on its
+// worker's first Get.
+func newHubBitmaps(workers int) *sched.WorkerLocal[intersect.HubBitmap] {
+	return sched.NewWorkerLocal(workers, func() *intersect.HubBitmap { return new(intersect.HubBitmap) })
 }
 
 // DefaultTileThreshold is the paper's tiling cutoff (§5.8).
@@ -157,9 +161,10 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	}
 	res := &Result{}
 	m := opt.Metrics
+	bms := hubBitmaps(opt.Scratch, pool.Workers())
 
 	t0 := time.Now()
-	res.Phase1Load = lg.countPhase1(pool, opt, res)
+	res.Phase1Load = lg.countPhase1(pool, opt, bms, res)
 	res.Phase1Time = time.Since(t0)
 	m.AddDuration("phase1.ns", res.Phase1Time)
 	m.Add("phase1.claims", res.Phase1Load.Claims)
@@ -173,12 +178,12 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	switch {
 	case opt.SkipNNN:
 		t1 := time.Now()
-		res.HNNLoad = lg.countHNN(pool, res, opt)
+		res.HNNLoad = lg.countHNN(pool, res, opt, bms)
 		res.HNNTime = time.Since(t1)
 		m.Add("hnn.claims", res.HNNLoad.Claims)
 	case opt.FuseHNNAndNNN:
 		t1 := time.Now()
-		res.HNNLoad = lg.countFused(pool, res, opt)
+		res.HNNLoad = lg.countFused(pool, res, opt, bms)
 		d := time.Since(t1)
 		res.HNNTime, res.NNNTime = d/2, d/2
 		res.NNNLoad = res.HNNLoad
@@ -187,9 +192,9 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	default:
 		t1 := time.Now()
 		if opt.HNNBlocks > 1 {
-			res.HNNLoad = lg.countHNNBlocked(pool, res, opt)
+			res.HNNLoad = lg.countHNNBlocked(pool, res, opt, bms)
 		} else {
-			res.HNNLoad = lg.countHNN(pool, res, opt)
+			res.HNNLoad = lg.countHNN(pool, res, opt, bms)
 		}
 		res.HNNTime = time.Since(t1)
 		m.Add("hnn.claims", res.HNNLoad.Claims)
@@ -331,7 +336,7 @@ type phase1Stats struct {
 // O(d·h1/64) word ops. Both are bit-identical: HE rows are strictly
 // ascending, so {nv[j] : j < i} is exactly {h ∈ nv : h < nv[i]}, the
 // set the row mask keeps. Phase1Auto chooses per row.
-func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, res *Result) sched.LoadReport {
+func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap], res *Result) sched.LoadReport {
 	tiles := lg.phase1Tiles(opt, pool.Workers())
 	hhh := sched.NewAccumulator(pool.Workers())
 	hhn := sched.NewAccumulator(pool.Workers())
@@ -344,24 +349,14 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, res *Resul
 	wordRows := sched.NewAccumulator(pool.Workers())
 	scalarRows := sched.NewAccumulator(pool.Workers())
 
-	bmWords := (int(lg.HubCount) + 63) / 64
-	var scratch *sched.WorkerLocal[phase1Scratch]
-	if opt.Scratch != nil {
-		scratch = opt.Scratch.phase1Local(pool.Workers(), bmWords)
-	} else {
-		scratch = sched.NewWorkerLocal(pool.Workers(), func() *phase1Scratch {
-			return &phase1Scratch{bm: make([]uint64, bmWords)}
-		})
-	}
 	kernel := opt.Phase1Kernel
 
-	processPairs := func(s *phase1Scratch, v uint32, lo, hi uint32) (found uint64, st phase1Stats) {
+	processPairs := func(bm *intersect.HubBitmap, v uint32, lo, hi uint32) (found uint64, st phase1Stats) {
 		nv := lg.HE.Neighbors(v)
 		// The bitmap is populated lazily, on the first row routed to
 		// the word kernel, and holds ALL of nv: rows masked to
 		// h2 < h1 then see exactly the prefix nv[:i].
 		populated := false
-		bm := s.bm
 		for i := int(lo); i < int(hi); i++ {
 			// Pair tiles of extreme-degree vertices are the largest
 			// indivisible units of phase 1, so cancellation is polled
@@ -376,12 +371,10 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, res *Resul
 			row := lg.H2H.Row(h1)
 			if kernel == Phase1Word || (kernel == Phase1Auto && wordRowThreshold(i, h1)) {
 				if !populated {
-					for _, h := range nv {
-						bm[h>>6] |= 1 << (h & 63)
-					}
+					bm.Mark(nv)
 					populated = true
 				}
-				found += row.AndCount(bm)
+				found += row.AndCount(bm[:])
 				st.wordOps += uint64(row.NumWords())
 				st.wordRows++
 			} else {
@@ -395,12 +388,9 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, res *Resul
 			st.pairs += uint64(i)
 		}
 		// Clear on every exit, including the cancellation break: the
-		// worker's next vertex reuses the bitmap. Only words holding
-		// nv bits were touched, so re-walking nv clears everything.
+		// worker's next vertex (and HNN) reuses the bitmap.
 		if populated {
-			for _, h := range nv {
-				bm[h>>6] = 0
-			}
+			bm.Clear(nv)
 		}
 		return found, st
 	}
@@ -411,7 +401,7 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, res *Resul
 	}
 	report := runTasks(len(tiles), func(worker, ti int) {
 		t := tiles[ti]
-		s := scratch.Get(worker)
+		bm := bms.Get(worker)
 		var localHHH, localHHN, localPolls uint64
 		var localStats phase1Stats
 		if t.vEnd > 0 { // vertex-range tile
@@ -424,7 +414,7 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, res *Resul
 				if d < 2 {
 					continue
 				}
-				found, st := processPairs(s, v, 1, uint32(d))
+				found, st := processPairs(bm, v, 1, uint32(d))
 				localStats.pairs += st.pairs
 				localStats.wordOps += st.wordOps
 				localStats.wordRows += st.wordRows
@@ -441,7 +431,7 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, res *Resul
 			if lo < 1 {
 				lo = 1
 			}
-			found, st := processPairs(s, t.vStart, lo, t.hi)
+			found, st := processPairs(bm, t.vStart, lo, t.hi)
 			localStats = st
 			localPolls += st.rows
 			if t.vStart < lg.HubCount {
@@ -472,112 +462,31 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, res *Resul
 // countHNN counts HNN triangles (Alg 3 lines 7-9): for every non-hub
 // v and non-hub neighbour u, the common hub neighbours |HE.N_v ∩
 // HE.N_u| each close a triangle. Random accesses touch only HE rows,
-// 2 bytes per edge (§4.5, Table 2). With IntersectAdaptive (the
-// default) each row pair is dispatched to merge join or galloping
-// search by size ratio; the dispatch split is counted per branch so
-// the obs report shows what the heuristic chose.
-func (lg *LotusGraph) countHNN(pool *sched.Pool, res *Result, opt CountOptions) sched.LoadReport {
-	m := opt.Metrics
-	adaptive := opt.Intersect == IntersectAdaptive
-	n := lg.numVertices
-	acc := sched.NewAccumulator(pool.Workers())
-	inter := sched.NewAccumulator(pool.Workers())
-	polls := sched.NewAccumulator(pool.Workers())
-	gallops := sched.NewAccumulator(pool.Workers())
-	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
-		var local, localInter, localPolls, localGallops uint64
-		for v := start; v < end; v++ {
-			localPolls++
-			if pool.Cancelled() {
-				break
-			}
-			hv := lg.HE.Neighbors(uint32(v))
-			if len(hv) == 0 {
-				continue
-			}
-			nhe := lg.NHE.Neighbors(uint32(v))
-			localInter += uint64(len(nhe))
-			for _, u := range nhe {
-				hu := lg.HE.Neighbors(u)
-				if adaptive && intersect.UseGalloping(len(hv), len(hu)) {
-					local += intersect.Galloping16(hv, hu)
-					localGallops++
-				} else {
-					local += intersect.Merge16(hv, hu)
-				}
-			}
-		}
-		acc.Add(worker, local)
-		inter.Add(worker, localInter)
-		polls.Add(worker, localPolls)
-		gallops.Add(worker, localGallops)
-	})
-	res.HNN = acc.Sum()
-	m.Add("hnn.he_intersections", int64(inter.Sum()))
-	m.Add("hnn.polls", int64(polls.Sum()))
-	m.Add(obs.HNNDispatchGallop, int64(gallops.Sum()))
-	m.Add(obs.HNNDispatchMerge, int64(inter.Sum()-gallops.Sum()))
+// 2 bytes per edge (§4.5, Table 2). HE.N_v is marked once in the
+// worker's hub bitmap, every HE.N_u is probed against it branch-free,
+// and the marks are cleared before the next v. Cancellation is polled
+// before the mark, so the bitmap is all-zero on every exit.
+func (lg *LotusGraph) countHNN(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap]) sched.LoadReport {
+	var rep sched.LoadReport
+	res.HNN, rep = lg.countHNNRange(pool, opt, bms, 0, uint32(lg.numVertices))
 	return rep
 }
 
 // countHNNBlocked is countHNN with the §7 blocking strategy: the
-// non-hub ID space is cut into `blocks` contiguous ranges, and each
-// range gets its own NHE traversal that intersects only with
-// neighbours u inside the range, confining the random HE.N_u loads
-// of a pass to that range's rows. NHE neighbour lists are sorted, so
-// each pass visits a contiguous sub-list located by binary search.
-func (lg *LotusGraph) countHNNBlocked(pool *sched.Pool, res *Result, opt CountOptions) sched.LoadReport {
-	m := opt.Metrics
+// non-hub ID space is cut into opt.HNNBlocks contiguous ranges, and
+// each range gets its own NHE traversal that probes only neighbours u
+// inside the range, confining the random HE.N_u loads of a pass to
+// that range's rows.
+func (lg *LotusGraph) countHNNBlocked(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap]) sched.LoadReport {
 	blocks := opt.HNNBlocks
-	adaptive := opt.Intersect == IntersectAdaptive
-	n := lg.numVertices
 	hub := int(lg.HubCount)
-	nonHubs := n - hub
-	if nonHubs <= 0 {
-		res.HNN = 0
-		return sched.LoadReport{}
-	}
-	acc := sched.NewAccumulator(pool.Workers())
-	inter := sched.NewAccumulator(pool.Workers())
-	polls := sched.NewAccumulator(pool.Workers())
-	gallops := sched.NewAccumulator(pool.Workers())
+	nonHubs := lg.numVertices - hub
 	var total sched.LoadReport
-	for b := 0; b < blocks && !pool.Cancelled(); b++ {
+	for b := 0; b < blocks && nonHubs > 0 && !pool.Cancelled(); b++ {
 		lo := uint32(hub + b*nonHubs/blocks)
 		hi := uint32(hub + (b+1)*nonHubs/blocks)
-		rep := pool.ForTimed(n, 0, func(worker, start, end int) {
-			var local, localInter, localPolls, localGallops uint64
-			for v := start; v < end; v++ {
-				localPolls++
-				if pool.Cancelled() {
-					break
-				}
-				hv := lg.HE.Neighbors(uint32(v))
-				if len(hv) == 0 {
-					continue
-				}
-				nhe := lg.NHE.Neighbors(uint32(v))
-				// Sub-list of neighbours inside [lo, hi), located with
-				// the branch-free search (a closure-based sort.Search
-				// here costs two indirect calls per vertex per block).
-				a := intersect.LowerBound(nhe, lo)
-				bnd := a + intersect.LowerBound(nhe[a:], hi)
-				localInter += uint64(bnd - a)
-				for _, u := range nhe[a:bnd] {
-					hu := lg.HE.Neighbors(u)
-					if adaptive && intersect.UseGalloping(len(hv), len(hu)) {
-						local += intersect.Galloping16(hv, hu)
-						localGallops++
-					} else {
-						local += intersect.Merge16(hv, hu)
-					}
-				}
-			}
-			acc.Add(worker, local)
-			inter.Add(worker, localInter)
-			polls.Add(worker, localPolls)
-			gallops.Add(worker, localGallops)
-		})
+		found, rep := lg.countHNNRange(pool, opt, bms, lo, hi)
+		res.HNN += found
 		total.Wall += rep.Wall
 		total.Claims += rep.Claims
 		total.Steals += rep.Steals
@@ -589,13 +498,59 @@ func (lg *LotusGraph) countHNNBlocked(pool *sched.Pool, res *Result, opt CountOp
 			}
 		}
 	}
-	res.HNN = acc.Sum()
+	opt.Metrics.Add("hnn.blocks", int64(blocks))
+	return total
+}
+
+// countHNNRange runs one HNN pass that probes only neighbours u in
+// [lo, hi), publishes its counters and returns its triangle total.
+// NHE rows are sorted, so the qualifying neighbours of each v form a
+// contiguous sub-list located by binary search; a full pass skips the
+// search.
+func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap], lo, hi uint32) (uint64, sched.LoadReport) {
+	m := opt.Metrics
+	n := lg.numVertices
+	whole := lo == 0 && hi == uint32(n)
+	acc := sched.NewAccumulator(pool.Workers())
+	inter := sched.NewAccumulator(pool.Workers())
+	polls := sched.NewAccumulator(pool.Workers())
+	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
+		bm := bms.Get(worker)
+		var local, localInter, localPolls uint64
+		for v := start; v < end; v++ {
+			localPolls++
+			if pool.Cancelled() {
+				break
+			}
+			hv := lg.HE.Neighbors(uint32(v))
+			if len(hv) == 0 {
+				continue
+			}
+			nhe := lg.NHE.Neighbors(uint32(v))
+			if !whole {
+				// Branch-free search: a closure-based sort.Search
+				// here costs two indirect calls per vertex per block.
+				a := intersect.LowerBound(nhe, lo)
+				nhe = nhe[a : a+intersect.LowerBound(nhe[a:], hi)]
+			}
+			if len(nhe) == 0 {
+				continue
+			}
+			localInter += uint64(len(nhe))
+			bm.Mark(hv)
+			for _, u := range nhe {
+				local += bm.Count(lg.HE.Neighbors(u))
+			}
+			bm.Clear(hv)
+		}
+		acc.Add(worker, local)
+		inter.Add(worker, localInter)
+		polls.Add(worker, localPolls)
+	})
 	m.Add("hnn.he_intersections", int64(inter.Sum()))
 	m.Add("hnn.polls", int64(polls.Sum()))
-	m.Add("hnn.blocks", int64(blocks))
-	m.Add(obs.HNNDispatchGallop, int64(gallops.Sum()))
-	m.Add(obs.HNNDispatchMerge, int64(inter.Sum()-gallops.Sum()))
-	return total
+	m.Add(obs.HNNDispatchBitmap, int64(inter.Sum()))
+	return acc.Sum(), rep
 }
 
 // countNNN counts NNN triangles (Alg 3 lines 10-12): the Forward
@@ -647,7 +602,7 @@ func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions) 
 // countFused runs the HNN and NNN intersections inside one traversal
 // of NHE — the loop fusion §4.5 rejects because it enlarges the
 // working set of randomly accessed data. Kept for the ablation bench.
-func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions) sched.LoadReport {
+func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap]) sched.LoadReport {
 	m := opt.Metrics
 	adaptive := opt.Intersect == IntersectAdaptive
 	n := lg.numVertices
@@ -655,30 +610,29 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 	nnn := sched.NewAccumulator(pool.Workers())
 	inter := sched.NewAccumulator(pool.Workers())
 	polls := sched.NewAccumulator(pool.Workers())
-	hnnGallops := sched.NewAccumulator(pool.Workers())
 	nnnGallops := sched.NewAccumulator(pool.Workers())
 	hnnInter := sched.NewAccumulator(pool.Workers())
 	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
+		bm := bms.Get(worker)
 		var localHNN, localNNN, localInter, localPolls uint64
-		var localHNNGallops, localNNNGallops, localHNNInter uint64
+		var localNNNGallops, localHNNInter uint64
 		for v := start; v < end; v++ {
 			localPolls++
 			if pool.Cancelled() {
 				break
 			}
 			nv := lg.NHE.Neighbors(uint32(v))
+			if len(nv) == 0 {
+				continue
+			}
 			hv := lg.HE.Neighbors(uint32(v))
+			hasHubs := len(hv) > 0
+			bm.Mark(hv)
 			localInter += uint64(len(nv))
 			for _, u := range nv {
-				if len(hv) > 0 {
-					hu := lg.HE.Neighbors(u)
+				if hasHubs {
+					localHNN += bm.Count(lg.HE.Neighbors(u))
 					localHNNInter++
-					if adaptive && intersect.UseGalloping(len(hv), len(hu)) {
-						localHNN += intersect.Galloping16(hv, hu)
-						localHNNGallops++
-					} else {
-						localHNN += intersect.Merge16(hv, hu)
-					}
 				}
 				nu := lg.NHE.Neighbors(u)
 				if adaptive && intersect.UseGalloping(len(nv), len(nu)) {
@@ -688,12 +642,12 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 					localNNN += intersect.Merge(nv, nu)
 				}
 			}
+			bm.Clear(hv)
 		}
 		hnn.Add(worker, localHNN)
 		nnn.Add(worker, localNNN)
 		inter.Add(worker, localInter)
 		polls.Add(worker, localPolls)
-		hnnGallops.Add(worker, localHNNGallops)
 		nnnGallops.Add(worker, localNNNGallops)
 		hnnInter.Add(worker, localHNNInter)
 	})
@@ -702,8 +656,7 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 	m.Add("hnn.he_intersections", int64(inter.Sum()))
 	m.Add("nnn.nhe_intersections", int64(inter.Sum()))
 	m.Add("hnn.polls", int64(polls.Sum()))
-	m.Add(obs.HNNDispatchGallop, int64(hnnGallops.Sum()))
-	m.Add(obs.HNNDispatchMerge, int64(hnnInter.Sum()-hnnGallops.Sum()))
+	m.Add(obs.HNNDispatchBitmap, int64(hnnInter.Sum()))
 	m.Add(obs.NNNDispatchGallop, int64(nnnGallops.Sum()))
 	m.Add(obs.NNNDispatchMerge, int64(inter.Sum()-nnnGallops.Sum()))
 	return rep

@@ -100,9 +100,10 @@ func TestPhase1KernelEquivalenceTiled(t *testing.T) {
 	}
 }
 
-// TestIntersectKernelEquivalence asserts the adaptive HNN/NNN dispatch
+// TestIntersectKernelEquivalence asserts the adaptive NNN dispatch
 // returns the same per-class counts as unconditional merge join, over
-// the plain, blocked and fused phase variants.
+// the plain, blocked and fused phase variants, and that HNN reports
+// one hub-bitmap probe per HE-row intersection.
 func TestIntersectKernelEquivalence(t *testing.T) {
 	for name, g := range kernelCorpus(t) {
 		lg := Preprocess(g, Options{HubCount: 32, Pool: pool})
@@ -123,9 +124,15 @@ func TestIntersectKernelEquivalence(t *testing.T) {
 					name, v, gotRes.HNN, gotRes.NNN, gotRes.Total, wantRes.HNN, wantRes.NNN, wantRes.Total)
 			}
 			m := adaptive.Metrics
-			if split := m.Get(obs.HNNDispatchMerge) + m.Get(obs.HNNDispatchGallop); split != m.Get("hnn.he_intersections") && !v.FuseHNNAndNNN {
-				t.Errorf("%s %+v: dispatch split %d != %d intersections",
-					name, v, split, m.Get("hnn.he_intersections"))
+			if rows := m.Get(obs.HNNDispatchBitmap); rows != m.Get("hnn.he_intersections") && !v.FuseHNNAndNNN {
+				t.Errorf("%s %+v: %d bitmap row probes != %d intersections",
+					name, v, rows, m.Get("hnn.he_intersections"))
+			}
+			snap := m.Snapshot()
+			for _, retired := range []string{obs.HNNDispatchMerge, obs.HNNDispatchGallop} {
+				if _, ok := snap[retired]; ok {
+					t.Errorf("%s %+v: retired counter %s still published", name, v, retired)
+				}
 			}
 		}
 	}
@@ -197,6 +204,60 @@ func TestKernelParsers(t *testing.T) {
 		got, err := ParseIntersectKernel(c.in)
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("ParseIntersectKernel(%q) = %v, %v", c.in, got, err)
+		}
+	}
+}
+
+// TestHNNCancellationLeavesBitmapsClear cancels each HNN loop (flat,
+// blocked, fused) mid-run, then reuses the same CountScratch for a
+// fresh count, which must be exact in every class: a cancellation exit
+// that left marks in a worker's hub bitmap would inflate the next
+// count's HHH/HHN or HNN.
+func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(12, 16, 5))
+	lg := Preprocess(g, Options{HubCount: 512, Pool: pool})
+	want := lg.Count(pool)
+	scratch := NewCountScratch()
+	for name, opt := range map[string]CountOptions{
+		"flat":    {},
+		"blocked": {HNNBlocks: 4},
+		"fused":   {FuseHNNAndNNN: true},
+	} {
+		opt.Scratch = scratch
+		bms := hubBitmaps(scratch, pool.Workers())
+		ctx, cancel := context.WithCancel(context.Background())
+		bound := pool.Bind(ctx)
+		time.AfterFunc(time.Millisecond, cancel)
+		// Nothing but HNN loops runs until the cancel lands, so it
+		// interrupts one of them.
+		var partial bool
+		for !bound.Cancelled() {
+			res := &Result{}
+			switch {
+			case opt.FuseHNNAndNNN:
+				lg.countFused(bound, res, opt, bms)
+			case opt.HNNBlocks > 1:
+				lg.countHNNBlocked(bound, res, opt, bms)
+			default:
+				lg.countHNN(bound, res, opt, bms)
+			}
+			partial = res.HNN < want.HNN
+		}
+		bound.Release()
+		t.Logf("%s: last HNN run cut short: %v", name, partial)
+		for w := 0; w < pool.Workers(); w++ {
+			for i, word := range bms.Get(w) {
+				if word != 0 {
+					t.Fatalf("%s: worker %d bitmap word %d = %#x after cancellation, want 0", name, w, i, word)
+				}
+			}
+		}
+		got := lg.CountWithOptions(pool, opt)
+		if got.Total != want.Total || got.HHH != want.HHH || got.HHN != want.HHN ||
+			got.HNN != want.HNN || got.NNN != want.NNN {
+			t.Fatalf("%s: count after cancellation = %d (%d/%d/%d/%d), want %d (%d/%d/%d/%d)",
+				name, got.Total, got.HHH, got.HHN, got.HNN, got.NNN,
+				want.Total, want.HHH, want.HHN, want.HNN, want.NNN)
 		}
 	}
 }

@@ -46,8 +46,9 @@ func ParsePhase1Kernel(s string) (Phase1Kernel, error) {
 	return Phase1Auto, fmt.Errorf("unknown phase-1 kernel %q (want auto, scalar or word)", s)
 }
 
-// IntersectKernel selects the intersection strategy for the HNN and
-// NNN phases.
+// IntersectKernel selects the intersection strategy for the NNN phase.
+// HNN always probes HE rows against a per-worker hub bitmap
+// (intersect.HubBitmap), which needs no dispatch.
 type IntersectKernel int
 
 const (
@@ -79,14 +80,6 @@ func ParseIntersectKernel(s string) (IntersectKernel, error) {
 		return IntersectMerge, nil
 	}
 	return IntersectAdaptive, fmt.Errorf("unknown intersect kernel %q (want adaptive or merge)", s)
-}
-
-// phase1Scratch is a worker's reusable phase-1 state: a bitmap over
-// the hub ID space holding the current vertex's hub neighbours. At
-// the 2^16 hub cap it is 8 KB — it stays resident in L1 across rows,
-// which is what makes the word kernel profitable.
-type phase1Scratch struct {
-	bm []uint64
 }
 
 // wordRowThreshold reports whether the word kernel is the cheaper way

@@ -41,32 +41,27 @@ func (lg *LotusGraph) CountPerVertex(pool *sched.Pool) []uint64 {
 		}
 	})
 
-	// Phase 2: HNN — walk the 16-bit merge manually to learn which
-	// hub closed each triangle.
-	pool.For(n, 0, func(_, start, end int) {
+	// Phase 2: HNN — mark HE.N_v in the worker's hub bitmap; every set
+	// bit an HE.N_u element hits names the closing hub h.
+	bms := hubBitmaps(nil, pool.Workers())
+	pool.For(n, 0, func(worker, start, end int) {
+		bm := bms.Get(worker)
 		for v := start; v < end; v++ {
 			hv := lg.HE.Neighbors(uint32(v))
 			if len(hv) == 0 {
 				continue
 			}
+			bm.Mark(hv)
 			for _, u := range lg.NHE.Neighbors(uint32(v)) {
-				hu := lg.HE.Neighbors(u)
-				i, j := 0, 0
-				for i < len(hv) && j < len(hu) {
-					switch {
-					case hv[i] < hu[j]:
-						i++
-					case hv[i] > hu[j]:
-						j++
-					default:
+				for _, h := range lg.HE.Neighbors(u) {
+					if bm.Has(h) {
 						bump(uint32(v))
 						bump(u)
-						bump(uint32(hv[i]))
-						i++
-						j++
+						bump(uint32(h))
 					}
 				}
 			}
+			bm.Clear(hv)
 		}
 	})
 

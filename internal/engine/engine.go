@@ -90,8 +90,9 @@ type Params struct {
 	// "auto" (per-row dispatch), "scalar", or "word". Unknown values
 	// fail the run up front rather than silently falling back.
 	Phase1Kernel string
-	// IntersectKernel selects the HNN/NNN intersection strategy: ""
-	// or "adaptive" (size-ratio dispatch), or "merge".
+	// IntersectKernel selects the NNN intersection strategy: "" or
+	// "adaptive" (size-ratio dispatch), or "merge". HNN always probes
+	// the per-worker hub bitmap.
 	IntersectKernel string
 	// Prepared supplies an already-built LOTUS structure for the same
 	// graph, letting a resident service amortize preprocessing across

@@ -29,7 +29,7 @@ func TestRunCollectMetricsLotus(t *testing.T) {
 		"lotus.hubs", "lotus.he_edges", "lotus.nhe_edges", "lotus.h2h_bits",
 		"phase1.tiles", "phase1.h2h_probes", "phase1.polls",
 		"phase1.claims", "phase1.steals",
-		"hnn.he_intersections", "hnn.polls", "hnn.claims",
+		"hnn.he_intersections", "hnn.polls", "hnn.claims", "hnn.dispatch.bitmap",
 		"nnn.nhe_intersections", "nnn.polls", "nnn.claims",
 	}
 	for _, name := range required {

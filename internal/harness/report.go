@@ -19,7 +19,7 @@ var BenchAlgorithms = []string{"bbtc", "edge-iterator", "forward", "gbbs", "lotu
 
 // benchKernelVariants are the labeled LOTUS kernel-ablation runs
 // appended to every dataset's sweep: phase-1 scalar vs word and
-// HNN/NNN merge vs adaptive, each pinned so the pairs differ in
+// NNN merge vs adaptive, each pinned so the pairs differ in
 // exactly one knob. Their RunReport Algorithm field carries the
 // variant label (e.g. "lotus/phase1=word").
 var benchKernelVariants = []struct {

@@ -6,10 +6,11 @@ package intersect
 // search — dominates triangle-counting runtime, and that the right
 // choice depends on the size ratio of the two lists: a linear merge
 // touches every element of both lists, while galloping touches
-// O(|short| · log |long|). On skewed graphs the HNN phase constantly
-// intersects a vertex's short hub list with a hub-heavy neighbour's
-// long one, so a single unconditional kernel leaves time on the
-// table in one regime or the other.
+// O(|short| · log |long|). On skewed graphs the NNN phase often
+// intersects a vertex's short row with a high-degree neighbour's long
+// one, so a single unconditional kernel leaves time on the table in
+// one regime or the other. (HNN rows hold 16-bit hub IDs and use the
+// HubBitmap kernel instead, which needs no dispatch.)
 
 // GallopRatio is the size ratio past which the adaptive dispatcher
 // abandons merge join for galloping search: merge costs
@@ -37,12 +38,4 @@ func Adaptive(a, b []uint32) uint64 {
 		return Galloping(a, b)
 	}
 	return Merge(a, b)
-}
-
-// Adaptive16 is Adaptive for the 16-bit hub IDs of HE rows.
-func Adaptive16(a, b []uint16) uint64 {
-	if UseGalloping(len(a), len(b)) {
-		return Galloping16(a, b)
-	}
-	return Merge16(a, b)
 }

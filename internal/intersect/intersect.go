@@ -7,9 +7,9 @@
 package intersect
 
 // Merge counts |a ∩ b| with a linear merge join. This is the kernel
-// LOTUS itself uses for the HNN and NNN phases (§4.4.3): neighbour
-// lists of non-hubs are short, so the branchy but allocation-free
-// merge wins.
+// the paper uses for the HNN and NNN phases (§4.4.3): neighbour lists
+// of non-hubs are short, so the branchy but allocation-free merge
+// wins. Here it serves NNN; HNN's 16-bit rows use HubBitmap.
 func Merge(a, b []uint32) uint64 {
 	var n uint64
 	i, j := 0, 0
@@ -24,41 +24,6 @@ func Merge(a, b []uint32) uint64 {
 			i++
 			j++
 		}
-	}
-	return n
-}
-
-// Merge16 is Merge specialized for the 16-bit neighbour IDs of the HE
-// sub-graph (§4.2: LOTUS stores hub IDs in 16 bits).
-func Merge16(a, b []uint16) uint64 {
-	var n uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// Merge16Branchless is MergeBranchless for 16-bit hub IDs: the same
-// arithmetic cursor advance, with both loads widened once so the hot
-// loop compares registers.
-func Merge16Branchless(a, b []uint16) uint64 {
-	var n uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		n += uint64(btoi(x == y))
-		i += btoi(x <= y)
-		j += btoi(y <= x)
 	}
 	return n
 }
@@ -171,40 +136,6 @@ func Galloping(a, b []uint32) uint64 {
 			hi = len(b)
 		}
 		i := k + LowerBound(b[k:hi], x)
-		if i < len(b) && b[i] == x {
-			n++
-			j = i + 1
-		} else {
-			j = i
-		}
-		if j >= len(b) {
-			break
-		}
-	}
-	return n
-}
-
-// Galloping16 is Galloping for the 16-bit hub IDs of HE rows, the
-// kernel the adaptive dispatcher picks when one row dwarfs the other
-// (a low-degree vertex against a hub's long row).
-func Galloping16(a, b []uint16) uint64 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var n uint64
-	j := 0
-	for _, x := range a {
-		step := 1
-		k := j
-		for k+step < len(b) && b[k+step] < x {
-			k += step
-			step <<= 1
-		}
-		hi := k + step
-		if hi > len(b) {
-			hi = len(b)
-		}
-		i := k + LowerBound16(b[k:hi], x)
 		if i < len(b) && b[i] == x {
 			n++
 			j = i + 1
@@ -358,6 +289,46 @@ func BitmapCount(bm *Bitmap, a, b []uint32) uint64 {
 		}
 	}
 	return n
+}
+
+// HubBitmap is a dense bitmap over the whole 16-bit hub ID space of
+// HE rows (§4.2): 2^16 bits in 1024 words, 8 KB, small enough to stay
+// in L1 across every probe a worker makes. Sizing it to the ID space
+// rather than the hub count lets the compiler drop the bounds check
+// from every probe, since h>>6 of a uint16 is always below 1024.
+// Counting kernels keep one per worker and hold the invariant that it
+// is all-zero between uses: Mark a row, probe other rows against it,
+// then Clear the same row.
+type HubBitmap [1 << 10]uint64
+
+// Mark sets the bits of every hub in hs.
+func (b *HubBitmap) Mark(hs []uint16) {
+	for _, h := range hs {
+		b[h>>6] |= 1 << (h & 63)
+	}
+}
+
+// Count returns how many hubs of hs are marked: the size of the
+// intersection of hs with the marked row. Each element costs one
+// L1-resident load and a shift, with no data-dependent branch.
+func (b *HubBitmap) Count(hs []uint16) uint64 {
+	var n uint64
+	for _, h := range hs {
+		n += b[h>>6] >> (h & 63) & 1
+	}
+	return n
+}
+
+// Has reports whether hub h is marked.
+func (b *HubBitmap) Has(h uint16) bool { return b[h>>6]>>(h&63)&1 != 0 }
+
+// Clear undoes Mark(hs). It zeroes whole words, so it restores the
+// all-zero invariant only when hs was the sole marked row — costing
+// O(len(hs)), not O(hubs).
+func (b *HubBitmap) Clear(hs []uint16) {
+	for _, h := range hs {
+		b[h>>6] = 0
+	}
 }
 
 // MergeTraced is Merge with an access callback: onAccess(x, fromA) is

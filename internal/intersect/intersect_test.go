@@ -93,19 +93,48 @@ func TestKernelsAgreeProperty(t *testing.T) {
 	}
 }
 
-func TestMerge16(t *testing.T) {
-	a := []uint16{1, 3, 5, 7}
-	b := []uint16{2, 3, 4, 7, 9}
-	if got := Merge16(a, b); got != 2 {
-		t.Fatalf("Merge16 = %d, want 2", got)
+// hubBitmapCount runs one mark/probe/clear cycle of the HNN kernel
+// and fails the test if the bitmap is not all-zero afterwards.
+func hubBitmapCount(t *testing.T, bm *HubBitmap, a, b []uint16) uint64 {
+	t.Helper()
+	bm.Mark(a)
+	n := bm.Count(b)
+	for _, x := range b {
+		if bm.Has(x) != (refCount([]uint32{uint32(x)}, widen(a)) == 1) {
+			t.Fatalf("Has(%d) disagrees with membership in %v", x, a)
+		}
 	}
-	if got := Merge16(nil, b); got != 0 {
-		t.Fatalf("Merge16(nil, b) = %d, want 0", got)
+	bm.Clear(a)
+	for i, w := range bm {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after Clear(%v), want 0", i, w, a)
+		}
+	}
+	return n
+}
+
+func TestHubBitmap(t *testing.T) {
+	bm := new(HubBitmap)
+	cases := []struct {
+		a, b []uint16
+		want uint64
+	}{
+		{[]uint16{1, 3, 5, 7}, []uint16{2, 3, 4, 7, 9}, 2},
+		{nil, []uint16{2, 3}, 0},
+		{[]uint16{2, 3}, nil, 0},
+		// Word boundaries and the top of the 16-bit ID space.
+		{[]uint16{0, 63, 64, 65, 65535}, []uint16{0, 62, 63, 64, 127, 65534, 65535}, 4},
+	}
+	for _, c := range cases {
+		if got := hubBitmapCount(t, bm, c.a, c.b); got != c.want {
+			t.Errorf("HubBitmap(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
 	}
 }
 
-// TestKernels16AgreeProperty checks the 16-bit kernel family against
-// the reference count on random sorted inputs.
+// TestKernels16AgreeProperty checks the 16-bit hub-bitmap kernel
+// against Merge on random sorted inputs, reusing one bitmap so a
+// missed clear would corrupt a later case.
 func TestKernels16AgreeProperty(t *testing.T) {
 	narrow := func(xs []uint32) []uint16 {
 		out := make([]uint16, len(xs))
@@ -114,13 +143,12 @@ func TestKernels16AgreeProperty(t *testing.T) {
 		}
 		return out
 	}
+	bm := new(HubBitmap)
 	check := func(ra, rb []uint32) bool {
-		a32 := sortedUnique(ra, 512)
-		b32 := sortedUnique(rb, 512)
-		want := refCount(a32, b32)
+		a32 := sortedUnique(ra, 1<<16)
+		b32 := sortedUnique(rb, 1<<16)
 		a, b := narrow(a32), narrow(b32)
-		return Merge16(a, b) == want && Merge16Branchless(a, b) == want &&
-			Galloping16(a, b) == want && Adaptive16(a, b) == want
+		return hubBitmapCount(t, bm, a, b) == Merge(a32, b32)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -157,12 +185,12 @@ func TestUseGalloping(t *testing.T) {
 		la, lb int
 		want   bool
 	}{
-		{0, 100, false},  // empty short list: merge exits immediately
-		{1, 15, false},   // below the ratio
-		{1, 16, true},    // at the ratio
-		{4, 64, true},    // 16x
-		{4, 63, false},   // just under
-		{64, 4, true},    // order-insensitive
+		{0, 100, false}, // empty short list: merge exits immediately
+		{1, 15, false},  // below the ratio
+		{1, 16, true},   // at the ratio
+		{4, 64, true},   // 16x
+		{4, 63, false},  // just under
+		{64, 4, true},   // order-insensitive
 		{100, 100, false},
 	}
 	for _, c := range cases {
@@ -313,24 +341,12 @@ func BenchmarkIntersectKernels(b *testing.B) {
 	for i, x := range long {
 		long16[i] = uint16(x)
 	}
-	b.Run("Merge16/skewed", func(b *testing.B) {
+	hbm := new(HubBitmap)
+	b.Run("HubBitmap/skewed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Merge16(short16, long16)
-		}
-	})
-	b.Run("Merge16Branchless/skewed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Merge16Branchless(short16, long16)
-		}
-	})
-	b.Run("Galloping16/skewed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Galloping16(short16, long16)
-		}
-	})
-	b.Run("Adaptive16/skewed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Adaptive16(short16, long16)
+			hbm.Mark(short16)
+			hbm.Count(long16)
+			hbm.Clear(short16)
 		}
 	})
 	b.Run("Hash/balanced", func(b *testing.B) {

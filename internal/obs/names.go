@@ -15,10 +15,12 @@ const (
 	// per-row heuristic actually chose.
 	Phase1RowsWord   = "phase1.rows.word"
 	Phase1RowsScalar = "phase1.rows.scalar"
-	// HNNDispatchMerge / HNNDispatchGallop count HE-row intersections
-	// routed to merge join vs galloping search by the adaptive
-	// dispatcher in the HNN phase (blocked and fused variants
-	// included).
+	// HNNDispatchBitmap counts HE rows probed against the per-worker
+	// hub bitmap in the HNN phase (flat, blocked, fused and sharded).
+	HNNDispatchBitmap = "hnn.dispatch.bitmap"
+	// HNNDispatchMerge / HNNDispatchGallop are retired: HNN no longer
+	// dispatches between merge join and galloping search, so nothing
+	// publishes them. The constants stay for readers of older reports.
 	HNNDispatchMerge  = "hnn.dispatch.merge"
 	HNNDispatchGallop = "hnn.dispatch.gallop"
 	// NNNDispatchMerge / NNNDispatchGallop are the same split for the

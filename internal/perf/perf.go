@@ -296,7 +296,9 @@ func replayPhase1Word(lg *core.LotusGraph, m refSink) uint64 {
 }
 
 // replayPhases23 replays the HNN and NNN phases (shared by both
-// phase-1 kernels).
+// phase-1 kernels). HNN is replayed as the paper's merge join over HE
+// rows (§4.4.3), not the library's hub-bitmap probe: the Fig 4/5
+// models reproduce the paper's reference stream on purpose.
 func replayPhases23(lg *core.LotusGraph, m refSink) uint64 {
 	heOff := lg.HE.Offsets()
 	nheOff := lg.NHE.Offsets()

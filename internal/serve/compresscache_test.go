@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -255,6 +257,20 @@ func TestRehydrationReusesPooledArena(t *testing.T) {
 		}
 		rel()
 	}
+	// Two things empty sync.Pool behind the test's back and show up as
+	// a spurious pool miss. A GC drops pooled items (two in a row drop
+	// even the victim cache), and garbage from other tests in the
+	// package can trigger one mid-measurement, so GC is held off from
+	// the priming cycle to the end of the measured ones. And Get never
+	// looks at another P's private slot: AllocsPerRun measures at
+	// GOMAXPROCS(1), so an arena primed on any P but P0 is unreachable.
+	// Priming runs at GOMAXPROCS(1) too.
+	gcPercent := debug.SetGCPercent(-1)
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gcPercent)
+	})
 	cycle() // first rehydration populates the pool
 	base := met.Get("c.pool_hits")
 	misses := met.Get("c.pool_misses")

@@ -16,10 +16,12 @@ type CountOptions struct {
 	// part, with the same semantics (and the same per-row auto
 	// heuristic) as the monolithic phase 1.
 	Phase1Kernel core.Phase1Kernel
-	// Intersect selects the HNN/NNN intersection strategy.
+	// Intersect selects the NNN intersection strategy; the HNN part
+	// always probes the hub bitmap.
 	Intersect core.IntersectKernel
 	// Metrics, when non-nil, receives the counting counters
-	// (shard.triples, shard.tiles, shard.polls, shard.count.ns).
+	// (shard.triples, shard.tiles, shard.polls, shard.count.ns,
+	// hnn.dispatch.bitmap).
 	Metrics *obs.Metrics
 	// TrackTriples records the per-block-triple triangle totals into
 	// Result.PerTriple — the instrumentation the "every triangle is
@@ -67,13 +69,6 @@ type triple struct {
 type ctile struct {
 	t      int
 	lo, hi uint32
-}
-
-// shardScratch is a worker's reusable state: the hub bitmap of the
-// word-parallel hub-pair kernel (<= 8 KB at the 2^16 hub cap, same as
-// the monolithic phase-1 scratch).
-type shardScratch struct {
-	bm []uint64
 }
 
 // Count runs the sharded triangle count: every block triple
@@ -168,10 +163,11 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 	hnn := sched.NewAccumulator(workers)
 	nnn := sched.NewAccumulator(workers)
 	polls := sched.NewAccumulator(workers)
-	bmWords := (int(h) + 63) / 64
-	scratch := sched.NewWorkerLocal(workers, func() *shardScratch {
-		return &shardScratch{bm: make([]uint64, bmWords)}
-	})
+	hnnRows := sched.NewAccumulator(workers)
+	// Per-worker hub bitmaps, shared by the word-parallel hub-pair
+	// kernel and the HNN part; both clear what they mark before the
+	// next apex.
+	bms := sched.NewWorkerLocal(workers, func() *intersect.HubBitmap { return new(intersect.HubBitmap) })
 	kernel := opt.Phase1Kernel
 	adaptive := opt.Intersect == core.IntersectAdaptive
 
@@ -181,8 +177,8 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 		ri, rj := gr.Ranges[tr.i], gr.Ranges[tr.j]
 		sk, sj := gr.Shards[tr.k], gr.Shards[tr.j]
 		sameIJ := tr.i == tr.j
-		s := scratch.Get(worker)
-		var cHHH, cHHN, cHNN, cNNN, cPolls uint64
+		bm := bms.Get(worker)
+		var cHHH, cHHN, cHNN, cNNN, cHNNRows, cPolls uint64
 		for x := tl.lo; x < tl.hi; x++ {
 			cPolls++
 			if pool.Cancelled() {
@@ -196,7 +192,7 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 				hvJ := restrict16(hv, rj.Lo, rj.Hi)
 				hvI := restrict16(hv, ri.Lo, ri.Hi)
 				if len(hvJ) > 0 && len(hvI) > 0 {
-					found := countHubPairs(sj, s.bm, hvI, hvJ, sameIJ, kernel)
+					found := countHubPairs(sj, bm, hvI, hvJ, sameIJ, kernel)
 					if x < h {
 						cHHH += found
 					} else {
@@ -210,16 +206,16 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 				continue
 			}
 			if tr.hnn {
+				// The bitmap holds only the apex's R_i hubs, so probing
+				// u's full HE row counts exactly the hubs in R_i.
 				hvI := restrict16(hv, ri.Lo, ri.Hi)
 				if len(hvI) > 0 {
+					bm.Mark(hvI)
 					for _, u := range restrict32(sk.NHENeighbors(x), rj.Lo, rj.Hi) {
-						huI := restrict16(sj.HENeighbors(u), ri.Lo, ri.Hi)
-						if adaptive && intersect.UseGalloping(len(hvI), len(huI)) {
-							cHNN += intersect.Galloping16(hvI, huI)
-						} else {
-							cHNN += intersect.Merge16(hvI, huI)
-						}
+						cHNN += bm.Count(sj.HENeighbors(u))
+						cHNNRows++
 					}
+					bm.Clear(hvI)
 				}
 			}
 			if tr.nnn {
@@ -241,6 +237,7 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 		hhn.Add(worker, cHHN)
 		hnn.Add(worker, cHNN)
 		nnn.Add(worker, cNNN)
+		hnnRows.Add(worker, cHNNRows)
 		polls.Add(worker, cPolls)
 		if tripleTotals != nil {
 			atomic.AddUint64(&tripleTotals[tl.t], cHHH+cHHN+cHNN+cNNN)
@@ -261,6 +258,7 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 		m.Add(obs.ShardTriples, int64(res.Triples))
 		m.Add(obs.ShardTiles, int64(res.Tiles))
 		m.Add(obs.ShardPolls, int64(polls.Sum()))
+		m.Add(obs.HNNDispatchBitmap, int64(hnnRows.Sum()))
 		m.AddDuration(obs.ShardCountNS, res.CountTime)
 	}
 	return res
@@ -275,7 +273,7 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 // built-in "h2 < h1" mask, exactly as the monolithic word kernel
 // does. For i < j every hvI entry is below every hvJ entry, so the
 // whole list qualifies.
-func countHubPairs(sj *core.LotusShard, bm []uint64, hvI, hvJ []uint16, sameIJ bool, kernel core.Phase1Kernel) uint64 {
+func countHubPairs(sj *core.LotusShard, bm *intersect.HubBitmap, hvI, hvJ []uint16, sameIJ bool, kernel core.Phase1Kernel) uint64 {
 	var found uint64
 	populated := false
 	limit := len(hvI)
@@ -297,12 +295,10 @@ func countHubPairs(sj *core.LotusShard, bm []uint64, hvI, hvJ []uint16, sameIJ b
 		// the scalar path does `limit` dependent bit probes.
 		if kernel == core.Phase1Word || (kernel == core.Phase1Auto && limit >= 2*((int(h1)>>6)+1)) {
 			if !populated {
-				for _, hb := range hvI {
-					bm[hb>>6] |= 1 << (hb & 63)
-				}
+				bm.Mark(hvI)
 				populated = true
 			}
-			found += row.AndCount(bm)
+			found += row.AndCount(bm[:])
 		} else {
 			for t := 0; t < limit; t++ {
 				if row.IsSet(uint32(hvI[t])) {
@@ -312,9 +308,7 @@ func countHubPairs(sj *core.LotusShard, bm []uint64, hvI, hvJ []uint16, sameIJ b
 		}
 	}
 	if populated {
-		for _, hb := range hvI {
-			bm[hb>>6] = 0
-		}
+		bm.Clear(hvI)
 	}
 	return found
 }

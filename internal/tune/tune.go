@@ -82,7 +82,7 @@ type Decision struct {
 	// Algorithm is the registry kernel to run.
 	Algorithm string
 	// Phase1Kernel / IntersectKernel are the selected kernel knobs
-	// ("" = engine default).
+	// ("" = engine default); IntersectKernel governs NNN only.
 	Phase1Kernel    string
 	IntersectKernel string
 	// Reason is the one-line policy explanation.
