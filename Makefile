@@ -27,9 +27,13 @@ check:
 	$(GO) test -race ./internal/approx/
 	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestStreaming' ./internal/core/
 	# Every HNN path (flat, blocked, fused, sharded p=1..4, per-vertex)
-	# against a brute-force oracle, racing the per-worker hub bitmaps.
-	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence' ./internal/shard/
-	$(GO) test -race -run 'TestHNNCancellationLeavesBitmapsClear' ./internal/core/
+	# against a brute-force oracle, racing the per-worker hub bitmaps;
+	# and the Algorithm 2 walk (concurrent H2H Sets) and phase-1
+	# hub-pair kernel that the flat and the sharded path share, held to
+	# the materialize reference, the monolithic rows and the scalar
+	# probe.
+	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence|TestShardRowsMatchMonolithic' ./internal/shard/
+	$(GO) test -race -run 'TestHNNCancellationLeavesBitmapsClear|TestPreprocessBitIdentical|TestPhase1KernelEquivalence' ./internal/core/
 	# Auto-tuner surface: the probe's parallel reductions, the policy,
 	# and the cover-edge kernel's parallel sweep all race-tested in
 	# full (they are small packages; the engine's auto kernel rides in

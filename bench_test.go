@@ -329,7 +329,8 @@ func BenchmarkIntersectDispatch(b *testing.B) {
 }
 
 // BenchmarkAblationPreprocess compares the two Algorithm 2
-// implementations (materialize+split vs literal per-edge).
+// implementations (materialize+split vs the literal per-edge walk
+// Preprocess runs).
 func BenchmarkAblationPreprocess(b *testing.B) {
 	g := benchGraph()
 	pool := sched.NewPool(0)
@@ -341,7 +342,7 @@ func BenchmarkAblationPreprocess(b *testing.B) {
 	})
 	b.Run("DirectAlg2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lg := core.PreprocessDirect(g, core.Options{Pool: pool})
+			lg := core.Preprocess(g, core.Options{Pool: pool})
 			benchSink += uint64(lg.HE.NumEdges())
 		}
 	})

@@ -50,6 +50,12 @@ func (t *Tri) SizeBytes() int64 { return int64(len(t.words)) * 8 }
 // aliases the array's storage.
 func (t *Tri) Words() []uint64 { return t.words }
 
+// Rows returns the whole array as the row slice [0, n), aliasing its
+// storage: a TriRows starting at row 0 has the same packing as Tri, so
+// code written against row slices (the preprocessing walk, the
+// phase-1 hub-pair kernel) serves the monolithic array unchanged.
+func (t *Tri) Rows() *TriRows { return &TriRows{lo: 0, hi: t.n, words: t.words} }
+
 // index returns the bit index of the pair (h1, h2), h1 > h2.
 func index(h1, h2 uint32) uint64 {
 	return uint64(h1)*uint64(h1-1)/2 + uint64(h2)

@@ -152,6 +152,36 @@ func TestRowProbeMatchesIsSet(t *testing.T) {
 	}
 }
 
+// TestTriRowsView checks that Tri.Rows aliases the array: bits set
+// through the view read back through the Tri, the view's row probes
+// agree with the Tri's, and the popcounts match.
+func TestTriRowsView(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := uint32(2 + rng.Intn(100))
+		tr := NewTri(n)
+		rows := tr.Rows()
+		if rows.Lo() != 0 || rows.Hi() != n || rows.Bits() != tr.Bits() {
+			return false
+		}
+		for i := 0; i < 50; i++ {
+			h1 := uint32(1 + rng.Intn(int(n)-1))
+			rows.Set(h1, uint32(rng.Intn(int(h1))))
+		}
+		for h1 := uint32(1); h1 < n; h1++ {
+			for h2 := uint32(0); h2 < h1; h2++ {
+				if rows.IsSet(h1, h2) != tr.IsSet(h1, h2) || rows.Row(h1).IsSet(h2) != tr.Row(h1).IsSet(h2) {
+					return false
+				}
+			}
+		}
+		return rows.PopCount() == tr.PopCount()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestZeroCachelineFraction(t *testing.T) {
 	// 64 hubs -> 2016 bits -> 32 words -> 4 cachelines.
 	tr := NewTri(64)

@@ -352,7 +352,11 @@ func TestTopologyBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestPreprocessDirectBitIdentical(t *testing.T) {
+// TestPreprocessBitIdentical holds TryPreprocess (the on-the-fly walk
+// the sharded build shares) to the materialize-then-split reference:
+// identical HE and NHE rows and the same H2H words, across shapes and
+// hub counts.
+func TestPreprocessBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat":      gen.RMAT(gen.DefaultRMAT(10, 8, 1)),
 		"er":        gen.ErdosRenyi(800, 3000, 2),
@@ -365,7 +369,7 @@ func TestPreprocessDirectBitIdentical(t *testing.T) {
 	for name, g := range graphs {
 		for _, hubs := range []int{1, 4, 37} {
 			a := PreprocessMaterialize(g, Options{HubCount: hubs, Pool: pool})
-			b := PreprocessDirect(g, Options{HubCount: hubs, Pool: pool})
+			b := Preprocess(g, Options{HubCount: hubs, Pool: pool})
 			if a.HubCount != b.HubCount {
 				t.Fatalf("%s hubs=%d: hub counts differ", name, hubs)
 			}
@@ -377,11 +381,11 @@ func TestPreprocessDirectBitIdentical(t *testing.T) {
 				!reflect.DeepEqual(a.NHE.Raw(), b.NHE.Raw()) {
 				t.Fatalf("%s hubs=%d: NHE differs", name, hubs)
 			}
-			if a.H2H.PopCount() != b.H2H.PopCount() {
+			if !reflect.DeepEqual(a.H2H.Words(), b.H2H.Words()) {
 				t.Fatalf("%s hubs=%d: H2H differs", name, hubs)
 			}
 			if err := b.Validate(); err != nil {
-				t.Fatalf("%s hubs=%d: direct validate: %v", name, hubs, err)
+				t.Fatalf("%s hubs=%d: validate: %v", name, hubs, err)
 			}
 			ra := a.Count(pool)
 			rb := b.Count(pool)
@@ -392,13 +396,13 @@ func TestPreprocessDirectBitIdentical(t *testing.T) {
 	}
 }
 
-func TestPreprocessDirectRejectsOriented(t *testing.T) {
+func TestPreprocessMaterializeRejectsOriented(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on oriented input")
 		}
 	}()
-	PreprocessDirect(gen.Complete(4).Orient(), Options{HubCount: 2})
+	PreprocessMaterialize(gen.Complete(4).Orient(), Options{HubCount: 2})
 }
 
 func TestPreprocessRejectsOriented(t *testing.T) {

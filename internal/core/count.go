@@ -319,25 +319,13 @@ func (lg *LotusGraph) Phase1TileWork(opt CountOptions, workers int) []uint64 {
 	return work
 }
 
-// phase1Stats carries one tile's worker-local observability counts.
-type phase1Stats struct {
-	pairs, rows, wordOps, wordRows, scalarRows uint64
-}
-
 // countPhase1 counts HHH and HHN triangles (Alg 3 lines 2-6): for
 // every vertex, every pair (h1, h2) of its hub neighbours is probed
-// in the H2H bit array. Random accesses touch only H2H (§4.5).
-//
-// Two kernels implement the probe. The scalar kernel tests each
-// (h1, h2) pair as one IsSet bit probe — O(d²) dependent loads per
-// vertex. The word kernel populates a per-worker bitmap with the
-// vertex's hub neighbours once, then intersects each h1 row (read
-// word-wise, masked to h2 < h1) against it with AND+popcount —
-// O(d·h1/64) word ops. Both are bit-identical: HE rows are strictly
-// ascending, so {nv[j] : j < i} is exactly {h ∈ nv : h < nv[i]}, the
-// set the row mask keeps. Phase1Auto chooses per row.
+// in the H2H bit array by CountHubPairs. Random accesses touch only
+// H2H (§4.5).
 func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap], res *Result) sched.LoadReport {
 	tiles := lg.phase1Tiles(opt, pool.Workers())
+	rows := lg.H2H.Rows()
 	hhh := sched.NewAccumulator(pool.Workers())
 	hhn := sched.NewAccumulator(pool.Workers())
 	// Observability counters, accumulated worker-locally like the
@@ -349,52 +337,6 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched
 	wordRows := sched.NewAccumulator(pool.Workers())
 	scalarRows := sched.NewAccumulator(pool.Workers())
 
-	kernel := opt.Phase1Kernel
-
-	processPairs := func(bm *intersect.HubBitmap, v uint32, lo, hi uint32) (found uint64, st phase1Stats) {
-		nv := lg.HE.Neighbors(v)
-		// The bitmap is populated lazily, on the first row routed to
-		// the word kernel, and holds ALL of nv: rows masked to
-		// h2 < h1 then see exactly the prefix nv[:i].
-		populated := false
-		for i := int(lo); i < int(hi); i++ {
-			// Pair tiles of extreme-degree vertices are the largest
-			// indivisible units of phase 1, so cancellation is polled
-			// per h1 row to keep the response bounded by one row scan.
-			st.rows++
-			if pool.Cancelled() {
-				break
-			}
-			h1 := uint32(nv[i])
-			// The h1(h1-1)/2 base is computed once per h1 and the
-			// row is scanned for consecutive h2 (§4.4.1).
-			row := lg.H2H.Row(h1)
-			if kernel == Phase1Word || (kernel == Phase1Auto && wordRowThreshold(i, h1)) {
-				if !populated {
-					bm.Mark(nv)
-					populated = true
-				}
-				found += row.AndCount(bm[:])
-				st.wordOps += uint64(row.NumWords())
-				st.wordRows++
-			} else {
-				for j := 0; j < i; j++ {
-					if row.IsSet(uint32(nv[j])) {
-						found++
-					}
-				}
-				st.scalarRows++
-			}
-			st.pairs += uint64(i)
-		}
-		// Clear on every exit, including the cancellation break: the
-		// worker's next vertex (and HNN) reuses the bitmap.
-		if populated {
-			bm.Clear(nv)
-		}
-		return found, st
-	}
-
 	runTasks := pool.RunTasks
 	if opt.WorkStealing {
 		runTasks = pool.Stealing().RunTasks
@@ -403,50 +345,42 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched
 		t := tiles[ti]
 		bm := bms.Get(worker)
 		var localHHH, localHHN, localPolls uint64
-		var localStats phase1Stats
+		var localStats Phase1Stats
+		// count probes the pairs of v's hub-neighbour indices [lo, hi).
+		count := func(v uint32, lo, hi int) {
+			nv := lg.HE.Neighbors(v)
+			found, st := CountHubPairs(opt.Phase1Kernel, pool, rows, bm, nv, nv, lo, hi)
+			localStats.Pairs += st.Pairs
+			localStats.WordOps += st.WordOps
+			localStats.WordRows += st.WordRows
+			localStats.ScalarRows += st.ScalarRows
+			localPolls += st.Rows
+			if v < lg.HubCount {
+				localHHH += found
+			} else {
+				localHHN += found
+			}
+		}
 		if t.vEnd > 0 { // vertex-range tile
 			for v := t.vStart; v < t.vEnd; v++ {
 				localPolls++
 				if pool.Cancelled() {
 					break
 				}
-				d := lg.HE.Degree(v)
-				if d < 2 {
-					continue
-				}
-				found, st := processPairs(bm, v, 1, uint32(d))
-				localStats.pairs += st.pairs
-				localStats.wordOps += st.wordOps
-				localStats.wordRows += st.wordRows
-				localStats.scalarRows += st.scalarRows
-				localPolls += st.rows
-				if v < lg.HubCount {
-					localHHH += found
-				} else {
-					localHHN += found
+				if d := lg.HE.Degree(v); d >= 2 {
+					count(v, 1, d)
 				}
 			}
 		} else { // pair tile of a single high-degree vertex
-			lo := t.lo
-			if lo < 1 {
-				lo = 1
-			}
-			found, st := processPairs(bm, t.vStart, lo, t.hi)
-			localStats = st
-			localPolls += st.rows
-			if t.vStart < lg.HubCount {
-				localHHH += found
-			} else {
-				localHHN += found
-			}
+			count(t.vStart, max(int(t.lo), 1), int(t.hi))
 		}
 		hhh.Add(worker, localHHH)
 		hhn.Add(worker, localHHN)
-		probes.Add(worker, localStats.pairs)
+		probes.Add(worker, localStats.Pairs)
 		polls.Add(worker, localPolls)
-		wordOps.Add(worker, localStats.wordOps)
-		wordRows.Add(worker, localStats.wordRows)
-		scalarRows.Add(worker, localStats.scalarRows)
+		wordOps.Add(worker, localStats.WordOps)
+		wordRows.Add(worker, localStats.WordRows)
+		scalarRows.Add(worker, localStats.ScalarRows)
 	})
 	res.HHH = hhh.Sum()
 	res.HHN = hhn.Sum()
@@ -558,7 +492,6 @@ func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, bms *sch
 // (§4.4.3). Hub edges are never touched — the §3.3 pruning.
 func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions) sched.LoadReport {
 	m := opt.Metrics
-	adaptive := opt.Intersect == IntersectAdaptive
 	n := lg.numVertices
 	acc := sched.NewAccumulator(pool.Workers())
 	inter := sched.NewAccumulator(pool.Workers())
@@ -577,12 +510,10 @@ func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions) 
 			}
 			localInter += uint64(len(nv))
 			for _, u := range nv {
-				nu := lg.NHE.Neighbors(u)
-				if adaptive && intersect.UseGalloping(len(nv), len(nu)) {
-					local += intersect.Galloping(nv, nu)
+				found, galloped := opt.Intersect.Count(nv, lg.NHE.Neighbors(u))
+				local += found
+				if galloped {
 					localGallops++
-				} else {
-					local += intersect.Merge(nv, nu)
 				}
 			}
 		}
@@ -604,7 +535,6 @@ func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions) 
 // working set of randomly accessed data. Kept for the ablation bench.
 func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap]) sched.LoadReport {
 	m := opt.Metrics
-	adaptive := opt.Intersect == IntersectAdaptive
 	n := lg.numVertices
 	hnn := sched.NewAccumulator(pool.Workers())
 	nnn := sched.NewAccumulator(pool.Workers())
@@ -634,12 +564,10 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 					localHNN += bm.Count(lg.HE.Neighbors(u))
 					localHNNInter++
 				}
-				nu := lg.NHE.Neighbors(u)
-				if adaptive && intersect.UseGalloping(len(nv), len(nu)) {
-					localNNN += intersect.Galloping(nv, nu)
+				found, galloped := opt.Intersect.Count(nv, lg.NHE.Neighbors(u))
+				localNNN += found
+				if galloped {
 					localNNNGallops++
-				} else {
-					localNNN += intersect.Merge(nv, nu)
 				}
 			}
 			bm.Clear(hv)

@@ -1,6 +1,12 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"lotustc/internal/bitarray"
+	"lotustc/internal/intersect"
+	"lotustc/internal/sched"
+)
 
 // Phase1Kernel selects how phase 1 probes the H2H bit array for each
 // h1 row (the DESIGN.md "Kernel selection" section discusses the
@@ -82,6 +88,18 @@ func ParseIntersectKernel(s string) (IntersectKernel, error) {
 	return IntersectAdaptive, fmt.Errorf("unknown intersect kernel %q (want adaptive or merge)", s)
 }
 
+// Count counts |a ∩ b| for one pair of NNN rows and reports whether
+// it galloped. It is the one NNN dispatch the flat, fused and sharded
+// counts share: IntersectAdaptive gallops when one row is at least
+// intersect.GallopRatio times the other, and merge-joins otherwise;
+// IntersectMerge always merge-joins.
+func (k IntersectKernel) Count(a, b []uint32) (uint64, bool) {
+	if k == IntersectAdaptive && intersect.UseGalloping(len(a), len(b)) {
+		return intersect.Galloping(a, b), true
+	}
+	return intersect.Merge(a, b), false
+}
+
 // wordRowThreshold reports whether the word kernel is the cheaper way
 // to probe row h1 when the scalar path would test `pairs` individual
 // bits: the word path reads (h1+63)/64 row words (bitmap words are
@@ -90,4 +108,72 @@ func ParseIntersectKernel(s string) (IntersectKernel, error) {
 // assembly) and the amortized bitmap population.
 func wordRowThreshold(pairs int, h1 uint32) bool {
 	return pairs >= 2*((int(h1)>>6)+1)
+}
+
+// Phase1Stats carries the observability counts of CountHubPairs calls:
+// Pairs is the number of (h1, h2) pairs covered (the H2H probes), Rows
+// the h1 rows visited (one cancellation poll each), WordOps the row
+// words the word probe read, and WordRows and ScalarRows how the rows
+// were routed.
+type Phase1Stats struct {
+	Pairs, Rows, WordOps, WordRows, ScalarRows uint64
+}
+
+// CountHubPairs is the phase-1 kernel (Alg 3 lines 4-6) that the flat
+// and the sharded count share. For one vertex it counts the hub pairs
+// (h1, h2) with h1 = h1s[i] for i in [lo, hi), h2 in h2s, h2 < h1 and
+// the H2H bit (h1, h2) set; rows must hold every such h1 row. Both
+// lists must be strictly ascending. The flat count passes the vertex's
+// whole HE row as both lists; the sharded count passes the row
+// restricted to the blocks that hold h2 and h1.
+//
+// Two probes implement a row. The scalar probe tests each qualifying
+// h2 with one bit load: O(pairs) dependent loads. The word probe marks
+// h2s once in the worker's hub bitmap, then ANDs the h1 row, read
+// word-wise and masked to h2 < h1, against it and popcounts:
+// O(h1/64) word ops. Both count the same set, because the h2s entries
+// below h1 are exactly the ones the row mask keeps. Phase1Auto picks
+// per row by wordRowThreshold. The pool is polled once per row, so a
+// huge vertex stays interruptible, and bm is all-zero again on every
+// return, the cancellation exit included.
+func CountHubPairs(k Phase1Kernel, pool *sched.Pool, rows *bitarray.TriRows, bm *intersect.HubBitmap, h2s, h1s []uint16, lo, hi int) (found uint64, st Phase1Stats) {
+	populated := false
+	below := 0 // h2s[:below] holds the h2 < h1
+	for _, h1u := range h1s[lo:hi] {
+		st.Rows++
+		if pool.Cancelled() {
+			break
+		}
+		h1 := uint32(h1u)
+		for below < len(h2s) && uint32(h2s[below]) < h1 {
+			below++
+		}
+		if below == 0 {
+			continue
+		}
+		// The h1(h1-1)/2 base is computed once per h1 and the row is
+		// scanned for consecutive h2 (§4.4.1).
+		row := rows.Row(h1)
+		if k == Phase1Word || (k == Phase1Auto && wordRowThreshold(below, h1)) {
+			if !populated {
+				bm.Mark(h2s)
+				populated = true
+			}
+			found += row.AndCount(bm[:])
+			st.WordOps += uint64(row.NumWords())
+			st.WordRows++
+		} else {
+			for _, h2 := range h2s[:below] {
+				if row.IsSet(uint32(h2)) {
+					found++
+				}
+			}
+			st.ScalarRows++
+		}
+		st.Pairs += uint64(below)
+	}
+	if populated {
+		bm.Clear(h2s)
+	}
+	return found, st
 }

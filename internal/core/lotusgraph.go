@@ -68,6 +68,14 @@ func (o Options) EffectiveHubCount(n int) int {
 	return h
 }
 
+// pool returns the preprocessing pool, defaulting to a GOMAXPROCS one.
+func (o Options) pool() *sched.Pool {
+	if o.Pool == nil {
+		return sched.NewPool(0)
+	}
+	return o.Pool
+}
+
 // HE16 is the hub-edges sub-graph: for every vertex v it lists the
 // hub neighbours h < v using 16-bit IDs (§4.2). Hubs occupy the first
 // HubCount IDs after LOTUS relabeling, so hub IDs always fit.
@@ -175,16 +183,36 @@ func mustLotusGraph(lg *LotusGraph, err error) *LotusGraph {
 
 // TryPreprocess builds the LotusGraph from a symmetric simple graph,
 // implementing Algorithm 2: relabel, split each vertex's N^< into hub
-// and non-hub neighbours, and populate the H2H bit array. It uses the
-// literal per-edge implementation (TryPreprocessDirect), which
-// measures ~2x faster than materializing the relabeled graph first;
-// the alternative remains available as TryPreprocessMaterialize and
-// the ablation-preprocess experiment compares them.
+// and non-hub neighbours, and populate the H2H bit array. It runs the
+// walk the sharded build shares (buildRows) over [0, |V|), mapping IDs
+// through the relabeling on the fly; that measures ~2x faster than
+// materializing the relabeled graph first, which TryPreprocessMaterialize
+// keeps as the bit-identity reference and the ablation-preprocess
+// comparison point.
 //
 // Invalid inputs (nil or oriented graphs) are rejected with an error;
 // the serving path depends on this never panicking.
 func TryPreprocess(g *graph.Graph, opt Options) (*LotusGraph, error) {
-	return TryPreprocessDirect(g, opt)
+	if err := checkPreprocessInput(g); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	n := g.NumVertices()
+	hubCount := uint32(opt.EffectiveHubCount(n))
+	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
+	h2h := bitarray.NewTri(hubCount)
+	he, nhe := buildRows(g, opt.pool(), ra, hubCount, VertexRange{Hi: uint32(n)}, h2h.Rows())
+	lg := &LotusGraph{
+		HubCount:       hubCount,
+		H2H:            h2h,
+		HE:             he,
+		NHE:            nhe,
+		Relabeling:     ra,
+		PreprocessTime: time.Since(t0),
+		numVertices:    n,
+	}
+	lg.recordPreprocessMetrics(opt.Metrics)
+	return lg, nil
 }
 
 // Preprocess is the thin panicking wrapper over TryPreprocess, kept
@@ -197,17 +225,14 @@ func Preprocess(g *graph.Graph, opt Options) *LotusGraph {
 // TryPreprocessMaterialize builds the LotusGraph by first
 // materializing the fully relabeled graph (sorted rows), then
 // splitting each row into its HE/NHE parts with two binary searches.
-// Kept as the comparison point for the preprocessing ablation;
-// produces bit-identical structures to TryPreprocessDirect.
+// Kept as the reference the bit-identity test holds TryPreprocess to
+// and as the comparison point for the preprocessing ablation.
 func TryPreprocessMaterialize(g *graph.Graph, opt Options) (*LotusGraph, error) {
 	if err := checkPreprocessInput(g); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	pool := opt.Pool
-	if pool == nil {
-		pool = sched.NewPool(0)
-	}
+	pool := opt.pool()
 	n := g.NumVertices()
 	hubCount := opt.EffectiveHubCount(n)
 
@@ -290,39 +315,14 @@ func (lg *LotusGraph) recordPreprocessMetrics(m *obs.Metrics) {
 	m.Set("lotus.h2h_bits", int64(lg.H2H.PopCount()))
 }
 
-// Validate checks the structural invariants of the LotusGraph:
-// sorted lists, ID ranges, hub rows having empty NHE, and H2H
-// agreeing with the HE rows of hubs. Intended for tests.
+// Validate checks the structural invariants of the LotusGraph: the
+// row invariants it shares with LotusShard (validateRows) and a
+// relabeling that is a permutation of [0, |V|). Intended for tests
+// and for ReadLotusGraph.
 func (lg *LotusGraph) Validate() error {
 	n := uint32(lg.numVertices)
-	for v := uint32(0); v < n; v++ {
-		henb := lg.HE.Neighbors(v)
-		for i, h := range henb {
-			if uint32(h) >= lg.HubCount || uint32(h) >= v {
-				return fmt.Errorf("vertex %d: HE neighbour %d out of range", v, h)
-			}
-			if i > 0 && henb[i-1] >= h {
-				return fmt.Errorf("vertex %d: HE unsorted", v)
-			}
-			if v < lg.HubCount && !lg.H2H.IsSet(v, uint32(h)) {
-				return fmt.Errorf("H2H missing hub edge (%d,%d)", v, h)
-			}
-		}
-		nhenb := lg.NHE.Neighbors(v)
-		if v < lg.HubCount && len(nhenb) != 0 {
-			return fmt.Errorf("hub %d has non-empty NHE row", v)
-		}
-		for i, u := range nhenb {
-			if u < lg.HubCount || u >= v {
-				return fmt.Errorf("vertex %d: NHE neighbour %d out of range", v, u)
-			}
-			if i > 0 && nhenb[i-1] >= u {
-				return fmt.Errorf("vertex %d: NHE unsorted", v)
-			}
-		}
-	}
-	if got, want := lg.H2H.PopCount(), hubEdgeCount(lg); got != want {
-		return fmt.Errorf("H2H popcount %d != hub-to-hub edge count %d", got, want)
+	if err := validateRows(VertexRange{Hi: n}, lg.HubCount, lg.HE, lg.NHE, lg.H2H.Rows()); err != nil {
+		return err
 	}
 	// Relabeling must be a permutation of [0, n): anything else makes
 	// code that maps original IDs through it index out of range or
@@ -342,12 +342,4 @@ func (lg *LotusGraph) Validate() error {
 		seen[nw>>6] |= 1 << (nw & 63)
 	}
 	return nil
-}
-
-func hubEdgeCount(lg *LotusGraph) uint64 {
-	var n uint64
-	for v := uint32(0); v < lg.HubCount && int(v) < lg.numVertices; v++ {
-		n += uint64(lg.HE.Degree(v))
-	}
-	return n
 }

@@ -66,10 +66,6 @@ func (s *LotusShard) HENeighbors(v uint32) []uint16 { return s.HE.Neighbors(v - 
 // IDs). v must be in Range.
 func (s *LotusShard) NHENeighbors(v uint32) []uint32 { return s.NHE.Neighbors(v - s.Range.Lo) }
 
-// H2HRow returns the probe cursor for hub row h1, which must satisfy
-// Range.Lo <= h1 < min(Range.Hi, HubCount).
-func (s *LotusShard) H2HRow(h1 uint32) bitarray.RowProbe { return s.H2H.Row(h1) }
-
 // TopologyBytes returns the shard's structure footprint under the
 // Table 7 accounting: two 8-byte index arrays over the local rows,
 // the H2H slice, 2 bytes per HE edge and 4 per NHE edge.
@@ -78,40 +74,21 @@ func (s *LotusShard) TopologyBytes() int64 {
 	return idx + s.H2H.SizeBytes() + 2*s.HE.NumEdges() + 4*s.NHE.NumEdges()
 }
 
-// TryPreprocessRange builds the LOTUS structure restricted to the
-// vertex range r, given the global relabeling ra (as produced by
-// reorder.Lotus with the same Options — the caller owns computing it
-// once and sharing it across a grid's shards). It is Algorithm 2 with
-// the row writes filtered to vNew in [r.Lo, r.Hi): the same two-pass
-// walk over the original vertices, the same hub/non-hub split, the
-// same per-row sort, so each shard row is byte-identical to the
-// corresponding monolithic row.
-func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange) (*LotusShard, error) {
-	if err := checkPreprocessInput(g); err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	if len(ra) != n {
-		return nil, fmt.Errorf("core: relabeling has %d entries for %d vertices", len(ra), n)
-	}
-	if r.Lo > r.Hi || int(r.Hi) > n {
-		return nil, fmt.Errorf("core: vertex range [%d, %d) out of bounds for %d vertices", r.Lo, r.Hi, n)
-	}
-	t0 := time.Now()
-	pool := opt.Pool
-	if pool == nil {
-		pool = sched.NewPool(0)
-	}
-	hubCount := uint32(opt.EffectiveHubCount(n))
+// buildRows is the Algorithm 2 walk (lines 10-23) that the flat and
+// the sharded build share. It fills the HE and NHE rows of every
+// relabeled vertex in r, stored at v - r.Lo, and sets the H2H bit of
+// every hub-to-hub edge whose higher end lies in r; h2h must hold
+// those rows. Pass 1 counts each row's hub and non-hub neighbours;
+// pass 2 writes them, sets the H2H bits and sorts each row in
+// setEdges fashion. IDs are mapped through ra on the fly rather than
+// through a materialized relabeled graph (TryPreprocessMaterialize),
+// and every original vertex is visited even for a narrow range: the
+// relabeling scatters a range's rows across the original ID space.
+func buildRows(g *graph.Graph, pool *sched.Pool, ra []uint32, hubCount uint32, r VertexRange, h2h *bitarray.TriRows) (*HE16, *NHE32) {
 	m := r.Len()
-
-	// Pass 1: per-local-row HE and NHE degrees. The walk still visits
-	// every original vertex — the relabeling scatters a range's rows
-	// across the whole original ID space — but only in-range rows
-	// count.
 	heCnt := make([]int64, m+1)
 	nheCnt := make([]int64, m+1)
-	pool.For(n, 0, func(_, start, end int) {
+	pool.For(len(ra), 0, func(_, start, end int) {
 		for vOld := start; vOld < end; vOld++ {
 			if pool.Cancelled() {
 				return
@@ -123,8 +100,8 @@ func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange)
 			var he, nhe int64
 			for _, uOld := range g.Neighbors(uint32(vOld)) {
 				uNew := ra[uOld]
-				if uNew >= vNew {
-					continue
+				if uNew >= vNew { // self edges were removed at build;
+					continue // symmetric edge (Alg 2 line 14)
 				}
 				if uNew < hubCount {
 					he++
@@ -142,11 +119,8 @@ func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange)
 	}
 	he := &HE16{offsets: heCnt, nbrs: make([]uint16, heCnt[m])}
 	nhe := &NHE32{offsets: nheCnt, nbrs: make([]uint32, nheCnt[m])}
-	hubHi := min(r.Hi, hubCount)
-	h2h := bitarray.NewTriRows(min(r.Lo, hubHi), hubHi)
 
-	// Pass 2: fill, set the shard's H2H rows, sort each row.
-	pool.For(n, 0, func(_, start, end int) {
+	pool.For(len(ra), 0, func(_, start, end int) {
 		for vOld := start; vOld < end; vOld++ {
 			if pool.Cancelled() {
 				return
@@ -167,7 +141,7 @@ func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange)
 					he.nbrs[hw] = uint16(uNew)
 					hw++
 					if vNew < hubCount {
-						h2h.Set(vNew, uNew)
+						h2h.Set(vNew, uNew) // Alg 2 line 19
 					}
 				} else {
 					nhe.nbrs[nw] = uNew
@@ -178,7 +152,73 @@ func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange)
 			slices.Sort(nhe.nbrs[nhe.offsets[local]:nw])
 		}
 	})
+	return he, nhe
+}
 
+// validateRows checks the row invariants the flat and the sharded
+// structures share, over the rows of every v in r (stored at
+// v - r.Lo): sorted rows of neighbours below v, HE IDs below hubCount
+// and NHE IDs at or above it, empty NHE rows for hubs, and the H2H
+// rows agreeing with the HE rows of the hubs they hold.
+func validateRows(r VertexRange, hubCount uint32, he *HE16, nhe *NHE32, h2h *bitarray.TriRows) error {
+	for v := r.Lo; v < r.Hi; v++ {
+		henb := he.Neighbors(v - r.Lo)
+		for i, h := range henb {
+			if uint32(h) >= hubCount || uint32(h) >= v {
+				return fmt.Errorf("vertex %d: HE neighbour %d out of range", v, h)
+			}
+			if i > 0 && henb[i-1] >= h {
+				return fmt.Errorf("vertex %d: HE unsorted", v)
+			}
+			if v < hubCount && !h2h.IsSet(v, uint32(h)) {
+				return fmt.Errorf("H2H missing hub edge (%d,%d)", v, h)
+			}
+		}
+		nhenb := nhe.Neighbors(v - r.Lo)
+		if v < hubCount && len(nhenb) != 0 {
+			return fmt.Errorf("hub %d has non-empty NHE row", v)
+		}
+		for i, u := range nhenb {
+			if u < hubCount || u >= v {
+				return fmt.Errorf("vertex %d: NHE neighbour %d out of range", v, u)
+			}
+			if i > 0 && nhenb[i-1] >= u {
+				return fmt.Errorf("vertex %d: NHE unsorted", v)
+			}
+		}
+	}
+	var hubEdges uint64
+	for v := h2h.Lo(); v < h2h.Hi(); v++ {
+		hubEdges += uint64(he.Degree(v - r.Lo))
+	}
+	if got := h2h.PopCount(); got != hubEdges {
+		return fmt.Errorf("H2H popcount %d != hub-to-hub edge count %d", got, hubEdges)
+	}
+	return nil
+}
+
+// TryPreprocessRange builds the LOTUS structure restricted to the
+// vertex range r, given the global relabeling ra (as produced by
+// reorder.Lotus with the same Options — the caller owns computing it
+// once and sharing it across a grid's shards). It runs the flat
+// build's walk over r, so each shard row is byte-identical to the
+// corresponding monolithic row.
+func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange) (*LotusShard, error) {
+	if err := checkPreprocessInput(g); err != nil {
+		return nil, err
+	}
+	n := g.NumVertices()
+	if len(ra) != n {
+		return nil, fmt.Errorf("core: relabeling has %d entries for %d vertices", len(ra), n)
+	}
+	if r.Lo > r.Hi || int(r.Hi) > n {
+		return nil, fmt.Errorf("core: vertex range [%d, %d) out of bounds for %d vertices", r.Lo, r.Hi, n)
+	}
+	t0 := time.Now()
+	hubCount := uint32(opt.EffectiveHubCount(n))
+	hubHi := min(r.Hi, hubCount)
+	h2h := bitarray.NewTriRows(min(r.Lo, hubHi), hubHi)
+	he, nhe := buildRows(g, opt.pool(), ra, hubCount, r, h2h)
 	return &LotusShard{
 		Range:          r,
 		HubCount:       hubCount,
@@ -190,46 +230,11 @@ func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange)
 	}, nil
 }
 
-// Validate checks the shard's structural invariants: sorted rows, ID
-// ranges consistent with the shard's range and the global hub count,
-// hub rows with empty NHE, and the H2H slice agreeing with the HE
-// rows of the range's hubs. Intended for tests.
+// Validate checks the shard's structural invariants (validateRows)
+// over its range. Intended for tests.
 func (s *LotusShard) Validate() error {
 	if s.Range.Lo > s.Range.Hi {
 		return fmt.Errorf("shard range [%d, %d) inverted", s.Range.Lo, s.Range.Hi)
 	}
-	for v := s.Range.Lo; v < s.Range.Hi; v++ {
-		henb := s.HENeighbors(v)
-		for i, h := range henb {
-			if uint32(h) >= s.HubCount || uint32(h) >= v {
-				return fmt.Errorf("vertex %d: HE neighbour %d out of range", v, h)
-			}
-			if i > 0 && henb[i-1] >= h {
-				return fmt.Errorf("vertex %d: HE unsorted", v)
-			}
-			if v < s.HubCount && !s.H2H.IsSet(v, uint32(h)) {
-				return fmt.Errorf("H2H missing hub edge (%d,%d)", v, h)
-			}
-		}
-		nhenb := s.NHENeighbors(v)
-		if v < s.HubCount && len(nhenb) != 0 {
-			return fmt.Errorf("hub %d has non-empty NHE row", v)
-		}
-		for i, u := range nhenb {
-			if u < s.HubCount || u >= v {
-				return fmt.Errorf("vertex %d: NHE neighbour %d out of range", v, u)
-			}
-			if i > 0 && nhenb[i-1] >= u {
-				return fmt.Errorf("vertex %d: NHE unsorted", v)
-			}
-		}
-	}
-	var hubEdges uint64
-	for v := s.H2H.Lo(); v < s.H2H.Hi(); v++ {
-		hubEdges += uint64(s.HE.Degree(v - s.Range.Lo))
-	}
-	if got := s.H2H.PopCount(); got != hubEdges {
-		return fmt.Errorf("H2H popcount %d != hub-to-hub edge count %d", got, hubEdges)
-	}
-	return nil
+	return validateRows(s.Range, s.HubCount, s.HE, s.NHE, s.H2H)
 }

@@ -16,8 +16,11 @@ import (
 func TestTryPreprocessReturnsErrOriented(t *testing.T) {
 	og := gen.Complete(6).Orient()
 	for name, try := range map[string]func() error{
-		"TryPreprocess":            func() error { _, err := TryPreprocess(og, Options{HubCount: 2}); return err },
-		"TryPreprocessDirect":      func() error { _, err := TryPreprocessDirect(og, Options{HubCount: 2}); return err },
+		"TryPreprocess": func() error { _, err := TryPreprocess(og, Options{HubCount: 2}); return err },
+		"TryPreprocessRange": func() error {
+			_, err := TryPreprocessRange(og, Options{HubCount: 2}, make([]uint32, 6), VertexRange{Hi: 6})
+			return err
+		},
 		"TryPreprocessMaterialize": func() error { _, err := TryPreprocessMaterialize(og, Options{HubCount: 2}); return err },
 	} {
 		err := try()
@@ -34,8 +37,8 @@ func TestTryPreprocessReturnsErrNilGraph(t *testing.T) {
 	if _, err := TryPreprocess(nil, Options{}); !errors.Is(err, ErrNilGraph) {
 		t.Fatalf("TryPreprocess(nil): got %v, want ErrNilGraph", err)
 	}
-	if _, err := TryPreprocessDirect(nil, Options{}); !errors.Is(err, ErrNilGraph) {
-		t.Fatalf("TryPreprocessDirect(nil): got %v, want ErrNilGraph", err)
+	if _, err := TryPreprocessRange(nil, Options{}, nil, VertexRange{}); !errors.Is(err, ErrNilGraph) {
+		t.Fatalf("TryPreprocessRange(nil): got %v, want ErrNilGraph", err)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 func init() {
 	// Every built-in routes parallel work through the bound pool, so
 	// all observe cooperative cancellation.
-	lotus := Capabilities{SupportsWorkers: true, ReportsPhases: true, NeedsSymmetric: true, Cancellable: true}
+	phased := Capabilities{SupportsWorkers: true, ReportsPhases: true, NeedsSymmetric: true, Cancellable: true}
+	lotus := phased
+	lotus.ReportsClasses = true
 	parallel := Capabilities{SupportsWorkers: true, NeedsSymmetric: true, Cancellable: true}
 	sequential := Capabilities{NeedsSymmetric: true, Cancellable: true}
 	streaming := lotus
@@ -25,9 +27,9 @@ func init() {
 	MustRegister("lotus", streaming, lotusKernel)
 	MustRegister("lotus-recursive", lotus, lotusRecursiveKernel)
 	MustRegister("lotus-sharded", sharded, lotusShardedKernel)
-	MustRegister("cover-edge", lotus, coverEdgeKernel)
+	MustRegister("cover-edge", phased, coverEdgeKernel)
 	MustRegister("degree-partition", sharded, degreePartitionKernel)
-	MustRegister("auto", lotus, autoKernel)
+	MustRegister("auto", phased, autoKernel)
 	MustRegister("forward", parallel, forwardKernel(baseline.KernelMerge))
 	MustRegister("forward-binary", parallel, forwardKernel(baseline.KernelBinary))
 	MustRegister("forward-hash", parallel, forwardKernel(baseline.KernelHash))

@@ -132,8 +132,9 @@ type Phase struct {
 }
 
 // Report is the structured outcome of one engine run. Phases appear
-// in execution order; the class counters and RecursionDepth are
-// populated only by kernels whose capabilities declare ReportsPhases.
+// in execution order; the class counters are populated only by
+// kernels whose capabilities declare ReportsClasses, and
+// RecursionDepth only by the recursive variant.
 type Report struct {
 	Algorithm string
 	Triangles uint64

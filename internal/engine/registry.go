@@ -32,9 +32,15 @@ type Capabilities struct {
 	// observes cancellation through the pool).
 	SupportsWorkers bool
 	// ReportsPhases marks kernels that populate per-phase Report
-	// entries (preprocess/phase1/hnn/nnn) and the triangle-class
-	// breakdown.
+	// entries (preprocess/phase1/hnn/nnn). It does not imply the
+	// triangle-class split: cover-edge reports phases but no classes
+	// (see ReportsClasses).
 	ReportsPhases bool
+	// ReportsClasses marks kernels that always fill the Report's
+	// HHH/HHN/HNN/NNN triangle-class breakdown (the LOTUS-structured
+	// kernels). auto does not carry it: it fills the split only when
+	// it routes to a kernel that does.
+	ReportsClasses bool
 	// NeedsSymmetric marks kernels that require a symmetric input
 	// graph (all current kernels do; oriented inputs are rejected by
 	// Run before the kernel sees them).

@@ -93,7 +93,7 @@ func BuildBenchReport(s Suite, workers int) *obs.BenchReport {
 			for _, p := range rep.Phases {
 				rr.Phases = append(rr.Phases, obs.PhaseNS{Name: p.Name, NS: p.Duration.Nanoseconds()})
 			}
-			if algo == "lotus" || algo == "lotus-sharded" {
+			if reg, err := engine.Lookup(algo); err == nil && reg.Caps.ReportsClasses {
 				rr.Classes = &obs.Classes{HHH: rep.HHH, HHN: rep.HHN, HNN: rep.HNN, NNN: rep.NNN}
 			}
 			rr.Metrics = rep.Metrics

@@ -19,23 +19,13 @@ package intersect
 // keeps the dispatch test to one shift and one compare.
 const GallopRatio = 16
 
-// UseGalloping reports whether the adaptive dispatcher would pick the
-// galloping kernel for lists of the given lengths. It is exported so
-// hot loops that need per-kernel dispatch counters can branch on the
-// same predicate the Adaptive kernels use without calling through
-// them.
+// UseGalloping reports whether the adaptive dispatch picks the
+// galloping kernel for lists of the given lengths. The NNN dispatch
+// (core.IntersectKernel.Count) and the cover-edge weighted
+// intersection both branch on it.
 func UseGalloping(la, lb int) bool {
 	if la > lb {
 		la, lb = lb, la
 	}
 	return la > 0 && lb >= la*GallopRatio
-}
-
-// Adaptive counts |a ∩ b| with the size-ratio dispatch: galloping
-// search when one list dwarfs the other, merge join otherwise.
-func Adaptive(a, b []uint32) uint64 {
-	if UseGalloping(len(a), len(b)) {
-		return Galloping(a, b)
-	}
-	return Merge(a, b)
 }

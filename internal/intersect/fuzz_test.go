@@ -60,7 +60,6 @@ func FuzzIntersectAgreement(f *testing.F) {
 			"MergeBranchless": MergeBranchless(a, b),
 			"Binary":          Binary(a, b),
 			"Galloping":       Galloping(a, b),
-			"Adaptive":        Adaptive(a, b),
 			"Hash":            Hash(h, a, b),
 			"Bitmap":          BitmapCount(bm, a, b),
 		}

@@ -81,8 +81,7 @@ func TestKernelsAgreeProperty(t *testing.T) {
 		bm := NewBitmap(512)
 		if Merge(a, b) != want || Binary(a, b) != want ||
 			Galloping(a, b) != want || Hash(h, a, b) != want ||
-			BitmapCount(bm, a, b) != want || MergeBranchless(a, b) != want ||
-			Adaptive(a, b) != want {
+			BitmapCount(bm, a, b) != want || MergeBranchless(a, b) != want {
 			return false
 		}
 		n, _ := MergeOps(a, b)

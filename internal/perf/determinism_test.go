@@ -41,7 +41,7 @@ func TestReplayIndependentOfPreprocessor(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 8, 13))
 	cfg := tinyMachine()
 	a := InstrumentedLotus(core.PreprocessMaterialize(g, core.Options{Pool: pool}), cfg)
-	b := InstrumentedLotus(core.PreprocessDirect(g, core.Options{Pool: pool}), cfg)
+	b := InstrumentedLotus(core.Preprocess(g, core.Options{Pool: pool}), cfg)
 	if a != b {
 		t.Fatalf("replay differs across preprocessors:\n%+v\n%+v", a, b)
 	}

@@ -1022,7 +1022,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	for _, p := range rep.Phases {
 		rr.Phases = append(rr.Phases, obs.PhaseNS{Name: p.Name, NS: p.Duration.Nanoseconds()})
 	}
-	if algo == "lotus" || algo == "lotus-recursive" || algo == "lotus-sharded" || algo == "degree-partition" {
+	if reg, err := engine.Lookup(algo); err == nil && reg.Caps.ReportsClasses {
 		rr.Classes = &obs.Classes{HHH: rep.HHH, HHN: rep.HHN, HNN: rep.HNN, NNN: rep.NNN}
 	}
 	rr.Decision = decision
@@ -1302,6 +1302,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 type AlgorithmCaps struct {
 	Parallel       bool `json:"parallel"`
 	ReportsPhases  bool `json:"reports_phases"`
+	ReportsClasses bool `json:"reports_classes"`
 	NeedsSymmetric bool `json:"needs_symmetric"`
 	Cancellable    bool `json:"cancellable"`
 	Shardable      bool `json:"shardable"`
@@ -1323,6 +1324,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 			Capabilities: AlgorithmCaps{
 				Parallel:       reg.Caps.SupportsWorkers,
 				ReportsPhases:  reg.Caps.ReportsPhases,
+				ReportsClasses: reg.Caps.ReportsClasses,
 				NeedsSymmetric: reg.Caps.NeedsSymmetric,
 				Cancellable:    reg.Caps.Cancellable,
 				Shardable:      reg.Caps.Shardable,

@@ -148,6 +148,19 @@ func TestAlgorithmsListsTunerFamily(t *testing.T) {
 	if !byName["degree-partition"].Shardable {
 		t.Error("degree-partition must advertise shardable")
 	}
+	// The class split is its own tag: the LOTUS-structured kernels
+	// carry it, cover-edge and auto report phases without it, and the
+	// comparators carry neither.
+	for _, name := range []string{"lotus", "lotus-recursive", "lotus-sharded", "degree-partition"} {
+		if caps := byName[name]; !caps.ReportsClasses || !caps.ReportsPhases {
+			t.Errorf("%s must advertise reports_classes and reports_phases: %+v", name, caps)
+		}
+	}
+	for _, name := range []string{"cover-edge", "auto", "forward"} {
+		if byName[name].ReportsClasses {
+			t.Errorf("%s must not advertise reports_classes", name)
+		}
+	}
 }
 
 func TestMetricsPreRegistered(t *testing.T) {

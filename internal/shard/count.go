@@ -13,11 +13,12 @@ import (
 // CountOptions tune a sharded count.
 type CountOptions struct {
 	// Phase1Kernel selects the H2H probe strategy for the hub-pair
-	// part, with the same semantics (and the same per-row auto
-	// heuristic) as the monolithic phase 1.
+	// part, which runs the monolithic phase-1 kernel
+	// (core.CountHubPairs) on the apex's R_i and R_j hub lists.
 	Phase1Kernel core.Phase1Kernel
-	// Intersect selects the NNN intersection strategy; the HNN part
-	// always probes the hub bitmap.
+	// Intersect selects the NNN intersection strategy (the monolithic
+	// dispatch, core.IntersectKernel.Count); the HNN part always
+	// probes the hub bitmap.
 	Intersect core.IntersectKernel
 	// Metrics, when non-nil, receives the counting counters
 	// (shard.triples, shard.tiles, shard.polls, shard.count.ns,
@@ -168,15 +169,12 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 	// kernel and the HNN part; both clear what they mark before the
 	// next apex.
 	bms := sched.NewWorkerLocal(workers, func() *intersect.HubBitmap { return new(intersect.HubBitmap) })
-	kernel := opt.Phase1Kernel
-	adaptive := opt.Intersect == core.IntersectAdaptive
 
 	res.Load = pool.RunTasks(len(tiles), func(worker, ti int) {
 		tl := tiles[ti]
 		tr := triples[tl.t]
 		ri, rj := gr.Ranges[tr.i], gr.Ranges[tr.j]
 		sk, sj := gr.Shards[tr.k], gr.Shards[tr.j]
-		sameIJ := tr.i == tr.j
 		bm := bms.Get(worker)
 		var cHHH, cHHN, cHNN, cNNN, cHNNRows, cPolls uint64
 		for x := tl.lo; x < tl.hi; x++ {
@@ -192,7 +190,7 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 				hvJ := restrict16(hv, rj.Lo, rj.Hi)
 				hvI := restrict16(hv, ri.Lo, ri.Hi)
 				if len(hvJ) > 0 && len(hvI) > 0 {
-					found := countHubPairs(sj, bm, hvI, hvJ, sameIJ, kernel)
+					found, _ := core.CountHubPairs(opt.Phase1Kernel, pool, sj.H2H, bm, hvI, hvJ, 0, len(hvJ))
 					if x < h {
 						cHHH += found
 					} else {
@@ -223,12 +221,8 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 				nvI := restrict32(nv, ri.Lo, ri.Hi)
 				if len(nvI) > 0 {
 					for _, u := range restrict32(nv, rj.Lo, rj.Hi) {
-						nuI := restrict32(sj.NHENeighbors(u), ri.Lo, ri.Hi)
-						if adaptive && intersect.UseGalloping(len(nvI), len(nuI)) {
-							cNNN += intersect.Galloping(nvI, nuI)
-						} else {
-							cNNN += intersect.Merge(nvI, nuI)
-						}
+						found, _ := opt.Intersect.Count(nvI, restrict32(sj.NHENeighbors(u), ri.Lo, ri.Hi))
+						cNNN += found
 					}
 				}
 			}
@@ -262,53 +256,4 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 		m.AddDuration(obs.ShardCountNS, res.CountTime)
 	}
 	return res
-}
-
-// countHubPairs counts, for one apex, the hub pairs (h2, h1) with
-// h2 in hvI, h1 in hvJ, h2 < h1 and the H2H bit (h1, h2) set — the
-// sharded hub-pair part. Rows live in shard j (h1 in R_j). When i and
-// j are the same block, hvI and hvJ alias the same restricted list
-// and the h2 < h1 constraint bites: the scalar path probes only the
-// hvI prefix below h1, while the word path relies on the row's
-// built-in "h2 < h1" mask, exactly as the monolithic word kernel
-// does. For i < j every hvI entry is below every hvJ entry, so the
-// whole list qualifies.
-func countHubPairs(sj *core.LotusShard, bm *intersect.HubBitmap, hvI, hvJ []uint16, sameIJ bool, kernel core.Phase1Kernel) uint64 {
-	var found uint64
-	populated := false
-	limit := len(hvI)
-	ptr := 0
-	for _, h1u := range hvJ {
-		h1 := uint32(h1u)
-		if sameIJ {
-			for ptr < len(hvI) && uint32(hvI[ptr]) < h1 {
-				ptr++
-			}
-			limit = ptr
-		}
-		if limit == 0 {
-			continue
-		}
-		row := sj.H2HRow(h1)
-		// Same per-row dispatch heuristic as the monolithic
-		// wordRowThreshold: the word path reads (h1+63)/64 row words,
-		// the scalar path does `limit` dependent bit probes.
-		if kernel == core.Phase1Word || (kernel == core.Phase1Auto && limit >= 2*((int(h1)>>6)+1)) {
-			if !populated {
-				bm.Mark(hvI)
-				populated = true
-			}
-			found += row.AndCount(bm[:])
-		} else {
-			for t := 0; t < limit; t++ {
-				if row.IsSet(uint32(hvI[t])) {
-					found++
-				}
-			}
-		}
-	}
-	if populated {
-		bm.Clear(hvI)
-	}
-	return found
 }

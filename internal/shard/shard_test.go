@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -113,47 +114,43 @@ func TestShardEquivalenceAtScale(t *testing.T) {
 // TestShardRowsMatchMonolithic checks the structural claim the
 // equivalence rests on: every shard row (HE, NHE, H2H) is literally
 // the monolithic structure's row for that vertex, and every shard
-// passes Validate.
+// passes Validate. It sweeps the corpus at hub counts 1, 64 and |V|
+// (clamped like any other) and p in {1, 2, 4}; at p=1 the flat and the
+// sharded build run the same walk over the same range.
 func TestShardRowsMatchMonolithic(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(9, 8, 11))
-	lg, err := core.TryPreprocess(g, core.Options{HubCount: 100})
-	if err != nil {
-		t.Fatalf("preprocess: %v", err)
-	}
-	gr, err := Build(g, Options{Grid: 3, HubCount: 100})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if gr.HubCount != lg.HubCount {
-		t.Fatalf("grid hub count %d != monolithic %d", gr.HubCount, lg.HubCount)
-	}
-	for b, s := range gr.Shards {
-		if err := s.Validate(); err != nil {
-			t.Fatalf("shard %d: %v", b, err)
-		}
-		for v := s.Range.Lo; v < s.Range.Hi; v++ {
-			he, wantHE := s.HENeighbors(v), lg.HE.Neighbors(v)
-			if len(he) != len(wantHE) {
-				t.Fatalf("shard %d vertex %d: HE row length %d != %d", b, v, len(he), len(wantHE))
+	for name, g := range corpus() {
+		for _, hubs := range []int{1, 64, g.NumVertices()} {
+			lg, err := core.TryPreprocess(g, core.Options{HubCount: hubs})
+			if err != nil {
+				t.Fatalf("%s hubs=%d: preprocess: %v", name, hubs, err)
 			}
-			for i := range he {
-				if he[i] != wantHE[i] {
-					t.Fatalf("shard %d vertex %d: HE[%d] = %d != %d", b, v, i, he[i], wantHE[i])
+			for _, p := range []int{1, 2, 4} {
+				label := fmt.Sprintf("%s hubs=%d p=%d", name, hubs, p)
+				gr, err := Build(g, Options{Grid: p, HubCount: hubs})
+				if err != nil {
+					t.Fatalf("%s: Build: %v", label, err)
 				}
-			}
-			nhe, wantNHE := s.NHENeighbors(v), lg.NHE.Neighbors(v)
-			if len(nhe) != len(wantNHE) {
-				t.Fatalf("shard %d vertex %d: NHE row length %d != %d", b, v, len(nhe), len(wantNHE))
-			}
-			for i := range nhe {
-				if nhe[i] != wantNHE[i] {
-					t.Fatalf("shard %d vertex %d: NHE[%d] = %d != %d", b, v, i, nhe[i], wantNHE[i])
+				if gr.HubCount != lg.HubCount {
+					t.Fatalf("%s: grid hub count %d != monolithic %d", label, gr.HubCount, lg.HubCount)
 				}
-			}
-			if v < gr.HubCount {
-				for h2 := uint32(0); h2 < v; h2++ {
-					if s.H2H.IsSet(v, h2) != lg.H2H.IsSet(v, h2) {
-						t.Fatalf("shard %d: H2H bit (%d,%d) disagrees with monolithic", b, v, h2)
+				for b, s := range gr.Shards {
+					if err := s.Validate(); err != nil {
+						t.Fatalf("%s shard %d: %v", label, b, err)
+					}
+					for v := s.Range.Lo; v < s.Range.Hi; v++ {
+						if !slices.Equal(s.HENeighbors(v), lg.HE.Neighbors(v)) {
+							t.Fatalf("%s shard %d vertex %d: HE row %v != %v",
+								label, b, v, s.HENeighbors(v), lg.HE.Neighbors(v))
+						}
+						if !slices.Equal(s.NHENeighbors(v), lg.NHE.Neighbors(v)) {
+							t.Fatalf("%s shard %d vertex %d: NHE row %v != %v",
+								label, b, v, s.NHENeighbors(v), lg.NHE.Neighbors(v))
+						}
+						for h2 := uint32(0); h2 < v && v < gr.HubCount; h2++ {
+							if s.H2H.IsSet(v, h2) != lg.H2H.IsSet(v, h2) {
+								t.Fatalf("%s shard %d: H2H bit (%d,%d) disagrees with monolithic", label, b, v, h2)
+							}
+						}
 					}
 				}
 			}
