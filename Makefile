@@ -26,14 +26,17 @@ check:
 	$(GO) test -race ./internal/faults/
 	$(GO) test -race ./internal/approx/
 	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestStreaming' ./internal/core/
-	# Every HNN path (flat, blocked, fused, sharded p=1..4, per-vertex)
-	# against a brute-force oracle, racing the per-worker hub bitmaps;
-	# and the Algorithm 2 walk (concurrent H2H Sets) and phase-1
-	# hub-pair kernel that the flat and the sharded path share, held to
-	# the materialize reference, the monolithic rows and the scalar
-	# probe.
+	# Every HNN and NNN path (flat, blocked, fused, sharded p=1..4,
+	# per-vertex; both NNN kernels) against a brute-force oracle,
+	# racing the per-worker hub and vertex bitmaps; the bitmap-vs-merge
+	# NNN equivalence with its dispatch counters; cancellation mid-HNN
+	# and mid-NNN leaving every bitmap clear; one CountScratch reused
+	# across graph sizes; and the Algorithm 2 walk (concurrent H2H
+	# Sets) and phase-1 hub-pair kernel that the flat and the sharded
+	# path share, held to the materialize reference, the monolithic
+	# rows and the scalar probe.
 	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence|TestShardRowsMatchMonolithic' ./internal/shard/
-	$(GO) test -race -run 'TestHNNCancellationLeavesBitmapsClear|TestPreprocessBitIdentical|TestPhase1KernelEquivalence' ./internal/core/
+	$(GO) test -race -run 'TestIntersectKernelEquivalence|TestHNNCancellationLeavesBitmapsClear|TestCountScratchReuseAcrossGraphs|TestPreprocessBitIdentical|TestPhase1KernelEquivalence' ./internal/core/
 	# Auto-tuner surface: the probe's parallel reductions, the policy,
 	# and the cover-edge kernel's parallel sweep all race-tested in
 	# full (they are small packages; the engine's auto kernel rides in

@@ -308,14 +308,14 @@ func BenchmarkPhase1Kernels(b *testing.B) {
 	}
 }
 
-// BenchmarkIntersectDispatch compares unconditional merge join
-// against the adaptive merge/galloping dispatch in the NNN phase (HNN
-// always probes the hub bitmap).
+// BenchmarkIntersectDispatch compares merge join against the
+// vertex-bitmap kernel in the NNN phase (HNN always probes the hub
+// bitmap).
 func BenchmarkIntersectDispatch(b *testing.B) {
 	g := benchGraph()
 	pool := sched.NewPool(0)
 	lg := core.Preprocess(g, core.Options{Pool: pool})
-	for _, k := range []core.IntersectKernel{core.IntersectMerge, core.IntersectAdaptive} {
+	for _, k := range []core.IntersectKernel{core.IntersectMerge, core.IntersectBitmap} {
 		b.Run(k.String(), func(b *testing.B) {
 			var nnn float64
 			for i := 0; i < b.N; i++ {

@@ -71,9 +71,9 @@ type CountOptions struct {
 	// always the word-parallel bitmap kernel. All three produce
 	// bit-identical HHH/HHN counts.
 	Phase1Kernel Phase1Kernel
-	// Intersect selects the NNN intersection strategy: adaptive
-	// merge-vs-galloping dispatch (default) or unconditional merge
-	// join (the ablation baseline). HNN always uses the hub bitmap.
+	// Intersect selects the NNN intersection strategy: the per-worker
+	// vertex bitmap (default) or merge join (the ablation baseline).
+	// HNN always uses the hub bitmap.
 	Intersect IntersectKernel
 	// Metrics, when non-nil, receives the per-phase observability
 	// counters (phase timings, tile/probe/intersection counts,
@@ -84,10 +84,11 @@ type CountOptions struct {
 	Metrics *obs.Metrics
 	// Scratch, when non-nil, supplies reusable per-worker kernel
 	// scratch so a resident service's warm counts stop allocating
-	// phase-1/HNN hub bitmaps per request. One CountScratch must never be
-	// used by two concurrent counts; sequential reuse across graphs
-	// and hub counts is fine (each bitmap spans the whole 16-bit hub
-	// ID space).
+	// phase-1/HNN hub bitmaps and NNN vertex bitmaps per request. One
+	// CountScratch must never be used by two concurrent counts;
+	// sequential reuse across graphs and hub counts is fine (each hub
+	// bitmap spans the whole 16-bit hub ID space, and vertex bitmaps
+	// grow to the largest graph seen).
 	Scratch *CountScratch
 }
 
@@ -95,6 +96,7 @@ type CountOptions struct {
 // sequential counts. The zero value is ready to use.
 type CountScratch struct {
 	hubs    *sched.WorkerLocal[intersect.HubBitmap]
+	verts   *sched.WorkerLocal[intersect.VertexBitmap]
 	workers int
 }
 
@@ -102,24 +104,34 @@ type CountScratch struct {
 // first use and are reused while the worker count stays the same.
 func NewCountScratch() *CountScratch { return &CountScratch{} }
 
-// hubBitmaps returns the per-worker hub bitmaps phase 1 and HNN share.
-// With a CountScratch the previous count's bitmaps are recycled when
-// the worker count matches; both kernels clear what they mark before
-// moving on, so recycled bitmaps are always all-zero.
-func hubBitmaps(s *CountScratch, workers int) *sched.WorkerLocal[intersect.HubBitmap] {
+// forWorkers returns per-worker bitmaps for one count: the hub bitmaps
+// phase 1 and HNN share, and the vertex bitmaps of NNN, each allocated
+// on its worker's first Get. A nil s gets fresh slabs. Otherwise the
+// previous count's slabs are recycled when the worker count matches;
+// every kernel clears what it marks before moving on, so recycled
+// bitmaps are always all-zero.
+func (s *CountScratch) forWorkers(workers int) *CountScratch {
 	if s == nil {
-		return newHubBitmaps(workers)
+		s = &CountScratch{}
 	}
 	if s.hubs == nil || s.workers != workers {
-		s.hubs, s.workers = newHubBitmaps(workers), workers
+		s.hubs = sched.NewWorkerLocal(workers, func() *intersect.HubBitmap { return new(intersect.HubBitmap) })
+		s.verts = sched.NewWorkerLocal(workers, func() *intersect.VertexBitmap { return new(intersect.VertexBitmap) })
+		s.workers = workers
 	}
-	return s.hubs
+	return s
 }
 
-// newHubBitmaps returns per-worker hub bitmaps, each allocated on its
-// worker's first Get.
-func newHubBitmaps(workers int) *sched.WorkerLocal[intersect.HubBitmap] {
-	return sched.NewWorkerLocal(workers, func() *intersect.HubBitmap { return new(intersect.HubBitmap) })
+// vertexBitmap returns worker's NNN vertex bitmap, grown to cover IDs
+// [0, n). It only ever grows, so a resident service's scratch settles
+// at ⌈|V|/64⌉ words of its largest graph; a larger all-zero bitmap
+// serves a smaller graph unchanged.
+func vertexBitmap(l *sched.WorkerLocal[intersect.VertexBitmap], worker, n int) intersect.VertexBitmap {
+	bm := l.Get(worker)
+	if len(*bm) < (n+63)/64 {
+		*bm = intersect.NewVertexBitmap(n)
+	}
+	return *bm
 }
 
 // DefaultTileThreshold is the paper's tiling cutoff (§5.8).
@@ -148,7 +160,7 @@ func (lg *LotusGraph) Count(pool *sched.Pool) *Result {
 // CountWithOptions runs Algorithm 3: phase 1 counts HHH and HHN
 // triangles against the H2H bit array, phase 2 counts HNN triangles
 // by intersecting 16-bit HE rows, and phase 3 counts NNN triangles by
-// intersecting NHE rows with merge join.
+// intersecting NHE rows against a per-worker vertex bitmap.
 func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Result {
 	if pool == nil {
 		pool = sched.NewPool(0)
@@ -161,7 +173,8 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	}
 	res := &Result{}
 	m := opt.Metrics
-	bms := hubBitmaps(opt.Scratch, pool.Workers())
+	sc := opt.Scratch.forWorkers(pool.Workers())
+	bms := sc.hubs
 
 	t0 := time.Now()
 	res.Phase1Load = lg.countPhase1(pool, opt, bms, res)
@@ -183,7 +196,7 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 		m.Add("hnn.claims", res.HNNLoad.Claims)
 	case opt.FuseHNNAndNNN:
 		t1 := time.Now()
-		res.HNNLoad = lg.countFused(pool, res, opt, bms)
+		res.HNNLoad = lg.countFused(pool, res, opt, bms, sc.verts)
 		d := time.Since(t1)
 		res.HNNTime, res.NNNTime = d/2, d/2
 		res.NNNLoad = res.HNNLoad
@@ -203,7 +216,7 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 		}
 
 		t2 := time.Now()
-		res.NNNLoad = lg.countNNN(pool, res, opt)
+		res.NNNLoad = lg.countNNN(pool, res, opt, sc.verts)
 		res.NNNTime = time.Since(t2)
 		m.Add("nnn.claims", res.NNNLoad.Claims)
 	}
@@ -488,64 +501,66 @@ func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, bms *sch
 }
 
 // countNNN counts NNN triangles (Alg 3 lines 10-12): the Forward
-// algorithm restricted to the NHE sub-graph, with merge join
-// (§4.4.3). Hub edges are never touched — the §3.3 pruning.
-func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions) sched.LoadReport {
+// algorithm restricted to the NHE sub-graph. Hub edges are never
+// touched — the §3.3 pruning. Each row NHE.N_v is marked once in the
+// worker's vertex bitmap and every NHE.N_u, u ∈ NHE.N_v, is probed
+// against it (opt.Intersect; merge join under the ablation baseline).
+// Rows with fewer than two entries close no triangle and are skipped.
+// Cancellation is polled before the mark, so the bitmap is all-zero
+// on every exit.
+func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions, vbs *sched.WorkerLocal[intersect.VertexBitmap]) sched.LoadReport {
 	m := opt.Metrics
 	n := lg.numVertices
+	k := opt.Intersect
 	acc := sched.NewAccumulator(pool.Workers())
 	inter := sched.NewAccumulator(pool.Workers())
 	polls := sched.NewAccumulator(pool.Workers())
-	gallops := sched.NewAccumulator(pool.Workers())
 	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
-		var local, localInter, localPolls, localGallops uint64
+		bm := vertexBitmap(vbs, worker, n)
+		var local, localInter, localPolls uint64
 		for v := start; v < end; v++ {
 			localPolls++
 			if pool.Cancelled() {
 				break
 			}
 			nv := lg.NHE.Neighbors(uint32(v))
-			if len(nv) < 1 {
+			if len(nv) < 2 {
 				continue
 			}
 			localInter += uint64(len(nv))
-			for _, u := range nv {
-				found, galloped := opt.Intersect.Count(nv, lg.NHE.Neighbors(u))
-				local += found
-				if galloped {
-					localGallops++
-				}
-			}
+			local += k.CountRows(bm, nv, nv, lg.NHE, 0)
 		}
 		acc.Add(worker, local)
 		inter.Add(worker, localInter)
 		polls.Add(worker, localPolls)
-		gallops.Add(worker, localGallops)
 	})
 	res.NNN = acc.Sum()
 	m.Add("nnn.nhe_intersections", int64(inter.Sum()))
 	m.Add("nnn.polls", int64(polls.Sum()))
-	m.Add(obs.NNNDispatchGallop, int64(gallops.Sum()))
-	m.Add(obs.NNNDispatchMerge, int64(inter.Sum()-gallops.Sum()))
+	m.Add(k.DispatchCounter(), int64(inter.Sum()))
 	return rep
 }
 
 // countFused runs the HNN and NNN intersections inside one traversal
 // of NHE — the loop fusion §4.5 rejects because it enlarges the
 // working set of randomly accessed data. Kept for the ablation bench.
-func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap]) sched.LoadReport {
+// Each v runs its HNN probes (when it has hub neighbours) and its NNN
+// probes (when its NHE row has at least two entries) back to back,
+// with the same row skips as the unfused loops, so the counters
+// match theirs.
+func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap], vbs *sched.WorkerLocal[intersect.VertexBitmap]) sched.LoadReport {
 	m := opt.Metrics
 	n := lg.numVertices
+	k := opt.Intersect
 	hnn := sched.NewAccumulator(pool.Workers())
 	nnn := sched.NewAccumulator(pool.Workers())
-	inter := sched.NewAccumulator(pool.Workers())
-	polls := sched.NewAccumulator(pool.Workers())
-	nnnGallops := sched.NewAccumulator(pool.Workers())
 	hnnInter := sched.NewAccumulator(pool.Workers())
+	nnnInter := sched.NewAccumulator(pool.Workers())
+	polls := sched.NewAccumulator(pool.Workers())
 	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
 		bm := bms.Get(worker)
-		var localHNN, localNNN, localInter, localPolls uint64
-		var localNNNGallops, localHNNInter uint64
+		vbm := vertexBitmap(vbs, worker, n)
+		var localHNN, localNNN, localHNNInter, localNNNInter, localPolls uint64
 		for v := start; v < end; v++ {
 			localPolls++
 			if pool.Cancelled() {
@@ -555,37 +570,31 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 			if len(nv) == 0 {
 				continue
 			}
-			hv := lg.HE.Neighbors(uint32(v))
-			hasHubs := len(hv) > 0
-			bm.Mark(hv)
-			localInter += uint64(len(nv))
-			for _, u := range nv {
-				if hasHubs {
+			if hv := lg.HE.Neighbors(uint32(v)); len(hv) > 0 {
+				localHNNInter += uint64(len(nv))
+				bm.Mark(hv)
+				for _, u := range nv {
 					localHNN += bm.Count(lg.HE.Neighbors(u))
-					localHNNInter++
 				}
-				found, galloped := opt.Intersect.Count(nv, lg.NHE.Neighbors(u))
-				localNNN += found
-				if galloped {
-					localNNNGallops++
-				}
+				bm.Clear(hv)
 			}
-			bm.Clear(hv)
+			if len(nv) >= 2 {
+				localNNNInter += uint64(len(nv))
+				localNNN += k.CountRows(vbm, nv, nv, lg.NHE, 0)
+			}
 		}
 		hnn.Add(worker, localHNN)
 		nnn.Add(worker, localNNN)
-		inter.Add(worker, localInter)
-		polls.Add(worker, localPolls)
-		nnnGallops.Add(worker, localNNNGallops)
 		hnnInter.Add(worker, localHNNInter)
+		nnnInter.Add(worker, localNNNInter)
+		polls.Add(worker, localPolls)
 	})
 	res.HNN = hnn.Sum()
 	res.NNN = nnn.Sum()
-	m.Add("hnn.he_intersections", int64(inter.Sum()))
-	m.Add("nnn.nhe_intersections", int64(inter.Sum()))
+	m.Add("hnn.he_intersections", int64(hnnInter.Sum()))
+	m.Add("nnn.nhe_intersections", int64(nnnInter.Sum()))
 	m.Add("hnn.polls", int64(polls.Sum()))
 	m.Add(obs.HNNDispatchBitmap, int64(hnnInter.Sum()))
-	m.Add(obs.NNNDispatchGallop, int64(nnnGallops.Sum()))
-	m.Add(obs.NNNDispatchMerge, int64(inter.Sum()-nnnGallops.Sum()))
+	m.Add(k.DispatchCounter(), int64(nnnInter.Sum()))
 	return rep
 }

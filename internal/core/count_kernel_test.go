@@ -8,6 +8,7 @@ import (
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
+	"lotustc/internal/sched"
 )
 
 // kernelCorpus returns the graphs the phase-1 equivalence tests sweep:
@@ -100,10 +101,13 @@ func TestPhase1KernelEquivalenceTiled(t *testing.T) {
 	}
 }
 
-// TestIntersectKernelEquivalence asserts the adaptive NNN dispatch
-// returns the same per-class counts as unconditional merge join, over
-// the plain, blocked and fused phase variants, and that HNN reports
-// one hub-bitmap probe per HE-row intersection.
+// TestIntersectKernelEquivalence asserts the NNN vertex-bitmap kernel
+// returns the same per-class counts as merge join, over the plain,
+// blocked and fused phase variants, and that the dispatch counters
+// account for every row: one hub-bitmap probe per HE-row intersection,
+// one vertex-bitmap (or, under merge, merge-join) probe per NHE-row
+// intersection, and no retired counter published. The fused loop
+// must report the same intersection counts as the unfused ones.
 func TestIntersectKernelEquivalence(t *testing.T) {
 	for name, g := range kernelCorpus(t) {
 		lg := Preprocess(g, Options{HubCount: 32, Pool: pool})
@@ -112,26 +116,49 @@ func TestIntersectKernelEquivalence(t *testing.T) {
 			{HNNBlocks: 4},
 			{FuseHNNAndNNN: true},
 		}
+		var plain *obs.Metrics
 		for _, v := range variants {
-			merge, adaptive := v, v
+			merge, bitmap := v, v
 			merge.Intersect = IntersectMerge
-			adaptive.Intersect = IntersectAdaptive
-			adaptive.Metrics = obs.New()
+			merge.Metrics = obs.New()
+			bitmap.Intersect = IntersectBitmap
+			bitmap.Metrics = obs.New()
 			wantRes := lg.CountWithOptions(pool, merge)
-			gotRes := lg.CountWithOptions(pool, adaptive)
+			gotRes := lg.CountWithOptions(pool, bitmap)
 			if gotRes.HNN != wantRes.HNN || gotRes.NNN != wantRes.NNN || gotRes.Total != wantRes.Total {
-				t.Errorf("%s %+v: adaptive HNN/NNN/Total = %d/%d/%d, merge = %d/%d/%d",
+				t.Errorf("%s %+v: bitmap HNN/NNN/Total = %d/%d/%d, merge = %d/%d/%d",
 					name, v, gotRes.HNN, gotRes.NNN, gotRes.Total, wantRes.HNN, wantRes.NNN, wantRes.Total)
 			}
-			m := adaptive.Metrics
-			if rows := m.Get(obs.HNNDispatchBitmap); rows != m.Get("hnn.he_intersections") && !v.FuseHNNAndNNN {
-				t.Errorf("%s %+v: %d bitmap row probes != %d intersections",
-					name, v, rows, m.Get("hnn.he_intersections"))
+			for _, c := range []struct {
+				m               *obs.Metrics
+				published, idle string
+			}{
+				{bitmap.Metrics, obs.NNNDispatchBitmap, obs.NNNDispatchMerge},
+				{merge.Metrics, obs.NNNDispatchMerge, obs.NNNDispatchBitmap},
+			} {
+				m := c.m
+				if rows := m.Get(obs.HNNDispatchBitmap); rows != m.Get("hnn.he_intersections") {
+					t.Errorf("%s %+v: %d hub-bitmap row probes != %d HE intersections",
+						name, v, rows, m.Get("hnn.he_intersections"))
+				}
+				if rows := m.Get(c.published); rows != m.Get("nnn.nhe_intersections") {
+					t.Errorf("%s %+v: %s = %d != %d NHE intersections",
+						name, v, c.published, rows, m.Get("nnn.nhe_intersections"))
+				}
+				snap := m.Snapshot()
+				for _, unpublished := range []string{c.idle, obs.NNNDispatchGallop, obs.HNNDispatchMerge, obs.HNNDispatchGallop} {
+					if _, ok := snap[unpublished]; ok {
+						t.Errorf("%s %+v: %s published", name, v, unpublished)
+					}
+				}
 			}
-			snap := m.Snapshot()
-			for _, retired := range []string{obs.HNNDispatchMerge, obs.HNNDispatchGallop} {
-				if _, ok := snap[retired]; ok {
-					t.Errorf("%s %+v: retired counter %s still published", name, v, retired)
+			if plain == nil {
+				plain = bitmap.Metrics
+				continue
+			}
+			for _, counter := range []string{"hnn.he_intersections", "nnn.nhe_intersections"} {
+				if got, want := bitmap.Metrics.Get(counter), plain.Get(counter); got != want {
+					t.Errorf("%s %+v: %s = %d, plain loops report %d", name, v, counter, got, want)
 				}
 			}
 		}
@@ -199,56 +226,73 @@ func TestKernelParsers(t *testing.T) {
 		in   string
 		want IntersectKernel
 		ok   bool
-	}{{"", IntersectAdaptive, true}, {"adaptive", IntersectAdaptive, true},
-		{"merge", IntersectMerge, true}, {"hash", IntersectAdaptive, false}} {
+	}{{"", IntersectBitmap, true}, {"bitmap", IntersectBitmap, true},
+		{"merge", IntersectMerge, true}, {"adaptive", IntersectBitmap, false},
+		{"hash", IntersectBitmap, false}} {
 		got, err := ParseIntersectKernel(c.in)
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("ParseIntersectKernel(%q) = %v, %v", c.in, got, err)
 		}
+		if c.ok && got.String() != c.in && c.in != "" {
+			t.Errorf("IntersectKernel round-trip: %q -> %q", c.in, got.String())
+		}
 	}
 }
 
-// TestHNNCancellationLeavesBitmapsClear cancels each HNN loop (flat,
-// blocked, fused) mid-run, then reuses the same CountScratch for a
-// fresh count, which must be exact in every class: a cancellation exit
-// that left marks in a worker's hub bitmap would inflate the next
-// count's HHH/HHN or HNN.
+// TestHNNCancellationLeavesBitmapsClear cancels each HNN and NNN loop
+// (flat HNN, blocked HNN, fused, NNN) mid-run, asserts every worker's
+// hub and vertex bitmaps are all-zero, then reuses the same
+// CountScratch for a fresh count, which must be exact in every class:
+// a cancellation exit that left marks in a worker's bitmap would
+// inflate the next count's HHH/HHN, HNN or NNN.
 func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(12, 16, 5))
 	lg := Preprocess(g, Options{HubCount: 512, Pool: pool})
 	want := lg.Count(pool)
 	scratch := NewCountScratch()
-	for name, opt := range map[string]CountOptions{
-		"flat":    {},
-		"blocked": {HNNBlocks: 4},
-		"fused":   {FuseHNNAndNNN: true},
+	type loop func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch)
+	for name, c := range map[string]struct {
+		opt CountOptions
+		run loop
+	}{
+		"flat": {CountOptions{}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
+			lg.countHNN(p, res, opt, sc.hubs)
+		}},
+		"blocked": {CountOptions{HNNBlocks: 4}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
+			lg.countHNNBlocked(p, res, opt, sc.hubs)
+		}},
+		"fused": {CountOptions{FuseHNNAndNNN: true}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
+			lg.countFused(p, res, opt, sc.hubs, sc.verts)
+		}},
+		"nnn": {CountOptions{}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
+			lg.countNNN(p, res, opt, sc.verts)
+		}},
 	} {
+		opt := c.opt
 		opt.Scratch = scratch
-		bms := hubBitmaps(scratch, pool.Workers())
+		sc := scratch.forWorkers(pool.Workers())
 		ctx, cancel := context.WithCancel(context.Background())
 		bound := pool.Bind(ctx)
 		time.AfterFunc(time.Millisecond, cancel)
-		// Nothing but HNN loops runs until the cancel lands, so it
-		// interrupts one of them.
+		// Nothing but the loop under test runs until the cancel lands,
+		// so it interrupts that loop.
 		var partial bool
 		for !bound.Cancelled() {
 			res := &Result{}
-			switch {
-			case opt.FuseHNNAndNNN:
-				lg.countFused(bound, res, opt, bms)
-			case opt.HNNBlocks > 1:
-				lg.countHNNBlocked(bound, res, opt, bms)
-			default:
-				lg.countHNN(bound, res, opt, bms)
-			}
-			partial = res.HNN < want.HNN
+			c.run(bound, res, opt, sc)
+			partial = res.HNN+res.NNN < want.HNN+want.NNN
 		}
 		bound.Release()
-		t.Logf("%s: last HNN run cut short: %v", name, partial)
+		t.Logf("%s: last run cut short: %v", name, partial)
 		for w := 0; w < pool.Workers(); w++ {
-			for i, word := range bms.Get(w) {
+			for i, word := range sc.hubs.Get(w) {
 				if word != 0 {
-					t.Fatalf("%s: worker %d bitmap word %d = %#x after cancellation, want 0", name, w, i, word)
+					t.Fatalf("%s: worker %d hub bitmap word %d = %#x after cancellation, want 0", name, w, i, word)
+				}
+			}
+			for i, word := range *sc.verts.Get(w) {
+				if word != 0 {
+					t.Fatalf("%s: worker %d vertex bitmap word %d = %#x after cancellation, want 0", name, w, i, word)
 				}
 			}
 		}
@@ -258,6 +302,42 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 			t.Fatalf("%s: count after cancellation = %d (%d/%d/%d/%d), want %d (%d/%d/%d/%d)",
 				name, got.Total, got.HHH, got.HHN, got.HNN, got.NNN,
 				want.Total, want.HHH, want.HHN, want.HNN, want.NNN)
+		}
+	}
+}
+
+// TestCountScratchReuseAcrossGraphs reuses one CountScratch across
+// graphs of 2^10, 2^14 and again 2^10 vertices, under both NNN kernels
+// and the fused loop: every count must match a scratch-free merge-join
+// count exactly in every class. The vertex bitmaps grow to the largest
+// graph and stay there, so the final small graph runs on bitmaps four
+// times wider than it needs.
+func TestCountScratchReuseAcrossGraphs(t *testing.T) {
+	scratch := NewCountScratch()
+	for i, scale := range []uint{10, 14, 10} {
+		g := gen.RMAT(gen.DefaultRMAT(scale, 8, int64(20+i)))
+		lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
+		want := lg.CountWithOptions(pool, CountOptions{Intersect: IntersectMerge})
+		for _, opt := range []CountOptions{
+			{},
+			{Intersect: IntersectMerge},
+			{FuseHNNAndNNN: true},
+		} {
+			opt.Scratch = scratch
+			got := lg.CountWithOptions(pool, opt)
+			if got.Total != want.Total || got.HHH != want.HHH || got.HHN != want.HHN ||
+				got.HNN != want.HNN || got.NNN != want.NNN {
+				t.Fatalf("scale %d %+v: count = %d (%d/%d/%d/%d), want %d (%d/%d/%d/%d)",
+					scale, opt, got.Total, got.HHH, got.HHN, got.HNN, got.NNN,
+					want.Total, want.HHH, want.HHN, want.HNN, want.NNN)
+			}
+		}
+		wide := 0
+		for w := 0; w < pool.Workers(); w++ {
+			wide = max(wide, len(*scratch.verts.Get(w)))
+		}
+		if wide < 1<<14/64 && i > 0 {
+			t.Errorf("scale %d: widest vertex bitmap %d words, want the 2^14 graph's %d kept", scale, wide, 1<<14/64)
 		}
 	}
 }

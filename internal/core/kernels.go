@@ -5,6 +5,7 @@ import (
 
 	"lotustc/internal/bitarray"
 	"lotustc/internal/intersect"
+	"lotustc/internal/obs"
 	"lotustc/internal/sched"
 )
 
@@ -58,13 +59,13 @@ func ParsePhase1Kernel(s string) (Phase1Kernel, error) {
 type IntersectKernel int
 
 const (
-	// IntersectAdaptive dispatches per pair of rows: galloping search
-	// when one row is ≥ intersect.GallopRatio× the other, merge join
-	// otherwise. This is the default.
-	IntersectAdaptive IntersectKernel = iota
-	// IntersectMerge always uses the linear merge join — the paper's
-	// §4.4.3 choice and the pre-PR5 behaviour, kept as the ablation
-	// baseline.
+	// IntersectBitmap marks the apex row NHE.N_v once in a per-worker
+	// intersect.VertexBitmap and probes every NHE.N_u against it
+	// branch-free — the bitmap-lookup strategy of §2.2. This is the
+	// default.
+	IntersectBitmap IntersectKernel = iota
+	// IntersectMerge merge-joins NHE.N_v with each NHE.N_u — the
+	// paper's §4.4.3 choice, kept as the ablation baseline.
 	IntersectMerge
 )
 
@@ -73,31 +74,55 @@ func (k IntersectKernel) String() string {
 	if k == IntersectMerge {
 		return "merge"
 	}
-	return "adaptive"
+	return "bitmap"
 }
 
 // ParseIntersectKernel maps a flag value to a kernel. The empty
-// string selects the default (adaptive).
+// string selects the default (bitmap).
 func ParseIntersectKernel(s string) (IntersectKernel, error) {
 	switch s {
-	case "", "adaptive":
-		return IntersectAdaptive, nil
+	case "", "bitmap":
+		return IntersectBitmap, nil
 	case "merge":
 		return IntersectMerge, nil
 	}
-	return IntersectAdaptive, fmt.Errorf("unknown intersect kernel %q (want adaptive or merge)", s)
+	return IntersectBitmap, fmt.Errorf("unknown intersect kernel %q (want bitmap or merge)", s)
 }
 
-// Count counts |a ∩ b| for one pair of NNN rows and reports whether
-// it galloped. It is the one NNN dispatch the flat, fused and sharded
-// counts share: IntersectAdaptive gallops when one row is at least
-// intersect.GallopRatio times the other, and merge-joins otherwise;
-// IntersectMerge always merge-joins.
-func (k IntersectKernel) Count(a, b []uint32) (uint64, bool) {
-	if k == IntersectAdaptive && intersect.UseGalloping(len(a), len(b)) {
-		return intersect.Galloping(a, b), true
+// CountRows is the one NNN intersection kernel (Alg 3 lines 10-12)
+// that the flat, fused and sharded counts share. For one apex row nv
+// it returns the sum of |nv ∩ N_u| over u in us, where rows holds N_u
+// at index u-base (base is 0 for the flat NHE, the shard's range start
+// for a shard's). Under IntersectBitmap nv is marked once in the
+// worker's vertex bitmap bm, which must cover every ID of nv and of
+// the probed rows; each N_u then costs one load and a shift per
+// element, and the marks are cleared in O(|nv|) before returning, so
+// bm is all-zero again. Under IntersectMerge, nv is merge-joined with
+// each N_u and bm is unused. The whole row runs without a
+// cancellation poll; callers poll between rows.
+func (k IntersectKernel) CountRows(bm intersect.VertexBitmap, nv, us []uint32, rows *NHE32, base uint32) uint64 {
+	var n uint64
+	if k == IntersectMerge {
+		for _, u := range us {
+			n += intersect.Merge(nv, rows.Neighbors(u-base))
+		}
+		return n
 	}
-	return intersect.Merge(a, b), false
+	bm.Mark(nv)
+	for _, u := range us {
+		n += bm.Count(rows.Neighbors(u - base))
+	}
+	bm.Clear(nv)
+	return n
+}
+
+// DispatchCounter names the counter that records the NNN rows k
+// probed: nnn.dispatch.bitmap or nnn.dispatch.merge.
+func (k IntersectKernel) DispatchCounter() string {
+	if k == IntersectMerge {
+		return obs.NNNDispatchMerge
+	}
+	return obs.NNNDispatchBitmap
 }
 
 // wordRowThreshold reports whether the word kernel is the cheaper way

@@ -43,9 +43,9 @@ func (lg *LotusGraph) CountPerVertex(pool *sched.Pool) []uint64 {
 
 	// Phase 2: HNN — mark HE.N_v in the worker's hub bitmap; every set
 	// bit an HE.N_u element hits names the closing hub h.
-	bms := hubBitmaps(nil, pool.Workers())
+	sc := new(CountScratch).forWorkers(pool.Workers())
 	pool.For(n, 0, func(worker, start, end int) {
-		bm := bms.Get(worker)
+		bm := sc.hubs.Get(worker)
 		for v := start; v < end; v++ {
 			hv := lg.HE.Neighbors(uint32(v))
 			if len(hv) == 0 {
@@ -65,28 +65,26 @@ func (lg *LotusGraph) CountPerVertex(pool *sched.Pool) []uint64 {
 		}
 	})
 
-	// Phase 3: NNN.
-	pool.For(n, 0, func(_, start, end int) {
+	// Phase 3: NNN — mark NHE.N_v in the worker's vertex bitmap; every
+	// set bit an NHE.N_u element hits names the closing w.
+	pool.For(n, 0, func(worker, start, end int) {
+		bm := vertexBitmap(sc.verts, worker, n)
 		for v := start; v < end; v++ {
 			nv := lg.NHE.Neighbors(uint32(v))
+			if len(nv) < 2 {
+				continue
+			}
+			bm.Mark(nv)
 			for _, u := range nv {
-				nu := lg.NHE.Neighbors(u)
-				i, j := 0, 0
-				for i < len(nv) && j < len(nu) {
-					switch {
-					case nv[i] < nu[j]:
-						i++
-					case nv[i] > nu[j]:
-						j++
-					default:
+				for _, w := range lg.NHE.Neighbors(u) {
+					if bm.Has(w) {
 						bump(uint32(v))
 						bump(u)
-						bump(nv[i])
-						i++
-						j++
+						bump(w)
 					}
 				}
 			}
+			bm.Clear(nv)
 		}
 	})
 	return counts

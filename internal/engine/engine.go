@@ -91,8 +91,9 @@ type Params struct {
 	// fail the run up front rather than silently falling back.
 	Phase1Kernel string
 	// IntersectKernel selects the NNN intersection strategy: "" or
-	// "adaptive" (size-ratio dispatch), or "merge". HNN always probes
-	// the per-worker hub bitmap.
+	// "bitmap" (probe every NHE.N_u against a per-worker vertex bitmap
+	// of NHE.N_v), or "merge" (the paper's merge join). HNN always
+	// probes the per-worker hub bitmap.
 	IntersectKernel string
 	// Prepared supplies an already-built LOTUS structure for the same
 	// graph, letting a resident service amortize preprocessing across

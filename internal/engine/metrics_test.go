@@ -30,7 +30,7 @@ func TestRunCollectMetricsLotus(t *testing.T) {
 		"phase1.tiles", "phase1.h2h_probes", "phase1.polls",
 		"phase1.claims", "phase1.steals",
 		"hnn.he_intersections", "hnn.polls", "hnn.claims", "hnn.dispatch.bitmap",
-		"nnn.nhe_intersections", "nnn.polls", "nnn.claims",
+		"nnn.nhe_intersections", "nnn.polls", "nnn.claims", "nnn.dispatch.bitmap",
 	}
 	for _, name := range required {
 		if _, ok := rep.Metrics[name]; !ok {

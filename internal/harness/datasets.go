@@ -37,7 +37,7 @@ type Suite struct {
 	Ctx context.Context
 	// Phase1Kernel / IntersectKernel override the LOTUS kernel
 	// selection for the suite's lotus runs ("" keeps the engine
-	// defaults: auto and adaptive). lotus-bench wires -phase1 and
+	// defaults: auto and bitmap). lotus-bench wires -phase1 and
 	// -intersect here.
 	Phase1Kernel    string
 	IntersectKernel string

@@ -19,7 +19,7 @@ var BenchAlgorithms = []string{"bbtc", "edge-iterator", "forward", "gbbs", "lotu
 
 // benchKernelVariants are the labeled LOTUS kernel-ablation runs
 // appended to every dataset's sweep: phase-1 scalar vs word and
-// NNN merge vs adaptive, each pinned so the pairs differ in
+// NNN merge vs bitmap, each pinned so the pairs differ in
 // exactly one knob. Their RunReport Algorithm field carries the
 // variant label (e.g. "lotus/phase1=word").
 var benchKernelVariants = []struct {
@@ -29,7 +29,7 @@ var benchKernelVariants = []struct {
 	{"lotus/phase1=scalar", engine.Params{Phase1Kernel: "scalar", IntersectKernel: "merge"}},
 	{"lotus/phase1=word", engine.Params{Phase1Kernel: "word", IntersectKernel: "merge"}},
 	{"lotus/intersect=merge", engine.Params{Phase1Kernel: "scalar", IntersectKernel: "merge"}},
-	{"lotus/intersect=adaptive", engine.Params{Phase1Kernel: "scalar", IntersectKernel: "adaptive"}},
+	{"lotus/intersect=bitmap", engine.Params{Phase1Kernel: "scalar", IntersectKernel: "bitmap"}},
 }
 
 // benchShardVariants sweep the sharded kernel's grid dimension so the

@@ -6,11 +6,10 @@ package intersect
 // search — dominates triangle-counting runtime, and that the right
 // choice depends on the size ratio of the two lists: a linear merge
 // touches every element of both lists, while galloping touches
-// O(|short| · log |long|). On skewed graphs the NNN phase often
-// intersects a vertex's short row with a high-degree neighbour's long
-// one, so a single unconditional kernel leaves time on the table in
-// one regime or the other. (HNN rows hold 16-bit hub IDs and use the
-// HubBitmap kernel instead, which needs no dispatch.)
+// O(|short| · log |long|). Cover-edge's weighted intersection
+// dispatches on the size ratio below. (LOTUS needs no dispatch: NNN
+// probes a per-worker VertexBitmap and HNN a HubBitmap, both one load
+// per element whatever the ratio.)
 
 // GallopRatio is the size ratio past which the adaptive dispatcher
 // abandons merge join for galloping search: merge costs
@@ -20,9 +19,8 @@ package intersect
 const GallopRatio = 16
 
 // UseGalloping reports whether the adaptive dispatch picks the
-// galloping kernel for lists of the given lengths. The NNN dispatch
-// (core.IntersectKernel.Count) and the cover-edge weighted
-// intersection both branch on it.
+// galloping kernel for lists of the given lengths. The cover-edge
+// weighted intersection branches on it.
 func UseGalloping(la, lb int) bool {
 	if la > lb {
 		la, lb = lb, la

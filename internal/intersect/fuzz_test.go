@@ -33,7 +33,7 @@ func widen(a []uint16) []uint32 {
 }
 
 // FuzzIntersectAgreement asserts every intersection kernel — the
-// 32-bit set, the adaptive dispatcher and the 16-bit hub bitmap —
+// 32-bit set, the NNN vertex bitmap and the 16-bit hub bitmap —
 // computes the same count on arbitrary sorted inputs. Wired into
 // `make fuzz`.
 func FuzzIntersectAgreement(f *testing.F) {
@@ -66,6 +66,22 @@ func FuzzIntersectAgreement(f *testing.F) {
 		for name, got := range kernels32 {
 			if got != want {
 				t.Errorf("%s(%v, %v) = %d, want %d", name, a, b, got, want)
+			}
+		}
+		// The NNN vertex-bitmap kernel against Merge, both ways round
+		// on one bitmap, so a missed clear shows up in the second.
+		vbm := NewVertexBitmap(int(maxv) + 1)
+		for _, p := range [][2][]uint32{{a, b}, {b, a}} {
+			vbm.Mark(p[0])
+			got := vbm.Count(p[1])
+			vbm.Clear(p[0])
+			if got != want {
+				t.Errorf("VertexBitmap(%v, %v) = %d, want %d", p[0], p[1], got, want)
+			}
+		}
+		for i, w := range vbm {
+			if w != 0 {
+				t.Fatalf("vertex bitmap word %d = %#x after Clear, want 0", i, w)
 			}
 		}
 		// The HNN hub-bitmap kernel against Merge on the 16-bit

@@ -9,7 +9,8 @@ package intersect
 // Merge counts |a ∩ b| with a linear merge join. This is the kernel
 // the paper uses for the HNN and NNN phases (§4.4.3): neighbour lists
 // of non-hubs are short, so the branchy but allocation-free merge
-// wins. Here it serves NNN; HNN's 16-bit rows use HubBitmap.
+// wins. Here it is the NNN ablation baseline (IntersectMerge): NNN
+// rows default to VertexBitmap and HNN's 16-bit rows use HubBitmap.
 func Merge(a, b []uint32) uint64 {
 	var n uint64
 	i, j := 0, 0
@@ -328,6 +329,47 @@ func (b *HubBitmap) Has(h uint16) bool { return b[h>>6]>>(h&63)&1 != 0 }
 func (b *HubBitmap) Clear(hs []uint16) {
 	for _, h := range hs {
 		b[h>>6] = 0
+	}
+}
+
+// VertexBitmap is a dense bitmap over vertex IDs, ⌈|V|/64⌉ words —
+// the bitmap-lookup strategy §2.2 lists, applied to NNN: one NHE row
+// is marked and every other NHE row is probed against it. It holds
+// the same invariant as HubBitmap: all-zero between uses, with Mark
+// and Clear of one row bracketing the probes. Unlike HubBitmap it is
+// sized to the graph, so each probe keeps its bounds check.
+type VertexBitmap []uint64
+
+// NewVertexBitmap returns an all-zero bitmap over the IDs [0, n).
+func NewVertexBitmap(n int) VertexBitmap { return make(VertexBitmap, (n+63)/64) }
+
+// Mark sets the bits of every vertex in vs.
+func (b VertexBitmap) Mark(vs []uint32) {
+	for _, v := range vs {
+		b[v>>6] |= 1 << (v & 63)
+	}
+}
+
+// Count returns how many vertices of vs are marked: the size of the
+// intersection of vs with the marked row, one load and a shift per
+// element with no data-dependent branch.
+func (b VertexBitmap) Count(vs []uint32) uint64 {
+	var n uint64
+	for _, v := range vs {
+		n += b[v>>6] >> (v & 63) & 1
+	}
+	return n
+}
+
+// Has reports whether vertex v is marked.
+func (b VertexBitmap) Has(v uint32) bool { return b[v>>6]>>(v&63)&1 != 0 }
+
+// Clear undoes Mark(vs) by zeroing whole words, in O(len(vs)); like
+// HubBitmap.Clear it restores the all-zero invariant only when vs was
+// the sole marked row.
+func (b VertexBitmap) Clear(vs []uint32) {
+	for _, v := range vs {
+		b[v>>6] = 0
 	}
 }
 

@@ -73,6 +73,9 @@ func TestKernelsAgreeFixed(t *testing.T) {
 }
 
 func TestKernelsAgreeProperty(t *testing.T) {
+	// One vertex bitmap across every case, so a missed clear would
+	// corrupt a later one.
+	vbm := NewVertexBitmap(512)
 	check := func(ra, rb []uint32) bool {
 		a := sortedUnique(ra, 512)
 		b := sortedUnique(rb, 512)
@@ -81,7 +84,8 @@ func TestKernelsAgreeProperty(t *testing.T) {
 		bm := NewBitmap(512)
 		if Merge(a, b) != want || Binary(a, b) != want ||
 			Galloping(a, b) != want || Hash(h, a, b) != want ||
-			BitmapCount(bm, a, b) != want || MergeBranchless(a, b) != want {
+			BitmapCount(bm, a, b) != want || MergeBranchless(a, b) != want ||
+			vertexBitmapCount(t, vbm, a, b) != want {
 			return false
 		}
 		n, _ := MergeOps(a, b)
@@ -127,6 +131,51 @@ func TestHubBitmap(t *testing.T) {
 	for _, c := range cases {
 		if got := hubBitmapCount(t, bm, c.a, c.b); got != c.want {
 			t.Errorf("HubBitmap(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// vertexBitmapCount runs one mark/probe/clear cycle of the NNN kernel
+// and fails the test if Has disagrees with membership or the bitmap is
+// not all-zero afterwards.
+func vertexBitmapCount(t *testing.T, bm VertexBitmap, a, b []uint32) uint64 {
+	t.Helper()
+	bm.Mark(a)
+	n := bm.Count(b)
+	for _, x := range b {
+		if bm.Has(x) != (refCount([]uint32{x}, a) == 1) {
+			t.Fatalf("Has(%d) disagrees with membership in %v", x, a)
+		}
+	}
+	bm.Clear(a)
+	for i, w := range bm {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after Clear(%v), want 0", i, w, a)
+		}
+	}
+	return n
+}
+
+func TestVertexBitmap(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 129} {
+		if got, want := len(NewVertexBitmap(n)), (n+63)/64; got != want {
+			t.Errorf("NewVertexBitmap(%d) has %d words, want %d", n, got, want)
+		}
+	}
+	bm := NewVertexBitmap(130)
+	cases := []struct {
+		a, b []uint32
+		want uint64
+	}{
+		{[]uint32{1, 3, 5, 7}, []uint32{2, 3, 4, 7, 9}, 2},
+		{nil, []uint32{2, 3}, 0},
+		{[]uint32{2, 3}, nil, 0},
+		// Word boundaries and the last ID of the universe.
+		{[]uint32{0, 63, 64, 65, 128, 129}, []uint32{0, 62, 63, 64, 127, 128, 129}, 5},
+	}
+	for _, c := range cases {
+		if got := vertexBitmapCount(t, bm, c.a, c.b); got != c.want {
+			t.Errorf("VertexBitmap(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -23,9 +23,14 @@ const (
 	// publishes them. The constants stay for readers of older reports.
 	HNNDispatchMerge  = "hnn.dispatch.merge"
 	HNNDispatchGallop = "hnn.dispatch.gallop"
-	// NNNDispatchMerge / NNNDispatchGallop are the same split for the
-	// NHE-row intersections of the NNN phase.
+	// NNNDispatchBitmap counts NHE rows probed against the per-worker
+	// vertex bitmap in the NNN phase (flat, fused and sharded), one
+	// per N_u row; NNNDispatchMerge counts them instead when the
+	// merge-join ablation baseline runs.
+	NNNDispatchBitmap = "nnn.dispatch.bitmap"
 	NNNDispatchMerge  = "nnn.dispatch.merge"
+	// NNNDispatchGallop is retired like the HNN pair: NNN no longer
+	// gallops, so nothing publishes it.
 	NNNDispatchGallop = "nnn.dispatch.gallop"
 )
 

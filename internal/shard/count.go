@@ -17,12 +17,13 @@ type CountOptions struct {
 	// (core.CountHubPairs) on the apex's R_i and R_j hub lists.
 	Phase1Kernel core.Phase1Kernel
 	// Intersect selects the NNN intersection strategy (the monolithic
-	// dispatch, core.IntersectKernel.Count); the HNN part always
+	// kernel, core.IntersectKernel.CountRows); the HNN part always
 	// probes the hub bitmap.
 	Intersect core.IntersectKernel
 	// Metrics, when non-nil, receives the counting counters
 	// (shard.triples, shard.tiles, shard.polls, shard.count.ns,
-	// hnn.dispatch.bitmap).
+	// hnn.dispatch.bitmap, and nnn.dispatch.bitmap or
+	// nnn.dispatch.merge).
 	Metrics *obs.Metrics
 	// TrackTriples records the per-block-triple triangle totals into
 	// Result.PerTriple — the instrumentation the "every triangle is
@@ -77,8 +78,9 @@ type ctile struct {
 // scheduled over the pool. For a triple, apexes x stream from shard
 // k's rows; the hub-pair part probes shard j's H2H rows against the
 // apex's R_i hub neighbours (HHH when the apex is a hub, HHN
-// otherwise), the HNN part intersects R_i-restricted HE rows across
-// shards k and j, and the NNN part does the same over NHE rows. Each
+// otherwise), the HNN part marks the apex's R_i-restricted HE row in a
+// hub bitmap and probes shard j's HE rows against it, and the NNN part
+// does the same over NHE rows with a vertex bitmap. Each
 // triangle z < y < x is counted exactly once: by the unique triple
 // (block(z), block(j), block(k)) at the same apex and with the same
 // hubness pattern as the monolithic count, which is why the per-class
@@ -165,10 +167,17 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 	nnn := sched.NewAccumulator(workers)
 	polls := sched.NewAccumulator(workers)
 	hnnRows := sched.NewAccumulator(workers)
+	nnnRows := sched.NewAccumulator(workers)
 	// Per-worker hub bitmaps, shared by the word-parallel hub-pair
-	// kernel and the HNN part; both clear what they mark before the
-	// next apex.
+	// kernel and the HNN part, and per-worker vertex bitmaps over the
+	// global ID space for the NNN part; every part clears what it
+	// marks before the next apex.
 	bms := sched.NewWorkerLocal(workers, func() *intersect.HubBitmap { return new(intersect.HubBitmap) })
+	n := gr.numVertices
+	vbs := sched.NewWorkerLocal(workers, func() *intersect.VertexBitmap {
+		bm := intersect.NewVertexBitmap(n)
+		return &bm
+	})
 
 	res.Load = pool.RunTasks(len(tiles), func(worker, ti int) {
 		tl := tiles[ti]
@@ -176,7 +185,11 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 		ri, rj := gr.Ranges[tr.i], gr.Ranges[tr.j]
 		sk, sj := gr.Shards[tr.k], gr.Shards[tr.j]
 		bm := bms.Get(worker)
-		var cHHH, cHHN, cHNN, cNNN, cHNNRows, cPolls uint64
+		var vbm intersect.VertexBitmap
+		if tr.nnn {
+			vbm = *vbs.Get(worker)
+		}
+		var cHHH, cHHN, cHNN, cNNN, cHNNRows, cNNNRows, cPolls uint64
 		for x := tl.lo; x < tl.hi; x++ {
 			cPolls++
 			if pool.Cancelled() {
@@ -217,13 +230,15 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 				}
 			}
 			if tr.nnn {
+				// As for HNN: the bitmap holds only the apex's R_i
+				// neighbours, so probing u's full NHE row counts
+				// exactly the closing w in R_i.
 				nv := sk.NHENeighbors(x)
 				nvI := restrict32(nv, ri.Lo, ri.Hi)
 				if len(nvI) > 0 {
-					for _, u := range restrict32(nv, rj.Lo, rj.Hi) {
-						found, _ := opt.Intersect.Count(nvI, restrict32(sj.NHENeighbors(u), ri.Lo, ri.Hi))
-						cNNN += found
-					}
+					us := restrict32(nv, rj.Lo, rj.Hi)
+					cNNN += opt.Intersect.CountRows(vbm, nvI, us, sj.NHE, sj.Range.Lo)
+					cNNNRows += uint64(len(us))
 				}
 			}
 		}
@@ -232,6 +247,7 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 		hnn.Add(worker, cHNN)
 		nnn.Add(worker, cNNN)
 		hnnRows.Add(worker, cHNNRows)
+		nnnRows.Add(worker, cNNNRows)
 		polls.Add(worker, cPolls)
 		if tripleTotals != nil {
 			atomic.AddUint64(&tripleTotals[tl.t], cHHH+cHHN+cHNN+cNNN)
@@ -253,6 +269,7 @@ func (gr *Grid) Count(pool *sched.Pool, opt CountOptions) *Result {
 		m.Add(obs.ShardTiles, int64(res.Tiles))
 		m.Add(obs.ShardPolls, int64(polls.Sum()))
 		m.Add(obs.HNNDispatchBitmap, int64(hnnRows.Sum()))
+		m.Add(opt.Intersect.DispatchCounter(), int64(nnnRows.Sum()))
 		m.AddDuration(obs.ShardCountNS, res.CountTime)
 	}
 	return res

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lotustc/internal/core"
+	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
 	"lotustc/internal/sched"
@@ -62,20 +63,31 @@ func bruteForceClasses(g *graph.Graph, relabel []uint32, hubCount uint32) (class
 }
 
 // TestHNNBitmapEquivalence checks every path that runs the hub-bitmap
-// HNN kernel — flat, §7-blocked, fused, sharded at p = 1..4, and the
-// per-vertex count — against a brute-force oracle (totals, class
-// split, per-vertex counts) across the corpus, hub counts straddling
-// bitmap word boundaries up to the 2^16 cap (clamped to |V|), and 1, 2
-// and 4 workers. The flat, blocked and fused counts share one CountScratch
-// per worker count, so a bitmap left dirty by any count (of any graph
-// or hub count) would corrupt a later one. `make check` runs it with
-// -race.
+// HNN kernel or the vertex-bitmap NNN kernel — flat, §7-blocked,
+// fused and sharded at p = 1..4, each under both NNN kernels (bitmap
+// and merge), and the per-vertex count — against a brute-force oracle
+// (totals, class split, per-vertex counts). It sweeps the corpus plus
+// graphs of 63, 64, 65 and 129 vertices (vertex-bitmap word
+// boundaries), hub counts straddling hub-bitmap word boundaries up to
+// the 2^16 cap (clamped to |V|), and 1, 2 and 4 workers. The flat,
+// blocked and fused counts share one CountScratch per worker count,
+// so a bitmap left dirty by any count (of any graph or hub count)
+// would corrupt a later one. `make check` runs it with -race.
 func TestHNNBitmapEquivalence(t *testing.T) {
 	scratch := map[int]*core.CountScratch{}
 	for _, w := range []int{1, 2, 4} {
 		scratch[w] = core.NewCountScratch()
 	}
-	for name, g := range corpus() {
+	graphs := corpus()
+	for i, n := range []int{63, 64, 65, 129} {
+		g := gen.ErdosRenyi(n, 6*n, int64(i+1))
+		if g.NumVertices() != n {
+			t.Fatalf("ErdosRenyi(%d): %d vertices", n, g.NumVertices())
+		}
+		graphs[fmt.Sprintf("er-%d", n)] = g
+	}
+	kernels := []core.IntersectKernel{core.IntersectBitmap, core.IntersectMerge}
+	for name, g := range graphs {
 		seen := map[int]bool{}
 		for _, hubs := range []int{1, 63, 64, 65, 512, 1 << 16} {
 			eff := core.Options{HubCount: hubs}.EffectiveHubCount(g.NumVertices())
@@ -103,22 +115,30 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 							name, eff, workers, path, got, want)
 					}
 				}
-				for path, opt := range map[string]core.CountOptions{
-					"flat":    {},
-					"blocked": {HNNBlocks: 4},
-					"fused":   {FuseHNNAndNNN: true},
-				} {
-					opt.Scratch = scratch[workers]
-					r := lg.CountWithOptions(pool, opt)
-					check(path, classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
-				}
-				for p := 1; p <= 4; p++ {
-					m := obs.New()
-					r := grids[p].Count(pool, CountOptions{Metrics: m})
-					check(fmt.Sprintf("sharded p=%d", p), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
-					if rows := m.Get(obs.HNNDispatchBitmap); want.hnn > 0 && rows == 0 {
-						t.Errorf("%s hubs=%d p=%d: HNN triangles counted but %s = 0",
-							name, eff, p, obs.HNNDispatchBitmap)
+				for _, k := range kernels {
+					for path, opt := range map[string]core.CountOptions{
+						"flat":    {},
+						"blocked": {HNNBlocks: 4},
+						"fused":   {FuseHNNAndNNN: true},
+					} {
+						opt.Scratch = scratch[workers]
+						opt.Intersect = k
+						r := lg.CountWithOptions(pool, opt)
+						check(path+" "+k.String(), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
+					}
+					for p := 1; p <= 4; p++ {
+						m := obs.New()
+						r := grids[p].Count(pool, CountOptions{Intersect: k, Metrics: m})
+						check(fmt.Sprintf("sharded p=%d %s", p, k), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
+						for _, c := range []struct {
+							counter   string
+							triangles uint64
+						}{{obs.HNNDispatchBitmap, want.hnn}, {k.DispatchCounter(), want.nnn}} {
+							if rows := m.Get(c.counter); c.triangles > 0 && rows == 0 {
+								t.Errorf("%s hubs=%d p=%d %s: triangles counted but %s = 0",
+									name, eff, p, k, c.counter)
+							}
+						}
 					}
 				}
 				var sum uint64

@@ -128,31 +128,31 @@ func Decide(p stats.Probe, ov Overrides) Decision {
 // decide is the ordered decision list. Branches are checked top to
 // bottom; the first match wins.
 func decide(p stats.Probe) Decision {
-	// The adaptive intersection dispatcher is never worse than pinned
-	// merge in the sweep, so every branch selects it explicitly.
-	const adaptive = "adaptive"
+	// The NNN vertex-bitmap kernel beats merge join on every count
+	// workload, so every branch selects it explicitly.
+	const bitmap = "bitmap"
 	phase1 := "auto"
 	if p.H2HDensityPct >= WordKernelH2HDensityPct {
 		phase1 = "word"
 	}
 	switch {
 	case p.Edges == 0:
-		return Decision{Algorithm: "lotus", Phase1Kernel: "auto", IntersectKernel: adaptive,
+		return Decision{Algorithm: "lotus", Phase1Kernel: "auto", IntersectKernel: bitmap,
 			Reason: "empty graph: nothing to route, take the default"}
 	case p.Vertices < MinTuneVertices:
-		return Decision{Algorithm: "lotus", Phase1Kernel: "auto", IntersectKernel: adaptive,
+		return Decision{Algorithm: "lotus", Phase1Kernel: "auto", IntersectKernel: bitmap,
 			Reason: fmt.Sprintf("tiny graph (|V| %d < %d): routing overhead would dominate, take the default",
 				p.Vertices, MinTuneVertices)}
 	case p.HubEdgeCoveragePct >= HubCoverageLotusPct:
-		return Decision{Algorithm: "lotus", Phase1Kernel: phase1, IntersectKernel: adaptive,
+		return Decision{Algorithm: "lotus", Phase1Kernel: phase1, IntersectKernel: bitmap,
 			Reason: fmt.Sprintf("hub edge coverage %.1f%% >= %.0f%%: the HE/H2H structures capture the work (gini %.2f)",
 				p.HubEdgeCoveragePct, float64(HubCoverageLotusPct), p.DegreeGini)}
 	case p.AvgDegree <= CoverEdgeMaxAvgDegree:
-		return Decision{Algorithm: "cover-edge", IntersectKernel: adaptive,
+		return Decision{Algorithm: "cover-edge", IntersectKernel: bitmap,
 			Reason: fmt.Sprintf("weak hub coverage (%.1f%% < %.0f%%) and short rows (avg degree %.1f <= %.0f): skip hub machinery, intersect only cover edges",
 				p.HubEdgeCoveragePct, float64(HubCoverageLotusPct), p.AvgDegree, CoverEdgeMaxAvgDegree)}
 	default:
-		return Decision{Algorithm: "lotus", Phase1Kernel: phase1, IntersectKernel: adaptive,
+		return Decision{Algorithm: "lotus", Phase1Kernel: phase1, IntersectKernel: bitmap,
 			Reason: fmt.Sprintf("weak hub coverage (%.1f%%) but dense rows (avg degree %.1f > %.0f): unoriented cover-edge intersections would lose to the oriented sweeps",
 				p.HubEdgeCoveragePct, p.AvgDegree, CoverEdgeMaxAvgDegree)}
 	}

@@ -53,8 +53,8 @@ func TestPolicyGolden(t *testing.T) {
 		if d.Overridden {
 			t.Errorf("%s: no overrides given but Overridden is set", tc.name)
 		}
-		if d.IntersectKernel != "adaptive" {
-			t.Errorf("%s: intersect kernel %q, want adaptive", tc.name, d.IntersectKernel)
+		if d.IntersectKernel != "bitmap" {
+			t.Errorf("%s: intersect kernel %q, want bitmap", tc.name, d.IntersectKernel)
 		}
 	}
 }
