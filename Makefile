@@ -91,7 +91,7 @@ chaos:
 experiments:
 	$(GO) run ./cmd/lotus-bench -all -scale 15 -edgefactor 16
 
-# Short fuzzing pass over the parsers.
+# Short fuzzing pass over the parsers and the degree ranking.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/graph
 	$(GO) test -run=^$$ -fuzz=FuzzReadBinary -fuzztime=10s ./internal/graph
@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadLotusGraph -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzIntersectAgreement -fuzztime=10s ./internal/intersect
 	$(GO) test -run=^$$ -fuzz=FuzzPartition -fuzztime=10s ./internal/shard
+	$(GO) test -run=^$$ -fuzz=FuzzDegreeOrder -fuzztime=10s ./internal/reorder
 	$(GO) test -run=^$$ -fuzz=FuzzTriest$$ -fuzztime=10s ./internal/approx
 	$(GO) test -run=^$$ -fuzz=FuzzWALDecode -fuzztime=10s ./internal/serve
 

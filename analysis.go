@@ -2,7 +2,6 @@ package lotustc
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"lotustc/internal/approx"
@@ -88,24 +87,10 @@ func GlobalClusteringCoefficient(g *Graph, workers int) float64 {
 }
 
 // TopDegreeVertices returns the k highest-degree vertex IDs of g
-// (ties broken by ID) — the hub set for StreamingCounter.
+// (ties broken by ID) — the hub set for StreamingCounter. k is clamped
+// to [0, |V|], so k <= 0 yields an empty slice.
 func TopDegreeVertices(g *Graph, k int) []uint32 {
-	n := g.NumVertices()
-	ids := make([]uint32, n)
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	sort.SliceStable(ids, func(i, j int) bool {
-		di, dj := g.Degree(ids[i]), g.Degree(ids[j])
-		if di != dj {
-			return di > dj
-		}
-		return ids[i] < ids[j]
-	})
-	if k > n {
-		k = n
-	}
-	return ids[:k]
+	return reorder.TopDegree(g, k)
 }
 
 // StreamingCounter counts hub triangles over an edge stream with a

@@ -42,8 +42,9 @@ type Options struct {
 	// GOMAXPROCS pool.
 	Pool *sched.Pool
 	// Metrics, when non-nil, receives the preprocessing counters
-	// (preprocess.ns, lotus.hubs, lotus.he_edges, lotus.nhe_edges,
-	// lotus.h2h_bits — names in DESIGN.md).
+	// (preprocess.ns, preprocess.relabel.ns, lotus.hubs,
+	// lotus.he_edges, lotus.nhe_edges, lotus.h2h_bits — names in
+	// DESIGN.md).
 	Metrics *obs.Metrics
 }
 
@@ -200,6 +201,7 @@ func TryPreprocess(g *graph.Graph, opt Options) (*LotusGraph, error) {
 	n := g.NumVertices()
 	hubCount := uint32(opt.EffectiveHubCount(n))
 	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
+	relabel := time.Since(t0)
 	h2h := bitarray.NewTri(hubCount)
 	he, nhe := buildRows(g, opt.pool(), ra, hubCount, VertexRange{Hi: uint32(n)}, h2h.Rows())
 	lg := &LotusGraph{
@@ -211,7 +213,7 @@ func TryPreprocess(g *graph.Graph, opt Options) (*LotusGraph, error) {
 		PreprocessTime: time.Since(t0),
 		numVertices:    n,
 	}
-	lg.recordPreprocessMetrics(opt.Metrics)
+	lg.recordPreprocessMetrics(opt.Metrics, relabel)
 	return lg, nil
 }
 
@@ -237,6 +239,7 @@ func TryPreprocessMaterialize(g *graph.Graph, opt Options) (*LotusGraph, error) 
 	hubCount := opt.EffectiveHubCount(n)
 
 	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: hubCount, FrontFraction: opt.FrontFraction})
+	relabel := time.Since(t0)
 	rg := g.Relabel(ra)
 
 	heOff := make([]int64, n+1)
@@ -292,7 +295,7 @@ func TryPreprocessMaterialize(g *graph.Graph, opt Options) (*LotusGraph, error) 
 		PreprocessTime: time.Since(t0),
 		numVertices:    n,
 	}
-	lg.recordPreprocessMetrics(opt.Metrics)
+	lg.recordPreprocessMetrics(opt.Metrics, relabel)
 	return lg, nil
 }
 
@@ -302,13 +305,15 @@ func PreprocessMaterialize(g *graph.Graph, opt Options) *LotusGraph {
 	return mustLotusGraph(TryPreprocessMaterialize(g, opt))
 }
 
-// recordPreprocessMetrics publishes the structure-size counters after
-// preprocessing; nil-safe, called by both preprocessing variants.
-func (lg *LotusGraph) recordPreprocessMetrics(m *obs.Metrics) {
+// recordPreprocessMetrics publishes the preprocessing time, its
+// relabel part and the structure-size counters; nil-safe, called by
+// both preprocessing variants.
+func (lg *LotusGraph) recordPreprocessMetrics(m *obs.Metrics, relabel time.Duration) {
 	if m == nil {
 		return
 	}
 	m.AddDuration("preprocess.ns", lg.PreprocessTime)
+	m.AddDuration(obs.PreprocessRelabelNS, relabel)
 	m.Set("lotus.hubs", int64(lg.HubCount))
 	m.Set("lotus.he_edges", lg.HE.NumEdges())
 	m.Set("lotus.nhe_edges", lg.NHE.NumEdges())

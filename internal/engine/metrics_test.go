@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lotustc/internal/gen"
+	"lotustc/internal/obs"
 )
 
 // TestRunCollectMetricsLotus: an instrumented lotus run must surface
@@ -46,6 +47,9 @@ func TestRunCollectMetricsLotus(t *testing.T) {
 	}
 	if rep.Metrics["phase1.tiles"] <= 0 || rep.Metrics["phase1.claims"] <= 0 {
 		t.Errorf("tile/claim counters not recorded: %v", rep.Metrics)
+	}
+	if rl, pre := rep.Metrics[obs.PreprocessRelabelNS], rep.Metrics["preprocess.ns"]; rl <= 0 || rl > pre {
+		t.Errorf("%s = %d, want in (0, preprocess.ns = %d]", obs.PreprocessRelabelNS, rl, pre)
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"lotustc/internal/approx"
@@ -11,6 +10,7 @@ import (
 	"lotustc/internal/engine"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
+	"lotustc/internal/reorder"
 )
 
 // BenchAlgorithms is the Table 5 comparator set BuildBenchReport
@@ -220,7 +220,7 @@ func streamIngestRuns(br *obs.BenchReport, d Dataset, g *graph.Graph) {
 		})
 	}
 
-	hubs := topDegreeHubs(g, core.Options{}.EffectiveHubCount(g.NumVertices()))
+	hubs := reorder.TopDegree(g, core.Options{}.EffectiveHubCount(g.NumVertices()))
 	if sc, err := core.NewStreaming(g.NumVertices(), hubs); err == nil {
 		sc.CountNonHub = true
 		start := time.Now()
@@ -257,24 +257,4 @@ func streamIngestRuns(br *obs.BenchReport, d Dataset, g *graph.Graph) {
 		"stream.memory_bytes": tr.MemoryBytes(),
 		"stream.error_bound":  int64(tr.ErrorBound(0.95)),
 	})
-}
-
-// topDegreeHubs picks the k highest-degree vertex IDs — the hub
-// choice the streaming counter's H2H bit matrix is designed around.
-func topDegreeHubs(g *graph.Graph, k int) []uint32 {
-	deg := g.Degrees()
-	ids := make([]uint32, len(deg))
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if deg[ids[a]] != deg[ids[b]] {
-			return deg[ids[a]] > deg[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
 }

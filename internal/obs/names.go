@@ -98,6 +98,14 @@ const (
 	CoverCountNS = "coveredge.count.ns"
 )
 
+// Counter names of the preprocessing phase split.
+const (
+	// PreprocessRelabelNS is the wall time of the §4.3.1 relabeling
+	// (degree ranking plus front block): part of preprocess.ns on the
+	// flat LOTUS build and of shard.preprocess.ns on a sharded one.
+	PreprocessRelabelNS = "preprocess.relabel.ns"
+)
+
 // Counter names of the sharded execution path (PR 6).
 const (
 	// ShardBlocks is the grid dimension p of a sharded build.

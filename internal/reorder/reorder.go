@@ -10,11 +10,7 @@
 // create_relabeling_array() returns in the paper.
 package reorder
 
-import (
-	"sort"
-
-	"lotustc/internal/graph"
-)
+import "lotustc/internal/graph"
 
 // Identity returns the identity relabeling.
 func Identity(n int) []uint32 {
@@ -25,35 +21,44 @@ func Identity(n int) []uint32 {
 	return ra
 }
 
-// byDegreeDesc returns vertex IDs sorted by degree descending, ties
-// broken by ascending original ID for determinism.
-func byDegreeDesc(g *graph.Graph) []uint32 {
-	n := g.NumVertices()
-	ids := make([]uint32, n)
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	deg := g.Degrees()
-	sort.SliceStable(ids, func(i, j int) bool {
-		di, dj := deg[ids[i]], deg[ids[j]]
-		if di != dj {
-			return di > dj
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}
-
 // DegreeOrder returns the full degree-descending relabeling used by
 // the Forward algorithm and the framework baselines: the vertex with
-// the highest degree becomes 0, and so on.
+// the highest degree becomes 0, and so on, ties broken by ascending
+// original ID. It is one stable counting sort, O(|V| + max degree): a
+// degree histogram, an exclusive prefix sum taken from the highest
+// degree down, then one ascending-ID scan that hands each vertex the
+// next slot of its degree's bucket — the ascending scan is the tie
+// break. Every degree ranking in the repository goes through it.
 func DegreeOrder(g *graph.Graph) []uint32 {
-	ids := byDegreeDesc(g)
-	ra := make([]uint32, len(ids))
-	for newID, oldID := range ids {
-		ra[oldID] = uint32(newID)
+	off := g.Offsets()
+	ra := make([]uint32, g.NumVertices())
+	next := make([]uint32, g.MaxDegree()+1)
+	for v := range ra {
+		next[off[v+1]-off[v]]++
+	}
+	var slot uint32
+	for d := len(next) - 1; d >= 0; d-- {
+		slot, next[d] = slot+next[d], slot
+	}
+	for v := range ra {
+		d := off[v+1] - off[v]
+		ra[v] = next[d]
+		next[d]++
 	}
 	return ra
+}
+
+// TopDegree returns the k highest-degree vertex IDs in DegreeOrder
+// order (ties by ascending ID), k clamped to [0, |V|].
+func TopDegree(g *graph.Graph, k int) []uint32 {
+	k = min(max(k, 0), g.NumVertices())
+	top := make([]uint32, k)
+	for v, r := range DegreeOrder(g) {
+		if int(r) < k {
+			top[r] = uint32(v)
+		}
+	}
+	return top
 }
 
 // LotusOptions tune the LOTUS relabeling.
@@ -79,24 +84,14 @@ func Lotus(g *graph.Graph, opt LotusOptions) []uint32 {
 	if opt.FrontFraction <= 0 {
 		opt.FrontFraction = DefaultFrontFraction
 	}
-	front := int(opt.FrontFraction * float64(n))
-	if opt.HubCount > front {
-		front = opt.HubCount
-	}
-	if front > n {
-		front = n
-	}
-	ids := byDegreeDesc(g)
-	ra := make([]uint32, n)
-	inFront := make([]bool, n)
-	for i := 0; i < front; i++ {
-		ra[ids[i]] = uint32(i)
-		inFront[ids[i]] = true
-	}
+	front := min(max(int(opt.FrontFraction*float64(n)), opt.HubCount, 0), n)
+	// Ranks below front keep their degree-order slot; the rest are
+	// renumbered front, front+1, ... in ascending original ID.
+	ra := DegreeOrder(g)
 	next := uint32(front)
-	for old := 0; old < n; old++ {
-		if !inFront[old] {
-			ra[old] = next
+	for v, r := range ra {
+		if r >= uint32(front) {
+			ra[v] = next
 			next++
 		}
 	}

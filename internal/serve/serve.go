@@ -829,6 +829,22 @@ func appendCountKey(dst []byte, spec *GraphSpec, algo string, hubCount int, fron
 	return dst
 }
 
+// checkLotusOptions rejects LOTUS options the relabeling would
+// silently reinterpret: a negative hub_count (EffectiveHubCount turns
+// it into one hub) and a front_fraction outside [0, 1] (a negative one
+// means the default under a separate cache key; above 1 the whole
+// graph becomes the front block). Valid options allocate nothing, so
+// the warm /v1/count hit stays at zero allocs.
+func checkLotusOptions(hubCount int, frontFraction float64) error {
+	if hubCount < 0 {
+		return fmt.Errorf("hub_count %d must be >= 0", hubCount)
+	}
+	if !(frontFraction >= 0 && frontFraction <= 1) {
+		return fmt.Errorf("front_fraction %g must be in [0, 1]", frontFraction)
+	}
+	return nil
+}
+
 // warmCountHit serves a memoized count straight from its pre-rendered
 // bytes: a no-alloc map lookup under the result lock, one header
 // assignment, one Write. This is the steady-state path a resident
@@ -858,6 +874,10 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := req.Graph.Validate(s.cfg.AllowFiles); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_graph_spec", err.Error())
+		return
+	}
+	if err := checkLotusOptions(req.HubCount, req.FrontFraction); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	algo := req.Algorithm
@@ -1106,6 +1126,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := req.Graph.Validate(s.cfg.AllowFiles); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_graph_spec", err.Error())
+		return
+	}
+	if err := checkLotusOptions(req.HubCount, req.FrontFraction); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	if req.K <= 0 {

@@ -450,6 +450,60 @@ func TestStreamSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestLotusOptionsValidated: /v1/count and /v1/topk reject a negative
+// hub_count and a front_fraction outside [0, 1] with 400 bad_request
+// before admission (no graph is built), and accept the 0 and 1
+// boundaries with the same count as the defaults.
+func TestLotusOptionsValidated(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const graph = `"graph": {"type": "rmat", "scale": 8, "edge_factor": 8, "seed": 1}`
+	for _, path := range []string{"/v1/count", "/v1/topk"} {
+		for _, opt := range []string{
+			`"hub_count": -1`,
+			`"hub_count": -1000`,
+			`"front_fraction": -1`,
+			`"front_fraction": -0.001`,
+			`"front_fraction": 1.0001`,
+			`"front_fraction": 2`,
+		} {
+			status, raw := postJSON(t, ts.URL+path, "{"+graph+", "+opt+"}")
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s {%s}: status %d, want 400: %s", path, opt, status, raw)
+			}
+			var e apiErr
+			if err := json.Unmarshal(raw, &e); err != nil || e.Code != "bad_request" {
+				t.Fatalf("%s {%s}: error body %s, want code bad_request", path, opt, raw)
+			}
+		}
+	}
+	if got := s.Metrics().Get("cache.misses"); got != 0 {
+		t.Fatalf("rejected requests reached the cache: cache.misses = %d", got)
+	}
+
+	status, raw := postJSON(t, ts.URL+"/v1/count", "{"+graph+"}")
+	if status != http.StatusOK {
+		t.Fatalf("default options: status %d: %s", status, raw)
+	}
+	want := decodeCount(t, raw).Triangles
+	for _, opt := range []string{
+		`"hub_count": 0`,
+		`"front_fraction": 0`,
+		`"front_fraction": 1`,
+		`"hub_count": 4, "front_fraction": 1`,
+	} {
+		status, raw := postJSON(t, ts.URL+"/v1/count", "{"+graph+", "+opt+"}")
+		if status != http.StatusOK {
+			t.Fatalf("/v1/count {%s}: status %d, want 200: %s", opt, status, raw)
+		}
+		if got := decodeCount(t, raw).Triangles; got != want {
+			t.Fatalf("/v1/count {%s}: %d triangles, want %d", opt, got, want)
+		}
+		if status, raw := postJSON(t, ts.URL+"/v1/topk", "{"+graph+", "+opt+`, "k": 2}`); status != http.StatusOK {
+			t.Fatalf("/v1/topk {%s}: status %d, want 200: %s", opt, status, raw)
+		}
+	}
+}
+
 func TestTopKAndEstimate(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 

@@ -62,7 +62,7 @@ type Options struct {
 	// GOMAXPROCS pool.
 	Pool *sched.Pool
 	// Metrics, when non-nil, receives the build counters
-	// (shard.blocks, shard.preprocess.ns).
+	// (shard.blocks, shard.preprocess.ns, preprocess.relabel.ns).
 	Metrics *obs.Metrics
 }
 
@@ -120,8 +120,10 @@ func NewPlan(g *graph.Graph, opt Options) (*Plan, error) {
 	}
 	n := g.NumVertices()
 	hubCount := uint32(core.Options{HubCount: opt.HubCount}.EffectiveHubCount(n))
+	t0 := time.Now()
 	if opt.Strategy == PartitionDegree {
 		ra := reorder.DegreeOrder(g)
+		opt.Metrics.AddDuration(obs.PreprocessRelabelNS, time.Since(t0))
 		ranges := degreeClassRanges(g, ra)
 		return &Plan{
 			P:           len(ranges),
@@ -134,6 +136,7 @@ func NewPlan(g *graph.Graph, opt Options) (*Plan, error) {
 		}, nil
 	}
 	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
+	opt.Metrics.AddDuration(obs.PreprocessRelabelNS, time.Since(t0))
 
 	// Weight each relabeled ID by its oriented degree |N^<_v| + 1: the
 	// number of HE+NHE entries its row will hold, which is what both

@@ -103,7 +103,7 @@ func probeChunks(n, workers int) [][2]int {
 // workers and its cancellation stops the probe early (the caller's
 // context check discards the result). The output is deterministic for
 // a given graph: the hub set breaks degree ties by ascending vertex
-// ID, exactly as reorder.byDegreeDesc does, and all parallel
+// ID, exactly as reorder.DegreeOrder does, and all parallel
 // reductions merge per-chunk partials in chunk order.
 func ComputeProbe(g *graph.Graph, hubCount int, pool *sched.Pool) Probe {
 	if pool == nil {

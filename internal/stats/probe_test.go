@@ -7,6 +7,7 @@ import (
 	"lotustc/internal/core"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
+	"lotustc/internal/reorder"
 	"lotustc/internal/sched"
 )
 
@@ -116,6 +117,43 @@ func TestHubSetMatchesLOTUS(t *testing.T) {
 		}
 		if want := 100 * float64(h2h) / float64(m); math.Abs(p.H2HEdgePct-want) > 1e-9 {
 			t.Fatalf("hubs=%d: h2h pct %v, want %v", hubs, p.H2HEdgePct, want)
+		}
+	}
+}
+
+// TestProbeHubSetMatchesLotusStructure holds the probe's hub set to the
+// structure LOTUS actually builds: HubDegreeMin is the degree of the
+// vertex relabeled to h-1 (the last hub), and the probe's H2H edge
+// count is the H2H bit array's population, on tie-heavy and skewed
+// graphs across hub counts and worker counts.
+func TestProbeHubSetMatchesLotusStructure(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"grid":    gen.Grid(40, 50),
+		"trigrid": gen.TriGrid(30, 40),
+		"ring":    gen.Ring(700),
+		"er":      gen.ErdosRenyi(1500, 6000, 4),
+		"rmat":    gen.RMAT(gen.DefaultRMAT(11, 8, 5)),
+	}
+	for name, g := range graphs {
+		n := g.NumVertices()
+		m := g.NumEdges()
+		for _, hubs := range []int{0, 1, 7, 64, 333, n / 2, n} {
+			lg := core.Preprocess(g, core.Options{HubCount: hubs})
+			h := int(lg.HubCount)
+			last := reorder.Inverse(lg.Relabeling)[h-1]
+			for _, workers := range []int{1, 2} {
+				p := ComputeProbe(g, hubs, sched.NewPool(workers))
+				if p.HubCount != int64(h) {
+					t.Fatalf("%s hubs=%d: probe HubCount %d, structure %d", name, hubs, p.HubCount, h)
+				}
+				if want := int64(g.Degree(last)); p.HubDegreeMin != want {
+					t.Fatalf("%s hubs=%d workers=%d: HubDegreeMin %d, degree of new ID %d is %d",
+						name, hubs, workers, p.HubDegreeMin, h-1, want)
+				}
+				if got, want := int64(math.Round(p.H2HEdgePct*float64(m)/100)), int64(lg.H2H.PopCount()); got != want {
+					t.Fatalf("%s hubs=%d workers=%d: probe H2H edges %d, H2H bits %d", name, hubs, workers, got, want)
+				}
+			}
 		}
 	}
 }

@@ -197,6 +197,14 @@ func TestTopDegreeVertices(t *testing.T) {
 	if len(TopDegreeVertices(g, 100)) != 10 {
 		t.Fatal("k > n should clamp")
 	}
+	for _, k := range []int{0, -1, -100} {
+		if top := TopDegreeVertices(g, k); len(top) != 0 {
+			t.Fatalf("k = %d: got %v, want empty", k, top)
+		}
+	}
+	if top := TopDegreeVertices(Star(0), 3); len(top) != 0 {
+		t.Fatalf("empty graph: got %v, want empty", top)
+	}
 }
 
 func TestStreamingFacade(t *testing.T) {
