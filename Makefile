@@ -42,6 +42,10 @@ check:
 	# full (they are small packages; the engine's auto kernel rides in
 	# the -short pass above).
 	$(GO) test -race ./internal/tune/ ./internal/stats/ ./internal/coveredge/
+	# Generators and the CSR builder: the pipelined R-MAT draw blocks
+	# and the parallel per-row sort, held to the golden CSR hashes and
+	# the serial FromEdges oracle.
+	$(GO) test -race ./internal/gen/ ./internal/graph/
 	# Allocation gates run without -race (instrumentation changes the
 	# profile they assert on): zero allocs/op on the warm /v1/count hit,
 	# pooled-arena rehydration, slab reuse in DecodeInto. The race pass

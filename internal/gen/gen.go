@@ -17,6 +17,8 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"lotustc/internal/graph"
 )
@@ -42,49 +44,115 @@ func DefaultRMAT(scale uint, edgeFactor int, seed int64) RMATParams {
 
 // RMAT generates a symmetric simple graph with 2^Scale vertices by the
 // R-MAT recursive quadrant process.
+//
+// Every edge consumes a fixed number of draws (4 per level with noise,
+// 1 without), so edge i owns draws [i*per, (i+1)*per) of the seeded
+// stream. The calling goroutine fills blocks of draws from that one
+// stream in order while up to GOMAXPROCS workers turn each block into
+// the edges at its fixed indices: the edge list, and so the graph, is
+// the one a single draw-at-a-time loop would produce.
 func RMAT(p RMATParams) *graph.Graph {
 	if p.A == 0 && p.B == 0 && p.C == 0 {
 		p.A, p.B, p.C = 0.57, 0.19, 0.19
 	}
 	n := 1 << p.Scale
-	m := p.EdgeFactor * n
-	rng := rand.New(rand.NewSource(p.Seed))
-	edges := make([]graph.Edge, 0, m)
-	for i := 0; i < m; i++ {
-		u, v := rmatEdge(rng, p)
-		edges = append(edges, graph.Edge{U: u, V: v})
+	edges := make([]graph.Edge, p.EdgeFactor*n)
+	per := int(p.Scale)
+	if p.Noise > 0 {
+		per *= 4
+	}
+	if per > 0 {
+		rmatEdges(edges, rand.New(rand.NewSource(p.Seed)), per, p)
 	}
 	return graph.FromEdges(edges, graph.BuildOptions{NumVertices: n})
 }
 
-func rmatEdge(rng *rand.Rand, p RMATParams) (uint32, uint32) {
+// rmatBlockDraws is the size of one draw buffer (32 KiB), and
+// rmatBuffers how many circulate per call: at most 128 KiB of draws
+// are in flight whatever the worker count.
+const (
+	rmatBlockDraws = 4096
+	rmatBuffers    = 4
+)
+
+var rmatDrawPool = sync.Pool{New: func() any { return new([rmatBlockDraws]float64) }}
+
+type rmatBlock struct {
+	buf        *[rmatBlockDraws]float64
+	start, end int // the block holds the draws of edges [start, end)
+}
+
+// rmatEdges fills edges from rng, per draws an edge.
+func rmatEdges(edges []graph.Edge, rng *rand.Rand, per int, p RMATParams) {
+	blockEdges := max(1, rmatBlockDraws/per)
+	free := make(chan *[rmatBlockDraws]float64, rmatBuffers)
+	for range rmatBuffers {
+		free <- rmatDrawPool.Get().(*[rmatBlockDraws]float64)
+	}
+	// At most rmatBuffers blocks exist, so sends on full never block.
+	full := make(chan rmatBlock, rmatBuffers)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), rmatBuffers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for blk := range full {
+				d := blk.buf[:]
+				for i := blk.start; i < blk.end; i++ {
+					edges[i].U, edges[i].V = rmatEdge(d[:per], p)
+					d = d[per:]
+				}
+				free <- blk.buf
+			}
+		}()
+	}
+	for start := 0; start < len(edges); start += blockEdges {
+		end := min(start+blockEdges, len(edges))
+		buf := <-free
+		for i := range buf[:(end-start)*per] {
+			buf[i] = rng.Float64()
+		}
+		full <- rmatBlock{buf, start, end}
+	}
+	close(full)
+	wg.Wait()
+	for range rmatBuffers {
+		rmatDrawPool.Put(<-free)
+	}
+}
+
+// rmatEdge descends Scale levels consuming d in stream order: with
+// noise, three perturbation draws and then the quadrant draw per level.
+func rmatEdge(d []float64, p RMATParams) (uint32, uint32) {
 	var u, v uint32
 	a, b, c := p.A, p.B, p.C
 	for lvl := uint(0); lvl < p.Scale; lvl++ {
 		aa, bb, cc := a, b, c
 		if p.Noise > 0 {
-			aa *= 1 + p.Noise*(rng.Float64()*2-1)
-			bb *= 1 + p.Noise*(rng.Float64()*2-1)
-			cc *= 1 + p.Noise*(rng.Float64()*2-1)
+			aa *= 1 + p.Noise*(d[0]*2-1)
+			bb *= 1 + p.Noise*(d[1]*2-1)
+			cc *= 1 + p.Noise*(d[2]*2-1)
 			sum := aa + bb + cc + (1 - a - b - c)
 			aa, bb, cc = aa/sum, bb/sum, cc/sum
+			d = d[3:]
 		}
-		r := rng.Float64()
-		u <<= 1
-		v <<= 1
-		switch {
-		case r < aa:
-			// quadrant (0,0)
-		case r < aa+bb:
-			v |= 1
-		case r < aa+bb+cc:
-			u |= 1
-		default:
-			u |= 1
-			v |= 1
-		}
+		// The first of r < aa, r < aa+bb, r < aa+bb+cc that holds picks
+		// quadrant (0,0), (0,1) or (1,0); none picks (1,1). Evaluated
+		// without branches: the quadrant draw is unpredictable.
+		r := d[0]
+		d = d[1:]
+		inA, inAB, inABC := b2u(r < aa), b2u(r < aa+bb), b2u(r < aa+bb+cc)
+		u = u<<1 | (1^inA)&(1^inAB)
+		v = v<<1 | (1^inA)&(inAB|(1^inABC))
 	}
 	return u, v
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ChungLuParams configure the Chung–Lu expected-degree generator with
@@ -103,7 +171,17 @@ type ChungLuParams struct {
 
 // ChungLu samples M edges proportionally to w_u*w_v and returns the
 // deduplicated simple graph. Sampling uses the standard alias-free
-// inverse-CDF over the weight prefix sums.
+// inverse-CDF over the weight prefix sums: each endpoint is the
+// smallest i with cdf[i+1] >= x for one uniform x in [0, total), two
+// draws an edge, U then V.
+//
+// A guide table makes the lookup O(1) expected: guide[b] is the answer
+// at x = b·total/N, the start for a draw f (x = f·total) in bucket
+// b = ⌊f·N⌋. From there a walk down while cdf[i] >= x and then up
+// while cdf[i+1] < x lands exactly on that smallest i. cdf is
+// non-decreasing, so the walks absorb any rounding in the bucket
+// arithmetic and the result is the binary search's; the N buckets hold
+// N prefix sums between them, so a walk is one step on average.
 func ChungLu(p ChungLuParams) *graph.Graph {
 	if p.Gamma <= 1 {
 		p.Gamma = 2.3
@@ -123,22 +201,35 @@ func ChungLu(p ChungLuParams) *graph.Graph {
 		cdf[i+1] = cdf[i] + x
 	}
 	total := cdf[p.N]
-	sample := func() uint32 {
-		x := rng.Float64() * total
-		lo, hi := 0, p.N
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cdf[mid+1] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
+	// With N == 0 every sample is vertex 0, the zero Edge, whatever
+	// the draws.
+	edges := make([]graph.Edge, p.M)
+	if p.N > 0 {
+		guide := make([]int32, p.N+1)
+		var at int32
+		for b := range guide {
+			x := float64(b) * total / float64(p.N)
+			for int(at) < p.N-1 && cdf[at+1] < x {
+				at++
 			}
+			guide[b] = at
 		}
-		return uint32(lo)
-	}
-	edges := make([]graph.Edge, 0, p.M)
-	for i := 0; i < p.M; i++ {
-		edges = append(edges, graph.Edge{U: sample(), V: sample()})
+		sample := func() uint32 {
+			f := rng.Float64()
+			x := f * total
+			i := guide[int(f*float64(p.N))]
+			for i > 0 && cdf[i] >= x {
+				i--
+			}
+			for cdf[i+1] < x {
+				i++
+			}
+			return uint32(i)
+		}
+		for i := range edges {
+			edges[i].U = sample()
+			edges[i].V = sample()
+		}
 	}
 	return graph.FromEdges(edges, graph.BuildOptions{NumVertices: p.N})
 }
@@ -316,21 +407,7 @@ func Path(n int) *graph.Graph {
 
 // Grid returns the rows x cols 2-D lattice: zero triangles, good
 // spatial locality — the opposite structural extreme from R-MAT.
-func Grid(rows, cols int) *graph.Graph {
-	var edges []graph.Edge
-	id := func(r, c int) uint32 { return uint32(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				edges = append(edges, graph.Edge{U: id(r, c), V: id(r, c+1)})
-			}
-			if r+1 < rows {
-				edges = append(edges, graph.Edge{U: id(r, c), V: id(r+1, c)})
-			}
-		}
-	}
-	return graph.FromEdges(edges, graph.BuildOptions{NumVertices: rows * cols})
-}
+func Grid(rows, cols int) *graph.Graph { return lattice(rows, cols, false) }
 
 // TriGrid returns the rows x cols triangulated lattice: the 2-D grid
 // plus one diagonal per unit square, so every square holds exactly two
@@ -338,8 +415,19 @@ func Grid(rows, cols int) *graph.Graph {
 // vertices have degree 6) and the diameter is huge, the road-network
 // regime where hub-based counting has nothing to grab and the
 // cover-edge kernel shines.
-func TriGrid(rows, cols int) *graph.Graph {
-	var edges []graph.Edge
+func TriGrid(rows, cols int) *graph.Graph { return lattice(rows, cols, true) }
+
+// lattice builds Grid, plus TriGrid's diagonals when diagonals is set,
+// into an edge list sized exactly.
+func lattice(rows, cols int, diagonals bool) *graph.Graph {
+	m := 0
+	if rows > 0 && cols > 0 {
+		m = rows*(cols-1) + (rows-1)*cols
+		if diagonals {
+			m += (rows - 1) * (cols - 1)
+		}
+	}
+	edges := make([]graph.Edge, 0, m)
 	id := func(r, c int) uint32 { return uint32(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -349,7 +437,7 @@ func TriGrid(rows, cols int) *graph.Graph {
 			if r+1 < rows {
 				edges = append(edges, graph.Edge{U: id(r, c), V: id(r+1, c)})
 			}
-			if c+1 < cols && r+1 < rows {
+			if diagonals && c+1 < cols && r+1 < rows {
 				edges = append(edges, graph.Edge{U: id(r, c), V: id(r+1, c+1)})
 			}
 		}

@@ -1,6 +1,10 @@
 package graph
 
-import "slices"
+import (
+	"slices"
+
+	"lotustc/internal/sched"
+)
 
 // BuildOptions control how FromEdges normalizes a raw edge list.
 type BuildOptions struct {
@@ -63,28 +67,26 @@ func FromEdges(edges []Edge, opt BuildOptions) *Graph {
 		push(e.V, e.U)
 	}
 
-	// Sort each adjacency list and deduplicate in place.
-	outOff := make([]int64, n+1)
+	// Sort and deduplicate every adjacency list in place, in parallel;
+	// fill, spent once the slots are filled, takes each kept length.
+	sched.NewPool(0).For(n, 0, func(_, start, end int) {
+		for v := start; v < end; v++ {
+			seg := nbrs[offsets[v]:offsets[v+1]]
+			slices.Sort(seg)
+			fill[v] = int64(len(slices.Compact(seg)))
+		}
+	})
+	// Compact the kept prefixes leftwards, rewriting offsets as we go
+	// (offsets[v] is read before it is overwritten).
 	w := int64(0)
 	for v := 0; v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		seg := nbrs[lo:hi]
-		slices.Sort(seg)
-		start := w
-		for i, u := range seg {
-			if i > 0 && seg[i-1] == u {
-				continue
-			}
-			nbrs[w] = u
-			w++
-		}
-		outOff[v] = start
+		lo, k := offsets[v], fill[v]
+		copy(nbrs[w:w+k], nbrs[lo:lo+k])
+		offsets[v] = w
+		w += k
 	}
-	outOff[n] = w
-	// outOff currently holds start positions; convert to CSX offsets.
-	off := make([]int64, n+1)
-	copy(off, outOff)
-	return &Graph{offsets: off, nbrs: nbrs[:w:w]}
+	offsets[n] = w
+	return &Graph{offsets: offsets, nbrs: nbrs[:w:w]}
 }
 
 // FromAdjacency builds a graph from explicit adjacency lists, used by

@@ -15,6 +15,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"lotustc/internal/sched"
 )
 
 // Graph is an adjacency structure in CSX format. The neighbour list of
@@ -224,23 +226,20 @@ func (g *Graph) Relabel(ra []uint32) *Graph {
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
+	// Rows are independent, so they are renamed and re-sorted in
+	// parallel; the sort is most of a relabel.
 	nbrs := make([]uint32, offsets[n])
-	for old := 0; old < n; old++ {
-		newV := ra[old]
-		dst := nbrs[offsets[newV]:offsets[newV+1]]
-		for i, u := range g.Neighbors(uint32(old)) {
-			dst[i] = ra[u]
+	sched.NewPool(0).For(n, 0, func(_, start, end int) {
+		for old := start; old < end; old++ {
+			newV := ra[old]
+			dst := nbrs[offsets[newV]:offsets[newV+1]]
+			for i, u := range g.Neighbors(uint32(old)) {
+				dst[i] = ra[u]
+			}
+			slices.Sort(dst)
 		}
-		sortUint32(dst)
-	}
+	})
 	return &Graph{offsets: offsets, nbrs: nbrs}
-}
-
-// sortUint32 sorts a neighbour list ascending; slices.Sort (pdqsort,
-// no comparison closure) keeps relabeling off the preprocessing
-// critical path.
-func sortUint32(s []uint32) {
-	slices.Sort(s)
 }
 
 // CheckIDsFit verifies that every vertex ID fits in the given bit

@@ -106,6 +106,15 @@ const (
 	PreprocessRelabelNS = "preprocess.relabel.ns"
 )
 
+// Counter names of the serving layer's graph cache.
+const (
+	// ServeGraphBuildNS is the summed wall time of the graph cache's
+	// cold builds (generation or file load); a cache hit adds nothing.
+	ServeGraphBuildNS = "serve.graph_build.ns"
+	// ServeGraphBuilds counts those builds.
+	ServeGraphBuilds = "serve.graph_builds"
+)
+
 // Counter names of the sharded execution path (PR 6).
 const (
 	// ShardBlocks is the grid dimension p of a sharded build.

@@ -249,9 +249,10 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/stream/{id}", s.handleStreamGet)
 	s.mux.HandleFunc("DELETE /v1/stream/{id}", s.handleStreamDelete)
 	s.mux.HandleFunc("POST /v1/stream/{id}/edges", s.handleStreamIngest)
-	// Pre-register the tuner and cover-edge counters plus one decision
-	// counter per registered algorithm, so /metrics shows the full
-	// schema at zero before the first auto-routed count arrives.
+	// Pre-register the tuner, cover-edge and graph-build counters plus
+	// one decision counter per registered algorithm, so /metrics shows
+	// the full schema at zero before the first auto-routed count
+	// arrives.
 	for _, name := range engine.Algorithms() {
 		met.Add(obs.TuneDecisionPrefix+name, 0)
 	}
@@ -260,6 +261,7 @@ func New(cfg Config) *Server {
 		obs.TuneStatGiniPermille, obs.TuneStatHubCoveragePermille,
 		obs.TuneStatH2HDensityPermille, obs.TuneStatAssortPermille,
 		obs.CoverBFSNS, obs.CoverLevels, obs.CoverEdges, obs.CoverCountNS,
+		obs.ServeGraphBuildNS, obs.ServeGraphBuilds,
 	} {
 		met.Add(name, 0)
 	}
@@ -478,10 +480,13 @@ func copySpec(spec *GraphSpec) GraphSpec {
 func (s *Server) getGraph(ctx context.Context, spec *GraphSpec) (*graph.Graph, bool, func(), error) {
 	bspec := copySpec(spec)
 	v, hit, rel, err := s.cache.getOrBuild(ctx, "graph:"+spec.Key(), func(bctx context.Context) (any, int64, error) {
+		t0 := time.Now()
 		g, err := bspec.Build()
 		if err != nil {
 			return nil, 0, err
 		}
+		s.met.Add(obs.ServeGraphBuildNS, time.Since(t0).Nanoseconds())
+		s.met.Add(obs.ServeGraphBuilds, 1)
 		// Generation is not cancellable mid-build, but a build that
 		// outlived shutdown must not land in the cache.
 		if err := bctx.Err(); err != nil {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"lotustc/internal/gen"
+	"lotustc/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -652,5 +653,92 @@ func TestGraphSpecKeyStability(t *testing.T) {
 	r2 := GraphSpec{Type: "rmat", Scale: 10, EdgeFactor: 16, Seed: 2}
 	if r1.Key() == r2.Key() {
 		t.Fatal("different seeds share a key")
+	}
+}
+
+// TestGeneratorEdgeLimits: every generator spec is held to maxGenEdges
+// edge samples. A spec at the limit validates; one past it is answered
+// 400 on /v1/count and /v1/topk before admission, so nothing is built.
+func TestGeneratorEdgeLimits(t *testing.T) {
+	cases := []struct {
+		name     string
+		at, past GraphSpec
+	}{
+		{"rmat",
+			GraphSpec{Type: "rmat", Scale: 22, EdgeFactor: 256},
+			GraphSpec{Type: "rmat", Scale: 23, EdgeFactor: 256}},
+		{"rmat-max-scale",
+			GraphSpec{Type: "rmat", Scale: maxRMATScale, EdgeFactor: 8},
+			GraphSpec{Type: "rmat", Scale: maxRMATScale, EdgeFactor: 9}},
+		{"rmat-max-both",
+			GraphSpec{Type: "rmat", Scale: 22, EdgeFactor: maxEdgeFactor},
+			GraphSpec{Type: "rmat", Scale: maxRMATScale, EdgeFactor: maxEdgeFactor}},
+		{"chunglu",
+			GraphSpec{Type: "chunglu", N: 1 << 20, M: maxGenEdges, Gamma: 2.4},
+			GraphSpec{Type: "chunglu", N: 1 << 20, M: maxGenEdges + 1, Gamma: 2.4}},
+		{"erdos-renyi",
+			GraphSpec{Type: "erdos-renyi", N: 1 << 20, M: maxGenEdges},
+			GraphSpec{Type: "erdos-renyi", N: 1 << 20, M: maxGenEdges + 1}},
+		// C(1025, 2) + (n - 1025)·1024 edges: 1073741312 and 1073742336.
+		{"barabasi-albert",
+			GraphSpec{Type: "barabasi-albert", N: 1049088, M: 1024},
+			GraphSpec{Type: "barabasi-albert", N: 1049089, M: 1024}},
+		// C(4096, 2) + leaves·4096 edges: 1073739776 and 1073743872.
+		{"hub-spokes",
+			GraphSpec{Type: "hub-spokes", Hubs: 4096, Leaves: 260096, Attach: 4096},
+			GraphSpec{Type: "hub-spokes", Hubs: 4096, Leaves: 260097, Attach: 4096}},
+		{"hub-spokes-max-leaves",
+			GraphSpec{Type: "hub-spokes", Hubs: 4096, Leaves: maxGenVertices / 8, Attach: 7},
+			GraphSpec{Type: "hub-spokes", Hubs: 4096, Leaves: maxGenVertices, Attach: 4096}},
+	}
+	s, ts := newTestServer(t, Config{})
+	for _, c := range cases {
+		if err := c.at.Validate(false); err != nil {
+			t.Errorf("%s at the limit: %v", c.name, err)
+		}
+		if err := c.past.Validate(false); err == nil {
+			t.Errorf("%s past the limit validated", c.name)
+		}
+		body, err := json.Marshal(CountRequest{Graph: c.past})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{"/v1/count", "/v1/topk"} {
+			status, raw := postJSON(t, ts.URL+path, string(body))
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s past the limit on %s: status %d, want 400: %s", c.name, path, status, raw)
+			}
+		}
+	}
+	if got := s.Metrics().Get("cache.misses"); got != 0 {
+		t.Fatalf("rejected specs reached the cache: cache.misses = %d", got)
+	}
+}
+
+// TestGraphBuildTimed: the cold count's graph build publishes its wall
+// time and one build; a warm hit and a no_cache recount (which finds
+// the graph cached) publish nothing.
+func TestGraphBuildTimed(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	met := s.Metrics()
+	if met.Get(obs.ServeGraphBuilds) != 0 || met.Get(obs.ServeGraphBuildNS) != 0 {
+		t.Fatal("graph build counters nonzero before any request")
+	}
+	if status, raw := postJSON(t, ts.URL+"/v1/count", rmatBody); status != http.StatusOK {
+		t.Fatalf("cold count: status %d: %s", status, raw)
+	}
+	ns, builds := met.Get(obs.ServeGraphBuildNS), met.Get(obs.ServeGraphBuilds)
+	if ns <= 0 || builds != 1 {
+		t.Fatalf("after a cold count: %s = %d, %s = %d; want > 0 and 1",
+			obs.ServeGraphBuildNS, ns, obs.ServeGraphBuilds, builds)
+	}
+	noCache := strings.Replace(rmatBody, "}}", `}, "no_cache": true}`, 1)
+	for _, body := range []string{rmatBody, noCache} {
+		if status, raw := postJSON(t, ts.URL+"/v1/count", body); status != http.StatusOK {
+			t.Fatalf("warm count: status %d: %s", status, raw)
+		}
+		if met.Get(obs.ServeGraphBuildNS) != ns || met.Get(obs.ServeGraphBuilds) != builds {
+			t.Fatalf("%s moved the graph build counters", body)
+		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 // Generation limits. A resident service builds graphs straight from
 // request bodies, so every knob that sizes an allocation is bounded
 // here: an unvalidated spec is how a single request turns into an
-// out-of-memory kill of a process serving everyone else.
+// out-of-memory kill of a process serving everyone else. Every
+// generator's edge samples are held to maxGenEdges; the per-field
+// ranges are checked first, so the sample counts fit in an int64.
 const (
 	maxRMATScale   = 27      // 2^27 vertices ≈ 1 GiB of offsets alone
 	maxEdgeFactor  = 256     //
@@ -74,6 +76,9 @@ func (s *GraphSpec) Validate(allowFiles bool) error {
 		if s.EdgeFactor < 1 || s.EdgeFactor > maxEdgeFactor {
 			return fmt.Errorf("rmat edge_factor %d out of range [1, %d]", s.EdgeFactor, maxEdgeFactor)
 		}
+		if s.EdgeFactor > maxGenEdges>>s.Scale {
+			return fmt.Errorf("rmat edge_factor·2^scale = %d edge samples exceeds %d", int64(s.EdgeFactor)<<s.Scale, maxGenEdges)
+		}
 	case "chunglu":
 		if s.N < 1 || s.N > maxGenVertices {
 			return fmt.Errorf("chunglu n %d out of range [1, %d]", s.N, maxGenVertices)
@@ -98,6 +103,11 @@ func (s *GraphSpec) Validate(allowFiles bool) error {
 		if s.M < 1 || s.M > 1024 {
 			return fmt.Errorf("barabasi-albert m %d out of range [1, 1024]", s.M)
 		}
+		// The seed clique on m+1 vertices, then m edges per later vertex.
+		m, rest := int64(s.M), int64(max(s.N-s.M-1, 0))
+		if e := m*(m+1)/2 + rest*m; e > maxGenEdges {
+			return fmt.Errorf("barabasi-albert n %d, m %d samples %d edges, exceeds %d", s.N, s.M, e, maxGenEdges)
+		}
 	case "trigrid":
 		if s.Rows < 1 || s.Cols < 1 {
 			return fmt.Errorf("trigrid needs rows and cols >= 1")
@@ -118,6 +128,11 @@ func (s *GraphSpec) Validate(allowFiles bool) error {
 		}
 		if s.Attach < 1 || s.Attach > s.Hubs {
 			return fmt.Errorf("hub-spokes attach %d out of range [1, hubs]", s.Attach)
+		}
+		// The hub clique, then attach edges per leaf.
+		h := int64(s.Hubs)
+		if e := h*(h-1)/2 + int64(s.Leaves)*int64(s.Attach); e > maxGenEdges {
+			return fmt.Errorf("hub-spokes samples %d edges, exceeds %d", e, maxGenEdges)
 		}
 	case "file":
 		if !allowFiles {
