@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race bench bench-report verify serve-smoke chaos experiments fuzz clean
+.PHONY: all build test check race bench verify serve-smoke chaos experiments fuzz clean
 
 all: build test
 
@@ -52,6 +52,10 @@ check:
 	# over ./internal/serve/ above already hammers the same pool paths
 	# concurrently.
 	$(GO) test -run 'ZeroAlloc|Rehydration|ArenaIsolation|DecodeIntoReusesArena' ./internal/serve/ ./internal/compress/
+	# The benchmark harness is its own module (bench/go.mod), so the
+	# root ./... patterns never compile it: vet and test it here, or a
+	# removed export it uses would only break at benchmark time.
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/... .
@@ -59,19 +63,6 @@ race:
 # One benchmark per paper table/figure (see bench_test.go).
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Machine-readable comparator sweep with full metrics; BENCH_PR10.json
-# is the artifact future PRs diff for perf trajectories (BENCH_PR2,
-# BENCH_PR5, BENCH_PR6, BENCH_PR7 and BENCH_PR9 are the earlier
-# snapshots). Scale 15 so the phase-1 kernel ablation rows
-# (lotus/phase1=*, lotus/intersect=*), the sharded p=1/2/4 sweep
-# (lotus-sharded/p=*), the streaming-ingest throughput rows
-# (stream-ingest/exact vs approx), the serve-cache residency rows
-# (serve-cache/raw vs compressed) and the new auto-vs-fixed tuner
-# sweep (tune/auto vs tune/lotus, tune/cover-edge,
-# tune/degree-partition, best-of-3 per row) measure real work.
-bench-report:
-	$(GO) run ./cmd/lotus-bench -report json -scale 15 -o BENCH_PR10.json
 
 # Randomized cross-validation of every algorithm and extension.
 verify:

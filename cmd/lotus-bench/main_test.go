@@ -2,13 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"lotustc/internal/obs"
 )
 
 func TestList(t *testing.T) {
@@ -47,47 +42,24 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestJSONReport(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-report", "json", "-scale", "8", "-edgefactor", "6", "-workers", "2"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	var br obs.BenchReport
-	if err := json.Unmarshal(stdout.Bytes(), &br); err != nil {
-		t.Fatalf("stdout is not valid JSON: %v", err)
-	}
-	if br.Schema != obs.SchemaBench || br.Suite != "scale-8/ef-6" || len(br.Runs) == 0 {
-		t.Fatalf("bad report: %+v", br)
-	}
-}
-
-func TestJSONReportToFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-report", "json", "-scale", "8", "-edgefactor", "6", "-o", path}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Fatalf("-o must leave stdout empty, got %q", stdout.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var br obs.BenchReport
-	if err := json.Unmarshal(data, &br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Schema != obs.SchemaBench {
-		t.Fatalf("bad schema %q", br.Schema)
-	}
-}
-
-func TestJSONReportFlagValidation(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-report", "xml"}, &stdout, &stderr); code != 2 {
-		t.Fatal("unknown report format should exit 2")
+// TestRemovedFlagsRejected: the flags of the retired JSON comparator
+// sweep must fail flag parsing (exit 2), never be accepted and then
+// silently ignored by the experiment they ride along with.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flagArgs := range [][]string{
+		{"-report", "json"},
+		{"-o", "out.json"},
+		{"-phase1", "word"},
+		{"-intersect", "merge"},
+		{"-shards", "2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-exp", "table5", "-scale", "8", "-edgefactor", "6"}, flagArgs...)
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", flagArgs, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: experiment ran anyway: %q", flagArgs, stdout.String())
+		}
 	}
 }

@@ -79,19 +79,11 @@ func Encode(g *graph.Graph) *CompressedGraph {
 // NumVertices returns |V|.
 func (c *CompressedGraph) NumVertices() int { return c.n }
 
-// NumNeighborEntries returns the total neighbour-ID count across all
-// lists — the exact decoded slab size, so arena-aware decoding sizes
-// its allocation without a first decode pass.
-func (c *CompressedGraph) NumNeighborEntries() int64 { return c.m }
-
 // SizeBytes returns the compressed topology footprint: the byte
 // stream plus the 8-byte offset array.
 func (c *CompressedGraph) SizeBytes() int64 {
 	return int64(len(c.data)) + 8*int64(len(c.offsets))
 }
-
-// EdgeBytes returns just the encoded neighbour stream size.
-func (c *CompressedGraph) EdgeBytes() int64 { return int64(len(c.data)) }
 
 // Degree decodes nothing: it is not stored, so Degree walks the list.
 // Prefer Iter when the IDs are needed anyway.

@@ -142,9 +142,6 @@ type LotusGraph struct {
 // NumVertices returns |V|.
 func (lg *LotusGraph) NumVertices() int { return lg.numVertices }
 
-// IsHub reports whether (new) vertex ID v is a hub.
-func (lg *LotusGraph) IsHub(v uint32) bool { return v < lg.HubCount }
-
 // TopologyBytes returns the LOTUS topology footprint per the Table 7
 // accounting: two 8-byte index arrays, the H2H backing store, 2 bytes
 // per HE edge and 4 bytes per NHE edge.

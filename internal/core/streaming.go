@@ -150,18 +150,6 @@ func (s *Streaming) ForEachEdge(fn func(u, v uint32)) {
 	}
 }
 
-// HubIDs returns the designated hub vertex IDs in dense-index order.
-// The order matters to anyone persisting a counter: NewStreaming
-// assigns dense hub indices by input position, and the H2H layout and
-// ForEachEdge enumeration order follow them — a durability layer that
-// wants bit-identical recovery must recreate the counter with the
-// hubs in this exact order.
-func (s *Streaming) HubIDs() []uint32 {
-	out := make([]uint32, len(s.hubVertex))
-	copy(out, s.hubVertex)
-	return out
-}
-
 // SnapshotEdges appends the counter's current edge set to dst in the
 // deterministic ForEachEdge order and returns it. Replaying the
 // returned edges into a fresh counter built with the same universe

@@ -28,7 +28,6 @@ func init() {
 	MustRegister("lotus-recursive", lotus, lotusRecursiveKernel)
 	MustRegister("lotus-sharded", sharded, lotusShardedKernel)
 	MustRegister("cover-edge", phased, coverEdgeKernel)
-	MustRegister("degree-partition", sharded, degreePartitionKernel)
 	MustRegister("auto", phased, autoKernel)
 	MustRegister("forward", parallel, forwardKernel(baseline.KernelMerge))
 	MustRegister("forward-binary", parallel, forwardKernel(baseline.KernelBinary))

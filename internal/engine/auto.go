@@ -5,11 +5,9 @@ import (
 	"sync"
 	"time"
 
-	"lotustc/internal/core"
 	"lotustc/internal/coveredge"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
-	"lotustc/internal/shard"
 	"lotustc/internal/tune"
 )
 
@@ -28,43 +26,6 @@ func coverEdgeKernel(t *Task) (uint64, error) {
 	// it is what replaces the LOTUS structure build.
 	t.Report.AddPhase(PhasePreprocess, res.BFSTime)
 	t.Report.AddPhase(PhaseCount, res.CountTime)
-	return res.Total, nil
-}
-
-// degreePartitionKernel runs the degree-partitioned LOTUS path
-// (Kolountzakis et al., arXiv:1011.0468, adapted to the shard grid):
-// a full degree-descending relabeling, one contiguous block per log2
-// degree class, one LOTUS structure per block, counted by block
-// triple. The hub set is the same top-degree set the lotus kernel
-// picks, so totals and the class split are bit-identical to "lotus".
-// Params.Shards is ignored (P is the class count) and the grid is
-// always built fresh: a PreparedGrid carries weight-balanced ranges,
-// not degree classes.
-func degreePartitionKernel(t *Task) (uint64, error) {
-	gr, err := shard.Build(t.Graph, shard.Options{
-		Strategy:      shard.PartitionDegree,
-		HubCount:      t.Params.HubCount,
-		FrontFraction: t.Params.FrontFraction,
-		Pool:          t.Pool,
-		Metrics:       t.Metrics(),
-	})
-	if err != nil {
-		return 0, err
-	}
-	t.Report.AddPhase(PhasePreprocess, gr.PreprocessTime)
-	if err := t.Err(); err != nil {
-		return 0, err
-	}
-	copt := shard.CountOptions{Metrics: t.Metrics()}
-	if copt.Phase1Kernel, err = core.ParsePhase1Kernel(t.Params.Phase1Kernel); err != nil {
-		return 0, fmt.Errorf("engine: %w", err)
-	}
-	if copt.Intersect, err = core.ParseIntersectKernel(t.Params.IntersectKernel); err != nil {
-		return 0, fmt.Errorf("engine: %w", err)
-	}
-	res := gr.Count(t.Pool, copt)
-	t.Report.AddPhase(PhaseCount, res.CountTime)
-	t.Report.HHH, t.Report.HHN, t.Report.HNN, t.Report.NNN = res.HHH, res.HHN, res.HNN, res.NNN
 	return res.Total, nil
 }
 

@@ -30,10 +30,9 @@ func autoCorpus() map[string]*graph.Graph {
 	}
 }
 
-// TestCrossAlgorithmEquivalence: the two new kernels and the auto
-// router must reproduce the lotus total bit for bit on every corpus
-// graph and hub count; degree-partition shares the hub set, so its
-// class split must match too.
+// TestCrossAlgorithmEquivalence: cover-edge and the auto router must
+// reproduce the lotus total bit for bit on every corpus graph and hub
+// count.
 func TestCrossAlgorithmEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for name, g := range autoCorpus() {
@@ -42,19 +41,13 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s hubs=%d lotus: %v", name, hubs, err)
 			}
-			for _, algo := range []string{"cover-edge", "degree-partition", "auto"} {
+			for _, algo := range []string{"cover-edge", "auto"} {
 				rep, err := Run(ctx, g, Spec{Algorithm: algo, Params: Params{HubCount: hubs}})
 				if err != nil {
 					t.Fatalf("%s hubs=%d %s: %v", name, hubs, algo, err)
 				}
 				if rep.Triangles != want.Triangles {
 					t.Errorf("%s hubs=%d: %s counted %d, lotus %d", name, hubs, algo, rep.Triangles, want.Triangles)
-				}
-				if algo == "degree-partition" &&
-					(rep.HHH != want.HHH || rep.HHN != want.HHN || rep.HNN != want.HNN || rep.NNN != want.NNN) {
-					t.Errorf("%s hubs=%d: degree-partition classes %d/%d/%d/%d, lotus %d/%d/%d/%d",
-						name, hubs, rep.HHH, rep.HHN, rep.HNN, rep.NNN,
-						want.HHH, want.HHN, want.HNN, want.NNN)
 				}
 			}
 		}

@@ -28,8 +28,8 @@ func TestMain(m *testing.M) {
 const k12Triangles = 220
 
 func TestRegistryResolvesEveryBuiltin(t *testing.T) {
-	if len(builtins) != 17 {
-		t.Fatalf("expected 17 built-in algorithms, got %d: %v", len(builtins), builtins)
+	if len(builtins) != 16 {
+		t.Fatalf("expected 16 built-in algorithms, got %d: %v", len(builtins), builtins)
 	}
 	g := gen.Complete(12)
 	for _, name := range builtins {

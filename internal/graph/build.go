@@ -88,16 +88,3 @@ func FromEdges(edges []Edge, opt BuildOptions) *Graph {
 	offsets[n] = w
 	return &Graph{offsets: offsets, nbrs: nbrs[:w:w]}
 }
-
-// FromAdjacency builds a graph from explicit adjacency lists, used by
-// tests to author small graphs directly. The lists are interpreted as
-// undirected edges: every (v,u) mentioned is symmetrized.
-func FromAdjacency(adj [][]uint32) *Graph {
-	var edges []Edge
-	for v, nb := range adj {
-		for _, u := range nb {
-			edges = append(edges, Edge{U: uint32(v), V: u})
-		}
-	}
-	return FromEdges(edges, BuildOptions{NumVertices: len(adj)})
-}

@@ -104,15 +104,6 @@ func (g *Graph) MaxDegree() int {
 	return maxd
 }
 
-// AverageDegree returns the mean stored degree.
-func (g *Graph) AverageDegree() float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	return float64(len(g.nbrs)) / float64(n)
-}
-
 // HasEdge reports whether u appears in v's neighbour list, via binary
 // search over the sorted list.
 func (g *Graph) HasEdge(v, u uint32) bool {
@@ -240,18 +231,6 @@ func (g *Graph) Relabel(ra []uint32) *Graph {
 		}
 	})
 	return &Graph{offsets: offsets, nbrs: nbrs}
-}
-
-// CheckIDsFit verifies that every vertex ID fits in the given bit
-// width; LOTUS stores HE neighbour IDs in 16 bits (§4.2).
-func CheckIDsFit(n int, bits uint) error {
-	if bits >= 32 {
-		return nil
-	}
-	if n > (1 << bits) {
-		return fmt.Errorf("graph: %d vertices exceed %d-bit IDs", n, bits)
-	}
-	return nil
 }
 
 // Induced returns the sub-graph induced by the given vertex set,

@@ -179,14 +179,3 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	}
 	return FromEdges(edges, BuildOptions{}), nil
 }
-
-// WriteEdgeList emits the undirected edge list of g as text.
-func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

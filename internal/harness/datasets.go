@@ -35,16 +35,6 @@ type Suite struct {
 	// pools built with NewPool are bound to it, and RunAll stops
 	// between experiments once it is done.
 	Ctx context.Context
-	// Phase1Kernel / IntersectKernel override the LOTUS kernel
-	// selection for the suite's lotus runs ("" keeps the engine
-	// defaults: auto and bitmap). lotus-bench wires -phase1 and
-	// -intersect here.
-	Phase1Kernel    string
-	IntersectKernel string
-	// Shards > 0 adds a lotus-sharded run with that grid dimension to
-	// every dataset's comparator sweep (the fixed p=1/2/4 variants run
-	// regardless). lotus-bench wires -shards here.
-	Shards int
 }
 
 // Context returns the suite's context, defaulting to Background.
@@ -62,10 +52,6 @@ func (s Suite) Context() context.Context {
 func (s Suite) NewPool(workers int) *sched.Pool {
 	return sched.NewPool(workers).Bind(s.Context())
 }
-
-// DefaultSuite sizes experiments for a laptop-class run (scale-16
-// R-MAT ~= 65K vertices, 1M sampled edges).
-func DefaultSuite() Suite { return Suite{Scale: 16, EdgeFactor: 16} }
 
 // SmallSuite sizes experiments for quick runs and benchmarks.
 func SmallSuite() Suite { return Suite{Scale: 13, EdgeFactor: 12} }

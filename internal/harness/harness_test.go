@@ -169,3 +169,42 @@ func TestRunAll(t *testing.T) {
 		}
 	}
 }
+
+func TestSafeDiv(t *testing.T) {
+	if got := safeDiv(6, 3); got != 2 {
+		t.Fatalf("safeDiv(6,3) = %v", got)
+	}
+	if got := safeDiv(1, 0); got != 0 {
+		t.Fatalf("safeDiv(1,0) = %v, want 0 (finite aggregation)", got)
+	}
+	if got := safeDiv(0, 0); got != 0 {
+		t.Fatalf("safeDiv(0,0) = %v, want 0", got)
+	}
+}
+
+func TestSimulateScheduleDegenerate(t *testing.T) {
+	// All-zero work: makespan 0 must yield idle 0, not NaN.
+	if span, idle := simulateSchedule([]uint64{0, 0, 0}, 4); span != 0 || idle != 0 {
+		t.Fatalf("zero work: span=%d idle=%v, want 0, 0", span, idle)
+	}
+	// Exactly balanced: idle must clamp at 0, never go negative.
+	if _, idle := simulateSchedule([]uint64{5, 5, 5, 5}, 4); idle != 0 {
+		t.Fatalf("balanced schedule idle = %v, want 0", idle)
+	}
+	if span, idle := simulateSchedule(nil, 4); span != 0 || idle != 0 {
+		t.Fatalf("empty work: span=%d idle=%v", span, idle)
+	}
+}
+
+// TestTable5OutputFinite: sub-resolution timings on tiny graphs must
+// never surface as NaN/Inf rows in the Table 5 / Fig 1 aggregates.
+func TestTable5OutputFinite(t *testing.T) {
+	var buf bytes.Buffer
+	RunTable5(&buf, Suite{Scale: 8, EdgeFactor: 6}, 2)
+	out := buf.String()
+	for _, bad := range []string{"NaN", "Inf"} {
+		if strings.Contains(out, bad) {
+			t.Fatalf("table5 output contains %s:\n%s", bad, out)
+		}
+	}
+}

@@ -309,9 +309,6 @@ func TestLineProfilerCDF(t *testing.T) {
 	if got := p.LinesForCoverage(0.95); got != 3 {
 		t.Fatalf("LinesForCoverage(0.95) = %d, want 3", got)
 	}
-	if p.NonZeroLines() != 3 {
-		t.Fatalf("NonZeroLines = %d, want 3", p.NonZeroLines())
-	}
 	if p.Total() != 100 {
 		t.Fatalf("Total = %d", p.Total())
 	}

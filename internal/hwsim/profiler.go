@@ -77,14 +77,3 @@ func (p *LineProfiler) LinesForCoverage(frac float64) int {
 	}
 	return len(sorted)
 }
-
-// NonZeroLines returns how many lines were accessed at all.
-func (p *LineProfiler) NonZeroLines() int {
-	n := 0
-	for _, c := range p.counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}

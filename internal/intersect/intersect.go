@@ -29,28 +29,8 @@ func Merge(a, b []uint32) uint64 {
 	return n
 }
 
-// MergeBranchless counts |a ∩ b| with a comparison-driven merge whose
-// cursor advances are computed arithmetically instead of via
-// conditional branches, trading a few extra ALU ops for the removal
-// of the two unpredictable branches per step — the mitigation [32]
-// pursues with radix binning, in its simplest form. Fig 5c's
-// branch-misprediction comparison motivates having it available.
-func MergeBranchless(a, b []uint32) uint64 {
-	var n uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		eq := btoi(x == y)
-		n += uint64(eq)
-		// Advance a when x <= y, b when y <= x; both on equality.
-		i += btoi(x <= y)
-		j += btoi(y <= x)
-	}
-	return n
-}
-
 // btoi converts a bool to 0/1; the compiler lowers this to SETcc,
-// keeping the merge loop free of data-dependent jumps.
+// keeping LowerBound's search loop free of data-dependent jumps.
 func btoi(b bool) int {
 	if b {
 		return 1
@@ -277,21 +257,6 @@ func (b *Bitmap) Reset() {
 	b.dirty = b.dirty[:0]
 }
 
-// BitmapCount counts |a ∩ b| by marking a and probing with b.
-func BitmapCount(bm *Bitmap, a, b []uint32) uint64 {
-	bm.Reset()
-	for _, x := range a {
-		bm.Set(x)
-	}
-	var n uint64
-	for _, x := range b {
-		if bm.Get(x) {
-			n++
-		}
-	}
-	return n
-}
-
 // HubBitmap is a dense bitmap over the whole 16-bit hub ID space of
 // HE rows (§4.2): 2^16 bits in 1024 words, 8 KB, small enough to stay
 // in L1 across every probe a worker makes. Sizing it to the ID space
@@ -395,25 +360,4 @@ func MergeTraced(a, b []uint32, onAccess func(x uint32, fromA bool)) uint64 {
 		}
 	}
 	return n
-}
-
-// MergeOps returns the intersection size together with the number of
-// element comparisons performed, used as the instruction-count proxy
-// of Fig 5b.
-func MergeOps(a, b []uint32) (n, ops uint64) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		ops++
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n, ops
 }

@@ -150,12 +150,6 @@ func (p *Profiler) record(d int) {
 // Total returns the number of recorded accesses.
 func (p *Profiler) Total() uint64 { return p.total }
 
-// Colds returns the number of cold (first-touch) accesses.
-func (p *Profiler) Colds() uint64 { return p.colds }
-
-// DistinctLines returns the number of distinct lines seen.
-func (p *Profiler) DistinctLines() int { return len(p.last) }
-
 // MissRatio returns the miss ratio of a fully-associative LRU cache
 // holding `lines` cachelines: accesses whose stack distance meets or
 // exceeds the capacity miss, plus all cold accesses. Distances are

@@ -12,8 +12,8 @@ func TestColdAccesses(t *testing.T) {
 			t.Fatalf("first touch of %d gave distance %d", l, d)
 		}
 	}
-	if p.Colds() != 10 || p.Total() != 10 || p.DistinctLines() != 10 {
-		t.Fatalf("counters: %d/%d/%d", p.Colds(), p.Total(), p.DistinctLines())
+	if p.colds != 10 || p.Total() != 10 || len(p.last) != 10 {
+		t.Fatalf("counters: %d/%d/%d", p.colds, p.Total(), len(p.last))
 	}
 }
 
@@ -121,7 +121,7 @@ func TestMRCMonotone(t *testing.T) {
 			t.Fatalf("MRC not monotone: %.4f -> %.4f at %d lines", mrc[i-1], mrc[i], caps[i])
 		}
 	}
-	if mrc[len(mrc)-1] < float64(p.Colds())/float64(p.Total())-1e-12 {
+	if mrc[len(mrc)-1] < float64(p.colds)/float64(p.Total())-1e-12 {
 		t.Fatal("MRC below cold floor")
 	}
 }

@@ -22,7 +22,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,18 +80,6 @@ func (m *Metrics) AddDuration(name string, d time.Duration) {
 	m.Add(name, d.Nanoseconds())
 }
 
-// Timer starts a phase timer; the returned stop function records the
-// elapsed wall time under name (nanoseconds, additive, so repeated
-// phases accumulate). Usable on a nil receiver: the stop function
-// then does nothing.
-func (m *Metrics) Timer(name string) (stop func()) {
-	if m == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { m.AddDuration(name, time.Since(t0)) }
-}
-
 // Get returns the named counter's value, zero when absent or when the
 // receiver is nil.
 func (m *Metrics) Get(name string) int64 {
@@ -106,21 +93,6 @@ func (m *Metrics) Get(name string) int64 {
 		return 0
 	}
 	return c.Load()
-}
-
-// Names returns the registered counter names, sorted. Nil-safe.
-func (m *Metrics) Names() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.RLock()
-	names := make([]string, 0, len(m.vals))
-	for n := range m.vals {
-		names = append(names, n)
-	}
-	m.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot returns a point-in-time copy of every counter. It returns

@@ -7,14 +7,10 @@ import (
 	"time"
 )
 
-// SchemaRun and SchemaBench version the JSON documents this package
-// emits. Consumers (BENCH_*.json diffing, dashboards) must check the
-// schema string; additive fields keep the version, incompatible
-// changes bump it.
-const (
-	SchemaRun   = "lotustc/run-report/v1"
-	SchemaBench = "lotustc/bench-report/v1"
-)
+// SchemaRun versions the JSON document this package emits. Consumers
+// (BENCH_*.json diffing, dashboards) must check the schema string;
+// additive fields keep the version, incompatible changes bump it.
+const SchemaRun = "lotustc/run-report/v1"
 
 // Env describes the process environment a report was produced in,
 // enough to judge whether two BENCH_*.json files are comparable.
@@ -110,11 +106,6 @@ type RunReport struct {
 	// Decision is the structural auto-tuner's routing record, present
 	// on "auto" runs only (additive; schema stays v1).
 	Decision *TuneDecision `json:"decision,omitempty"`
-	// Skipped explains a sweep row whose algorithm legitimately did
-	// not run on this graph (e.g. a shard grid wider than |V|). Rows
-	// with Skipped set carry no result fields and no Error: the skip
-	// is expected, but must stay auditable in the artifact.
-	Skipped string `json:"skipped,omitempty"`
 	// Error is set when the run failed; the other result fields are
 	// then unspecified.
 	Error string `json:"error,omitempty"`
@@ -131,37 +122,9 @@ func NewRunReport(tool string) *RunReport {
 	}
 }
 
-// BenchReport aggregates the runs of one benchmark sweep — the
-// BENCH_*.json artifact future PRs diff for perf trajectories.
-type BenchReport struct {
-	Schema    string    `json:"schema"`
-	Tool      string    `json:"tool"`
-	Timestamp time.Time `json:"timestamp"`
-	Env       Env       `json:"env"`
-	// Suite describes the dataset sweep, e.g. "scale-13/ef-16".
-	Suite string      `json:"suite"`
-	Runs  []RunReport `json:"runs"`
-}
-
-// NewBenchReport returns a BenchReport with the envelope filled in.
-func NewBenchReport(tool, suite string) *BenchReport {
-	return &BenchReport{
-		Schema:    SchemaBench,
-		Tool:      tool,
-		Timestamp: time.Now().UTC(),
-		Env:       CurrentEnv(),
-		Suite:     suite,
-	}
-}
-
 // WriteJSON writes the report as indented JSON followed by a newline.
-func (r *RunReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
-// WriteJSON writes the report as indented JSON followed by a newline.
-func (b *BenchReport) WriteJSON(w io.Writer) error { return writeJSON(w, b) }
-
-func writeJSON(w io.Writer, v any) error {
+func (r *RunReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return enc.Encode(r)
 }

@@ -138,9 +138,6 @@ func TestH2HProfileCoversAllProbes(t *testing.T) {
 		t.Fatalf("profiled %d probes, want %d", p.Total(), wantProbes)
 	}
 	_ = res
-	if p.NonZeroLines() == 0 {
-		t.Fatal("no cachelines touched")
-	}
 	cdf := p.CDF([]int{p.Lines()})
 	if cdf[0] < 0.999 {
 		t.Fatalf("full CDF = %v, want 1", cdf[0])

@@ -12,15 +12,6 @@ package reorder
 
 import "lotustc/internal/graph"
 
-// Identity returns the identity relabeling.
-func Identity(n int) []uint32 {
-	ra := make([]uint32, n)
-	for i := range ra {
-		ra[i] = uint32(i)
-	}
-	return ra
-}
-
 // DegreeOrder returns the full degree-descending relabeling used by
 // the Forward algorithm and the framework baselines: the vertex with
 // the highest degree becomes 0, and so on, ties broken by ascending

@@ -9,18 +9,6 @@ import (
 	"lotustc/internal/graph"
 )
 
-func TestIdentity(t *testing.T) {
-	ra := Identity(5)
-	for i, x := range ra {
-		if int(x) != i {
-			t.Fatalf("Identity[%d] = %d", i, x)
-		}
-	}
-	if !IsPermutation(ra) {
-		t.Fatal("identity not a permutation")
-	}
-}
-
 func TestDegreeOrder(t *testing.T) {
 	// Star: center 0 must get new ID 0; leaves keep ascending order.
 	g := gen.Star(6)

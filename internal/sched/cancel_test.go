@@ -77,45 +77,6 @@ func TestForStopsAtChunkBoundaries(t *testing.T) {
 	}
 }
 
-func TestForCtxReportsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var covered atomic.Int64
-	err := NewPool(1).ForCtx(ctx, 1000, 10, func(_, start, end int) {
-		if covered.Add(int64(end-start)) >= 100 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForCtx = %v, want context.Canceled", err)
-	}
-}
-
-func TestForCtxPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := NewPool(2).ForCtx(ctx, 10, 1, func(_, _, _ int) { ran = true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForCtx = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Fatal("pre-cancelled ForCtx must not run the body")
-	}
-}
-
-func TestForCtxCompletes(t *testing.T) {
-	var n atomic.Int64
-	err := NewPool(2).ForCtx(context.Background(), 57, 5, func(_, start, end int) {
-		n.Add(int64(end - start))
-	})
-	if err != nil {
-		t.Fatalf("ForCtx = %v, want nil", err)
-	}
-	if n.Load() != 57 {
-		t.Fatalf("covered %d iterations, want 57", n.Load())
-	}
-}
-
 func TestRunTasksStopsEarly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewPool(1).Bind(ctx)
@@ -131,19 +92,6 @@ func TestRunTasksStopsEarly(t *testing.T) {
 	})
 	if d := done.Load(); d >= 1000 {
 		t.Fatalf("ran %d tasks, want an early stop", d)
-	}
-}
-
-func TestRunTasksCtxReportsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var done atomic.Int64
-	_, err := NewPool(1).RunTasksCtx(ctx, 1000, func(_, task int) {
-		if done.Add(1) == 5 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunTasksCtx = %v, want context.Canceled", err)
 	}
 }
 

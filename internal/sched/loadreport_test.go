@@ -32,7 +32,7 @@ func TestRunTasksCountsClaims(t *testing.T) {
 // a single worker never steals.
 func TestStealingPoolLoadReport(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		p := NewStealingPool(workers)
+		p := NewPool(workers).Stealing()
 		var ran atomic.Int64
 		rep := p.RunTasks(200, func(w, task int) { ran.Add(1) })
 		if ran.Load() != 200 {

@@ -91,31 +91,6 @@ func (p *Pool) Err() error {
 	return nil
 }
 
-// ForCtx is For with cooperative cancellation: ctx is observed at
-// every chunk claim, and the call returns ctx.Err() if the loop was
-// cut short. Iterations already started always run to completion.
-func (p *Pool) ForCtx(ctx context.Context, n, grain int, fn func(worker, start, end int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	q := p.Bind(ctx)
-	defer q.Release()
-	q.For(n, grain, fn)
-	return ctx.Err()
-}
-
-// RunTasksCtx is RunTasks with cooperative cancellation at task-claim
-// boundaries; it returns ctx.Err() if the task set was cut short.
-func (p *Pool) RunTasksCtx(ctx context.Context, nTasks int, fn func(worker, task int)) (LoadReport, error) {
-	if err := ctx.Err(); err != nil {
-		return LoadReport{}, err
-	}
-	q := p.Bind(ctx)
-	defer q.Release()
-	rep := q.RunTasks(nTasks, fn)
-	return rep, ctx.Err()
-}
-
 // For runs fn(worker, start, end) over disjoint chunks covering
 // [0, n). Chunks of size grain are claimed from a shared atomic
 // counter, so uneven iteration costs self-balance exactly like work

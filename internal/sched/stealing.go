@@ -80,12 +80,6 @@ type StealingPool struct {
 	stop *atomic.Bool
 }
 
-// NewStealingPool returns a stealing pool with n workers (n <= 0
-// selects the Pool default).
-func NewStealingPool(n int) *StealingPool {
-	return &StealingPool{workers: NewPool(n).Workers()}
-}
-
 // Stealing returns a work-stealing pool with the same worker count as
 // p that inherits p's cancellation binding: once p's bound context is
 // done, the stealing workers stop popping and stealing tasks.

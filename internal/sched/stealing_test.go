@@ -10,7 +10,7 @@ import (
 func TestStealingRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, n := range []int{0, 1, 7, 100, 1000} {
-			p := NewStealingPool(workers)
+			p := NewPool(workers).Stealing()
 			seen := make([]int32, n)
 			p.RunTasks(n, func(w, task int) {
 				atomic.AddInt32(&seen[task], 1)
@@ -25,7 +25,7 @@ func TestStealingRunsEveryTaskOnce(t *testing.T) {
 }
 
 func TestStealingWithUnevenWork(t *testing.T) {
-	p := NewStealingPool(4)
+	p := NewPool(4).Stealing()
 	const n = 200
 	var total atomic.Int64
 	rng := rand.New(rand.NewSource(1))
@@ -51,7 +51,7 @@ func TestStealingWithUnevenWork(t *testing.T) {
 func TestStealingStress(t *testing.T) {
 	// Hammer the deques with many tiny tasks across repeats to shake
 	// out lost/duplicated claims under contention.
-	p := NewStealingPool(8)
+	p := NewPool(8).Stealing()
 	for round := 0; round < 20; round++ {
 		const n = 5000
 		var sum atomic.Int64
@@ -91,7 +91,7 @@ func TestStealingMatchesPoolResults(t *testing.T) {
 	n := 1234
 	var a, b atomic.Int64
 	NewPool(4).RunTasks(n, func(w, task int) { a.Add(int64(task * task)) })
-	NewStealingPool(4).RunTasks(n, func(w, task int) { b.Add(int64(task * task)) })
+	NewPool(4).Stealing().RunTasks(n, func(w, task int) { b.Add(int64(task * task)) })
 	if a.Load() != b.Load() {
 		t.Fatalf("pool %d != stealing %d", a.Load(), b.Load())
 	}
@@ -100,7 +100,7 @@ func TestStealingMatchesPoolResults(t *testing.T) {
 func TestStealingTerminates(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
-		NewStealingPool(4).RunTasks(10000, func(w, task int) {})
+		NewPool(4).Stealing().RunTasks(10000, func(w, task int) {})
 		close(done)
 	}()
 	select {

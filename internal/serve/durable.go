@@ -116,12 +116,12 @@ func encodeSessionSnapshot(dst []byte, ss *streamSession, walGen uint64) ([]byte
 		return nil, fmt.Errorf("serve: snapshot: unknown mode %q", ss.mode)
 	}
 	p = append(p, modeB)
-	sc := ss.sc.Load()
+	sc := ss.sc
 	var flags byte
 	if sc == nil {
 		flags |= snapFlagReservoir
 	}
-	if ss.degraded.Load() {
+	if ss.degraded {
 		flags |= snapFlagDegraded
 	}
 	if ss.countNonHub {
@@ -513,8 +513,7 @@ func (s *Server) recoverSession(id string) error {
 			return err
 		}
 		ss.tr = tr
-		ss.publishSnapLocked()
-		ss.degraded.Store(snap.degraded)
+		ss.degraded = snap.degraded
 	} else {
 		sc, err := core.NewStreaming(snap.vertices, snap.hubs)
 		if err != nil {
@@ -524,8 +523,9 @@ func (s *Server) recoverSession(id string) error {
 		for _, e := range snap.edges {
 			sc.AddEdge(e[0], e[1])
 		}
-		ss.sc.Store(sc)
+		ss.sc = sc
 	}
+	ss.publishLocked()
 
 	// Replay the WAL tail through the same applyLocked path as live
 	// ingest — including a deterministic re-run of an auto session's

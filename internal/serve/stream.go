@@ -23,31 +23,28 @@ const streamConfidence = 0.95
 // runtime states:
 //
 //   - exact: `sc` holds the core.Streaming counter (full per-vertex
-//     adjacency, exact per-class counts). Its atomics make GET
-//     lock-free while ingest runs.
-//   - approx: `tr` holds a fixed-memory Triest reservoir. Triest has
-//     no atomic counters, so after every batch the writer publishes
-//     an immutable snapshot into `snap`; GET reads the latest
-//     snapshot lock-free, one batch stale at worst — the same
-//     monotone-snapshot contract the exact atomics give.
+//     adjacency, exact per-class counts).
+//   - approx: `tr` holds a fixed-memory Triest reservoir.
 //
 // Sessions created in "auto" mode start exact and degrade to approx
-// when their resident bytes cross the session budget; `sc` is an
-// atomic pointer so the flip is safe against concurrent GETs (a
-// straggler holding the old counter reads stale-but-consistent
-// atomics until it drops the reference).
+// when their resident bytes cross the session budget.
 //
 // Ingest mutates counter structures and is serialized under mu — the
 // single-writer contract of both core.Streaming and approx.Triest.
+// After every batch (and on create and recovery) the writer publishes
+// an immutable snapshot of the counters into `snap`; GET reads that
+// one pointer without the lock, so a read racing ingest sees the
+// state of one whole batch boundary, one batch stale at worst.
 type streamSession struct {
 	id     string
 	mode   string // configured: "exact" | "approx" | "auto"
 	auto   bool
 	budget int64 // resident-byte budget for this session
 
-	mu sync.Mutex // serializes ingest and the exact->approx flip
-	sc atomic.Pointer[core.Streaming]
-	tr *approx.Triest // guarded by mu; non-nil once approx
+	mu       sync.Mutex      // serializes ingest and the exact->approx flip
+	sc       *core.Streaming // guarded by mu; non-nil while exact
+	tr       *approx.Triest  // guarded by mu; non-nil once approx
+	degraded bool            // guarded by mu; an auto session that switched
 
 	// degradeSeed/degradeWindow carry the estimator knobs an auto
 	// session applies if it later degrades; they are kept for every
@@ -72,35 +69,37 @@ type streamSession struct {
 	walActive        atomic.Bool
 	durDegraded      atomic.Bool
 
-	snap     atomic.Pointer[approxSnapshot]
-	degraded atomic.Bool
+	// snap is the counters' state at the last batch boundary; only
+	// the fields publishLocked fills are meaningful.
+	snap atomic.Pointer[StreamState]
 }
 
-// approxSnapshot is the immutable post-batch state of an approx
-// session, published for lock-free GET.
-type approxSnapshot struct {
-	estimate   float64
-	errorBound float64
-	edgesSeen  uint64
-	removed    uint64
-	reservoir  int
-	resCap     int
-	memBytes   int64
-}
-
-// publishSnapLocked snapshots tr for lock-free readers. Caller holds
-// mu.
-func (ss *streamSession) publishSnapLocked() {
-	tr := ss.tr
-	ss.snap.Store(&approxSnapshot{
-		estimate:   tr.Estimate(),
-		errorBound: tr.ErrorBound(streamConfidence),
-		edgesSeen:  tr.EdgesSeen(),
-		removed:    tr.EdgesRemoved(),
-		reservoir:  tr.ReservoirSize(),
-		resCap:     tr.ReservoirCap(),
-		memBytes:   tr.MemoryBytes(),
-	})
+// publishLocked snapshots the counters for lock-free readers. Caller
+// holds mu (or owns a session not yet registered).
+func (ss *streamSession) publishLocked() {
+	st := &StreamState{Degraded: ss.degraded}
+	if sc := ss.sc; sc != nil {
+		hhh, hhn, hnn, nnn := sc.Classes()
+		st.Vertices = sc.NumVertices()
+		st.Hubs = sc.NumHubs()
+		st.Edges = sc.Edges()
+		st.HubTriangles = hhh + hhn + hnn
+		st.HHH, st.HHN, st.HNN, st.NNN = hhh, hhn, hnn, nnn
+		st.Estimate = float64(st.HubTriangles + nnn)
+		st.MemoryBytes = sc.MemoryBytes()
+		st.OverBudget = !ss.auto && st.MemoryBytes > ss.budget
+	} else {
+		tr := ss.tr
+		st.Approx = true
+		st.Edges = tr.EdgesSeen()
+		st.Estimate = tr.Estimate()
+		st.ErrorBound = tr.ErrorBound(streamConfidence)
+		st.ReservoirEdges = tr.ReservoirSize()
+		st.ReservoirCap = tr.ReservoirCap()
+		st.EdgesRemoved = tr.EdgesRemoved()
+		st.MemoryBytes = tr.MemoryBytes()
+	}
+	ss.snap.Store(st)
 }
 
 // streamRegistry holds the live sessions, bounded by Config.MaxStreams
@@ -203,7 +202,8 @@ type StreamCreateRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// StreamState is the lock-free snapshot of a session's counters.
+// StreamState is a snapshot of a session's counters at a batch
+// boundary.
 // Estimate/ErrorBound are always populated: an exact session reports
 // its exact total with a zero bound, so auto-mode clients read
 // `estimate ± error_bound` without caring whether degradation has
@@ -245,41 +245,17 @@ type StreamState struct {
 }
 
 func streamState(ss *streamSession) *StreamState {
-	st := &StreamState{
-		ID:          ss.id,
-		Mode:        ss.mode,
-		Confidence:  streamConfidence,
-		BudgetBytes: ss.budget,
-	}
+	st := *ss.snap.Load()
+	st.ID = ss.id
+	st.Mode = ss.mode
+	st.Confidence = streamConfidence
+	st.BudgetBytes = ss.budget
 	if ss.walActive.Load() {
 		st.Durability = "wal"
 	} else if ss.durDegraded.Load() {
 		st.Durability = "degraded"
 	}
-	if sc := ss.sc.Load(); sc != nil {
-		hhh, hhn, hnn, nnn := sc.Classes()
-		st.Vertices = sc.NumVertices()
-		st.Hubs = sc.NumHubs()
-		st.Edges = sc.Edges()
-		st.HubTriangles = sc.HubTriangles()
-		st.HHH, st.HHN, st.HNN, st.NNN = hhh, hhn, hnn, nnn
-		st.Estimate = float64(st.HubTriangles + nnn)
-		st.MemoryBytes = sc.MemoryBytes()
-		st.OverBudget = !ss.auto && st.MemoryBytes > ss.budget
-		return st
-	}
-	st.Approx = true
-	st.Degraded = ss.degraded.Load()
-	if sn := ss.snap.Load(); sn != nil {
-		st.Edges = sn.edgesSeen
-		st.Estimate = sn.estimate
-		st.ErrorBound = sn.errorBound
-		st.ReservoirEdges = sn.reservoir
-		st.ReservoirCap = sn.resCap
-		st.EdgesRemoved = sn.removed
-		st.MemoryBytes = sn.memBytes
-	}
-	return st
+	return &st
 }
 
 // sessionBudget resolves a session's byte budget: the request's, if
@@ -331,7 +307,6 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	ss.degradeSeed, ss.degradeWindow = seed, req.Window
 	if mode == "approx" {
 		ss.tr = approx.NewTriestWindow(approx.ReservoirForBudget(ss.budget), req.Window, seed)
-		ss.publishSnapLocked()
 		s.met.Add("stream.approx_sessions", 1)
 	} else {
 		if req.Vertices < 1 || req.Vertices > s.cfg.MaxStreamVertices {
@@ -364,13 +339,13 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			ss.tr = approx.NewTriestWindow(approx.ReservoirForBudget(ss.budget), req.Window, seed)
-			ss.publishSnapLocked()
-			ss.degraded.Store(true)
+			ss.degraded = true
 			s.met.Add("stream.degraded", 1)
 		} else {
-			ss.sc.Store(sc)
+			ss.sc = sc
 		}
 	}
+	ss.publishLocked()
 	if err := s.streams.add(ss); err != nil {
 		writeErr(w, http.StatusTooManyRequests, "stream_limit", err.Error())
 		return
@@ -393,9 +368,9 @@ func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no_such_stream", "no such stream session")
 		return
 	}
-	// Counter reads are atomics (exact) or a published snapshot
-	// (approx); no session lock, so polling never stalls behind a
-	// large ingest batch.
+	// Counter reads come from the published batch-boundary snapshot;
+	// no session lock, so polling never stalls behind a large ingest
+	// batch.
 	writeJSON(w, http.StatusOK, streamState(ss))
 }
 
@@ -501,13 +476,13 @@ const budgetCheckEvery = 1024
 // the batch was refused. Auto sessions degrade mid-batch instead:
 // the remaining edges continue into the estimator.
 func (ss *streamSession) applyLocked(srv *Server, adds, rems *preparedBatch) bool {
-	if sc := ss.sc.Load(); sc != nil {
+	if sc := ss.sc; sc != nil {
 		if !ss.auto && sc.MemoryBytes() > ss.budget {
 			return true
 		}
 		applied := 0
 		adds.each(func(u, v uint32) {
-			if ss.degraded.Load() {
+			if ss.degraded {
 				ss.tr.AddEdge(u, v)
 				return
 			}
@@ -516,36 +491,33 @@ func (ss *streamSession) applyLocked(srv *Server, adds, rems *preparedBatch) boo
 				ss.degradeLocked(srv, sc)
 			}
 		})
-		if ss.auto && !ss.degraded.Load() && sc.MemoryBytes() > ss.budget {
+		if ss.auto && !ss.degraded && sc.MemoryBytes() > ss.budget {
 			ss.degradeLocked(srv, sc)
 		}
-		if ss.degraded.Load() {
+		if ss.degraded {
 			rems.each(ss.tr.RemoveEdge)
-			ss.publishSnapLocked()
-			return false
+		} else {
+			rems.each(func(u, v uint32) { sc.RemoveEdge(u, v) })
 		}
-		rems.each(func(u, v uint32) { sc.RemoveEdge(u, v) })
-		return false
+	} else {
+		adds.each(ss.tr.AddEdge)
+		rems.each(ss.tr.RemoveEdge)
 	}
-	adds.each(ss.tr.AddEdge)
-	rems.each(ss.tr.RemoveEdge)
-	ss.publishSnapLocked()
+	ss.publishLocked()
 	return false
 }
 
 // degradeLocked flips an auto session from exact to approx: a fresh
 // reservoir sized to the budget is seeded with the counter's current
-// edge set (a uniform reservoir sample of the resident graph), the
-// snapshot is published, and the exact structures are released. GETs
-// racing the flip read either the old counter's atomics or the new
-// snapshot — both consistent. Caller holds mu.
+// edge set (a uniform reservoir sample of the resident graph), and the
+// exact structures are released. The batch's snapshot is published
+// when the batch completes. Caller holds mu.
 func (ss *streamSession) degradeLocked(srv *Server, sc *core.Streaming) {
 	tr := approx.NewTriestWindow(approx.ReservoirForBudget(ss.budget), ss.degradeWindow, ss.degradeSeed)
 	sc.ForEachEdge(tr.AddEdge)
 	ss.tr = tr
-	ss.publishSnapLocked()
-	ss.degraded.Store(true)
-	ss.sc.Store(nil) // release the exact structures to the GC
+	ss.degraded = true
+	ss.sc = nil // release the exact structures to the GC
 	srv.met.Add("stream.degraded", 1)
 }
 

@@ -12,8 +12,10 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,7 +169,10 @@ func TestStreamAutoDegrades(t *testing.T) {
 	if !ok {
 		t.Fatal("session vanished")
 	}
-	if ss.sc.Load() != nil {
+	ss.mu.Lock()
+	released := ss.sc == nil
+	ss.mu.Unlock()
+	if !released {
 		t.Fatal("exact structures not released after degradation")
 	}
 	// Ingest after degradation keeps working and keeps the budget.
@@ -368,6 +373,117 @@ func TestStreamConcurrentIngestPollDelete(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestStreamReadsNeverTear: GET on an exact session racing one writer
+// must always return the counters of one whole batch boundary. Every
+// read's class split must add up to its hub_triangles and estimate,
+// and its (edges, classes) must equal the exact counts of some batch
+// prefix — never a mix of two batches or a mid-batch state.
+func TestStreamReadsNeverTear(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2})
+	h := s.Handler()
+	do := func(method, path, body string) *StreamState {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK && rec.Code != http.StatusCreated {
+			t.Errorf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
+			return nil
+		}
+		return decodeStream(t, rec.Body.Bytes())
+	}
+
+	g := gen.RMAT(gen.DefaultRMAT(10, 16, 21))
+	edges := g.Edges()
+	hubs := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
+	const batch = 512
+	var batches [][][2]uint32
+	for lo := 0; lo < len(edges); lo += batch {
+		hi := min(lo+batch, len(edges))
+		b := make([][2]uint32, 0, hi-lo)
+		for _, e := range edges[lo:hi] {
+			b = append(b, [2]uint32{e.U, e.V})
+		}
+		batches = append(batches, b)
+	}
+	// The exact counts after every batch prefix, keyed by edge count
+	// (edges are distinct, so the count grows with every batch).
+	type counts struct{ hhh, hhn, hnn, nnn uint64 }
+	prefix := map[uint64]counts{0: {}}
+	ref, err := core.NewStreaming(g.NumVertices(), hubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.CountNonHub = true
+	for _, b := range batches {
+		for _, e := range b {
+			ref.AddEdge(e[0], e[1])
+		}
+		hhh, hhn, hnn, nnn := ref.Classes()
+		prefix[ref.Edges()] = counts{hhh, hhn, hnn, nnn}
+	}
+
+	body, _ := json.Marshal(StreamCreateRequest{Vertices: g.NumVertices(), Hubs: hubs, CountNonHub: true, Mode: "exact"})
+	st := do(http.MethodPost, "/v1/stream", string(body))
+	if st == nil {
+		t.FailNow()
+	}
+	path := "/v1/stream/" + st.ID
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st := do(http.MethodGet, path, "")
+				if st == nil {
+					return
+				}
+				reads.Add(1)
+				if st.HubTriangles != st.HHH+st.HHN+st.HNN {
+					t.Errorf("torn class split: hub_triangles %d != %d+%d+%d", st.HubTriangles, st.HHH, st.HHN, st.HNN)
+					return
+				}
+				if st.Estimate != float64(st.HubTriangles+st.NNN) {
+					t.Errorf("torn estimate: %v != %d+%d", st.Estimate, st.HubTriangles, st.NNN)
+					return
+				}
+				want, ok := prefix[st.Edges]
+				if !ok {
+					t.Errorf("read %d edges: not a batch boundary", st.Edges)
+					return
+				}
+				if got := (counts{st.HHH, st.HHN, st.HNN, st.NNN}); got != want {
+					t.Errorf("read at %d edges: classes %+v, batch prefix has %+v", st.Edges, got, want)
+					return
+				}
+			}
+		}()
+	}
+	for _, b := range batches {
+		if do(http.MethodPost, path+"/edges", ingestBody(t, b, nil)) == nil {
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if final := do(http.MethodGet, path, ""); final != nil {
+		want := prefix[ref.Edges()]
+		if final.Edges != ref.Edges() || (counts{final.HHH, final.HHN, final.HNN, final.NNN}) != want {
+			t.Fatalf("final state %+v, want %d edges and %+v", final, ref.Edges(), want)
+		}
+	}
+	if reads.Load() == 0 {
+		t.Fatal("no reads raced the writer")
+	}
 }
 
 // TestPrepareBatchParallelMatchesSerial: the hash-partitioned

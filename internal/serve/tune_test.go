@@ -133,7 +133,7 @@ func TestAlgorithmsListsTunerFamily(t *testing.T) {
 	for _, a := range body.Algorithms {
 		byName[a.Name] = a.Capabilities
 	}
-	for _, name := range []string{"auto", "cover-edge", "degree-partition"} {
+	for _, name := range []string{"auto", "cover-edge"} {
 		caps, ok := byName[name]
 		if !ok {
 			t.Fatalf("/v1/algorithms missing %q", name)
@@ -145,13 +145,13 @@ func TestAlgorithmsListsTunerFamily(t *testing.T) {
 	if byName["cover-edge"].Shardable {
 		t.Error("cover-edge must not advertise shardable")
 	}
-	if !byName["degree-partition"].Shardable {
-		t.Error("degree-partition must advertise shardable")
+	if !byName["lotus-sharded"].Shardable {
+		t.Error("lotus-sharded must advertise shardable")
 	}
 	// The class split is its own tag: the LOTUS-structured kernels
 	// carry it, cover-edge and auto report phases without it, and the
 	// comparators carry neither.
-	for _, name := range []string{"lotus", "lotus-recursive", "lotus-sharded", "degree-partition"} {
+	for _, name := range []string{"lotus", "lotus-recursive", "lotus-sharded"} {
 		if caps := byName[name]; !caps.ReportsClasses || !caps.ReportsPhases {
 			t.Errorf("%s must advertise reports_classes and reports_phases: %+v", name, caps)
 		}
@@ -171,7 +171,7 @@ func TestMetricsPreRegistered(t *testing.T) {
 	for _, name := range []string{
 		obs.TuneProbes, obs.TuneProbeNS, obs.TuneOverridden, obs.TuneCacheHits,
 		obs.TuneDecisionPrefix + "lotus", obs.TuneDecisionPrefix + "cover-edge",
-		obs.TuneDecisionPrefix + "degree-partition", obs.TuneDecisionPrefix + "auto",
+		obs.TuneDecisionPrefix + "auto",
 		obs.CoverBFSNS, obs.CoverLevels, obs.CoverEdges, obs.CoverCountNS,
 	} {
 		v, ok := snap[name]

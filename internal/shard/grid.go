@@ -24,34 +24,12 @@ const DefaultGrid = 2
 // this limit.
 const MaxGrid = 64
 
-// Strategy selects how the relabeled ID space is partitioned into a
-// plan's vertex ranges.
-type Strategy int
-
-const (
-	// PartitionWeight is the default 2D strategy: reorder.Lotus
-	// relabeling, Grid ranges balanced by oriented degree.
-	PartitionWeight Strategy = iota
-	// PartitionDegree is Kolountzakis-style degree-based partitioning
-	// (arXiv:1011.0468): a full reorder.DegreeOrder relabeling, one
-	// range per log2 degree class. Degree is monotone in the relabeled
-	// ID, so every class is a contiguous range and the existing grid
-	// machinery applies unchanged; the hub set (IDs < HubCount) is the
-	// same top-degree set the LOTUS relabeling picks, so totals AND
-	// the class split stay bit-identical to the lotus kernel. Options.
-	// Grid is ignored: P is the class count (<= 33 < MaxGrid).
-	PartitionDegree
-)
-
 // Options configure a grid build.
 type Options struct {
 	// Grid is the dimension p of the p×p block grid (0 = DefaultGrid;
 	// 1 is valid and yields a single block, the monolithic layout in
-	// shard clothing). Ignored by PartitionDegree.
+	// shard clothing).
 	Grid int
-	// Strategy selects the range construction (default
-	// PartitionWeight).
-	Strategy Strategy
 	// HubCount and FrontFraction are the LOTUS preprocessing knobs,
 	// with the same meaning and defaults as core.Options: the grid's
 	// shared relabeling is computed exactly as the monolithic path
@@ -121,20 +99,6 @@ func NewPlan(g *graph.Graph, opt Options) (*Plan, error) {
 	n := g.NumVertices()
 	hubCount := uint32(core.Options{HubCount: opt.HubCount}.EffectiveHubCount(n))
 	t0 := time.Now()
-	if opt.Strategy == PartitionDegree {
-		ra := reorder.DegreeOrder(g)
-		opt.Metrics.AddDuration(obs.PreprocessRelabelNS, time.Since(t0))
-		ranges := degreeClassRanges(g, ra)
-		return &Plan{
-			P:           len(ranges),
-			Ranges:      ranges,
-			Relabeling:  ra,
-			HubCount:    hubCount,
-			hubOpt:      opt.HubCount,
-			frontFrac:   opt.FrontFraction,
-			numVertices: n,
-		}, nil
-	}
 	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
 	opt.Metrics.AddDuration(obs.PreprocessRelabelNS, time.Since(t0))
 

@@ -16,42 +16,7 @@
 // whole grid is simply a row-partition of the monolithic structure.
 package shard
 
-import (
-	"math/bits"
-
-	"lotustc/internal/graph"
-	"lotustc/internal/intersect"
-)
-
-// degreeClassRanges cuts the DegreeOrder-relabeled ID space into one
-// contiguous range per log2 degree class (class of degree d is
-// bits.Len(d): 0 for isolated vertices, 1 for degree 1, k for degrees
-// [2^(k-1), 2^k)). Degree is non-increasing in the relabeled ID, so
-// the class sequence is non-increasing too and every class is
-// contiguous; the ranges are sorted, disjoint and cover [0, n), which
-// is all the grid counting sweep requires. At most bits.Len(maxDeg)+1
-// (<= 33) classes exist, comfortably under MaxGrid.
-func degreeClassRanges(g *graph.Graph, ra []uint32) []VertexRange {
-	n := g.NumVertices()
-	if n == 0 {
-		return []VertexRange{{Lo: 0, Hi: 0}}
-	}
-	// Degree of each relabeled ID, in relabeled order.
-	degNew := make([]int32, n)
-	for old := 0; old < n; old++ {
-		degNew[ra[old]] = int32(g.Degree(uint32(old)))
-	}
-	var ranges []VertexRange
-	lo := 0
-	cls := bits.Len32(uint32(degNew[0]))
-	for v := 1; v < n; v++ {
-		if c := bits.Len32(uint32(degNew[v])); c != cls {
-			ranges = append(ranges, VertexRange{Lo: uint32(lo), Hi: uint32(v)})
-			lo, cls = v, c
-		}
-	}
-	return append(ranges, VertexRange{Lo: uint32(lo), Hi: uint32(n)})
-}
+import "lotustc/internal/intersect"
 
 // PartitionByWeight cuts the ID space [0, len(w)) into p contiguous
 // ranges of near-equal total weight: cut t is the smallest index

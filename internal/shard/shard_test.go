@@ -286,20 +286,18 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-// TestBuildPublishesRelabelTime: both partition strategies report the
-// relabel part of the build under preprocess.relabel.ns, bounded by the
-// whole grid build's shard.preprocess.ns.
+// TestBuildPublishesRelabelTime: a grid build reports the relabel part
+// of the build under preprocess.relabel.ns, bounded by the whole grid
+// build's shard.preprocess.ns.
 func TestBuildPublishesRelabelTime(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
-	for _, strategy := range []Strategy{PartitionWeight, PartitionDegree} {
-		m := obs.New()
-		if _, err := Build(g, Options{Grid: 2, Strategy: strategy, Metrics: m}); err != nil {
-			t.Fatal(err)
-		}
-		rl, pre := m.Get(obs.PreprocessRelabelNS), m.Get(obs.ShardPreprocessNS)
-		if rl <= 0 || rl > pre {
-			t.Fatalf("strategy %v: %s = %d, want in (0, %s = %d]", strategy, obs.PreprocessRelabelNS, rl, obs.ShardPreprocessNS, pre)
-		}
+	m := obs.New()
+	if _, err := Build(g, Options{Grid: 2, Metrics: m}); err != nil {
+		t.Fatal(err)
+	}
+	rl, pre := m.Get(obs.PreprocessRelabelNS), m.Get(obs.ShardPreprocessNS)
+	if rl <= 0 || rl > pre {
+		t.Fatalf("%s = %d, want in (0, %s = %d]", obs.PreprocessRelabelNS, rl, obs.ShardPreprocessNS, pre)
 	}
 }
 

@@ -5,8 +5,9 @@
 // policy is a transparent, ordered decision list — every branch has a
 // one-line reason recorded in the run report's Decision block, and
 // every threshold is a named constant below — so a mis-routed graph
-// is diagnosable from the report alone and the BENCH_*.json
-// auto-vs-fixed sweep can validate each branch empirically.
+// is diagnosable from the report alone, and each branch can be
+// checked empirically by timing the routed count against the fixed
+// algorithms (-tune-algo) on the same graph.
 //
 // The policy routes between two regimes:
 //
@@ -20,12 +21,6 @@
 //     are short, so LOTUS pays relabeling + H2H for nothing;
 //     cover-edge counting intersects only the BFS-horizontal edges
 //     and skips structure building entirely.
-//
-// degree-partition is deliberately never routed to: the calibration
-// sweep (BENCH_PR10.json) measures it 1.3-4x behind the winner on
-// every corpus graph — its per-class blocks multiply the block-triple
-// enumeration without improving locality at in-memory scale. It stays
-// registered for explicit selection and -tune-algo ablation.
 package tune
 
 import (

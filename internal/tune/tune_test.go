@@ -98,8 +98,8 @@ func TestOverrides(t *testing.T) {
 	if d := Decide(p, Overrides{}); d.Algorithm != "cover-edge" || d.Overridden {
 		t.Fatalf("baseline: %+v", d)
 	}
-	d := Decide(p, Overrides{Algorithm: "degree-partition"})
-	if d.Algorithm != "degree-partition" || !d.Overridden {
+	d := Decide(p, Overrides{Algorithm: "forward"})
+	if d.Algorithm != "forward" || !d.Overridden {
 		t.Fatalf("algorithm override: %+v", d)
 	}
 	if !strings.Contains(d.Reason, "override") || !strings.Contains(d.Reason, "policy chose") {

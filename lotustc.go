@@ -61,14 +61,14 @@ const (
 	// AlgoLotusSharded partitions the relabeled ID space into a
 	// Shards-way grid, builds one LOTUS structure per block, and counts
 	// by block triple; totals and classes match AlgoLotus exactly.
-	AlgoLotusSharded Algorithm = "lotus-sharded"
-	AlgoForward        Algorithm = "forward"        // GAP-style, merge join
-	AlgoForwardBinary  Algorithm = "forward-binary" // binary-search intersection
-	AlgoForwardHash    Algorithm = "forward-hash"   // Forward-hashed
-	AlgoEdgeIterator   Algorithm = "edge-iterator"  // GraphGrind-style
-	AlgoNodeIterator   Algorithm = "node-iterator"
-	AlgoGBBS           Algorithm = "gbbs" // edge-parallel Forward
-	AlgoBBTC           Algorithm = "bbtc" // block-based 2-D partitioned
+	AlgoLotusSharded  Algorithm = "lotus-sharded"
+	AlgoForward       Algorithm = "forward"        // GAP-style, merge join
+	AlgoForwardBinary Algorithm = "forward-binary" // binary-search intersection
+	AlgoForwardHash   Algorithm = "forward-hash"   // Forward-hashed
+	AlgoEdgeIterator  Algorithm = "edge-iterator"  // GraphGrind-style
+	AlgoNodeIterator  Algorithm = "node-iterator"
+	AlgoGBBS          Algorithm = "gbbs" // edge-parallel Forward
+	AlgoBBTC          Algorithm = "bbtc" // block-based 2-D partitioned
 	// The classic algorithms §6.1 surveys.
 	AlgoNewVertexListing Algorithm = "new-vertex-listing" // Latapy bitmap
 	AlgoNodeIteratorCore Algorithm = "node-iterator-core" // Schank-Wagner
@@ -80,10 +80,6 @@ const (
 	// no hub structures, strongest on sparse flat graphs (meshes,
 	// road networks) where LOTUS's relabeling buys nothing.
 	AlgoCoverEdge Algorithm = "cover-edge"
-	// AlgoDegreePartition is the degree-partitioned LOTUS variant
-	// (Kolountzakis-style classes on the shard grid); totals and
-	// classes match AlgoLotus exactly.
-	AlgoDegreePartition Algorithm = "degree-partition"
 	// AlgoAuto probes the graph's structure (degree skew, hub edge
 	// coverage, H2H density) and routes to the algorithm the shape
 	// favors; the choice lands in Result.Decision.
