@@ -31,12 +31,15 @@ check:
 	# racing the per-worker hub and vertex bitmaps; the bitmap-vs-merge
 	# NNN equivalence with its dispatch counters; cancellation mid-HNN
 	# and mid-NNN leaving every bitmap clear; one CountScratch reused
-	# across graph sizes; and the Algorithm 2 walk (concurrent H2H
-	# Sets) and phase-1 hub-pair kernel that the flat and the sharded
-	# path share, held to the materialize reference, the monolithic
-	# rows and the scalar probe.
+	# across graph sizes and hub counts (so the dense-row slab is laid
+	# out again); the Algorithm 2 walk (concurrent H2H Sets, dense HE
+	# rows sorted through per-worker hub bitmaps) and phase-1 hub-pair
+	# kernel that the flat and the sharded path share, held to the
+	# materialize reference, the monolithic rows and the scalar probe;
+	# the walk's timed passes; and the phase-1 tile work at worker
+	# counts below 1.
 	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence|TestShardRowsMatchMonolithic' ./internal/shard/
-	$(GO) test -race -run 'TestIntersectKernelEquivalence|TestHNNCancellationLeavesBitmapsClear|TestCountScratchReuseAcrossGraphs|TestPreprocessBitIdentical|TestPhase1KernelEquivalence' ./internal/core/
+	$(GO) test -race -run 'TestIntersectKernelEquivalence|TestHNNCancellationLeavesBitmapsClear|TestCountScratchReuseAcrossGraphs|TestPreprocessBitIdentical|TestPreprocessPhaseSplit|TestPhase1KernelEquivalence|TestPhase1TileWorkClampsWorkers' ./internal/core/
 	# Auto-tuner surface: the probe's parallel reductions, the policy,
 	# and the cover-edge kernel's parallel sweep all race-tested in
 	# full (they are small packages; the engine's auto kernel rides in

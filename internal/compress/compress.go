@@ -9,12 +9,9 @@
 // at small IDs and preserves the original ordering elsewhere, gaps
 // stay small and the encoding is tight. The package provides:
 //
-//   - Encode/Decode of whole graphs (CompressedGraph),
-//   - allocation-free iteration (Iter) so algorithms can run directly
-//     on compressed topology, and
-//   - a triangle counter over compressed lists, demonstrating the
-//     decode-on-the-fly trade-off the paper alludes to ("techniques
-//     that do not incur runtime overhead to read graph topology").
+//   - Encode/Decode of whole graphs (CompressedGraph), which back the
+//     serving layer's compressed cache tier, and
+//   - allocation-free iteration (Iter) over one compressed list.
 package compress
 
 import (
@@ -190,50 +187,6 @@ func (c *CompressedGraph) DecodeInto(a *Arena) (*graph.Graph, error) {
 	offsets[c.n] = int64(len(nbrs))
 	a.Offsets, a.Nbrs = offsets, nbrs
 	return graph.New(offsets, nbrs, c.Oriented), nil
-}
-
-// CountTriangles runs the Forward intersection directly over the
-// compressed lists of an oriented graph, decoding on the fly — no
-// materialized 32-bit arrays. This is the trade-off §3.2 warns about:
-// compactness bought with per-edge decode work.
-func (c *CompressedGraph) CountTriangles() uint64 {
-	if !c.Oriented {
-		panic("compress: CountTriangles requires an oriented graph")
-	}
-	var total uint64
-	for v := 0; v < c.n; v++ {
-		outer := c.Iter(uint32(v))
-		for {
-			u, ok := outer.Next()
-			if !ok {
-				break
-			}
-			total += c.intersect(uint32(v), u)
-		}
-	}
-	return total
-}
-
-// intersect merges the compressed lists of v and u.
-func (c *CompressedGraph) intersect(v, u uint32) uint64 {
-	a := c.Iter(v)
-	b := c.Iter(u)
-	av, aok := a.Next()
-	bv, bok := b.Next()
-	var n uint64
-	for aok && bok {
-		switch {
-		case av < bv:
-			av, aok = a.Next()
-		case av > bv:
-			bv, bok = b.Next()
-		default:
-			n++
-			av, aok = a.Next()
-			bv, bok = b.Next()
-		}
-	}
-	return n
 }
 
 // Sizes reports the fixed-width CSX footprint next to the compressed

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"lotustc/internal/baseline"
+	"lotustc/internal/core"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/sched"
@@ -82,27 +83,28 @@ func TestDegree(t *testing.T) {
 	}
 }
 
-func TestCountTrianglesCompressed(t *testing.T) {
+// TestDecodeRoundTripCountsWithLotus counts the triangles of each
+// graph after an Encode/Decode round trip with LOTUS: totals must match
+// brute force on the original graph.
+func TestDecodeRoundTripCountsWithLotus(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"rmat": gen.RMAT(gen.DefaultRMAT(9, 8, 2)),
 		"k16":  gen.Complete(16),
 		"ring": gen.Ring(30),
 	} {
 		want := baseline.BruteForce(g)
-		c := Encode(g.Orient())
-		if got := c.CountTriangles(); got != want {
-			t.Errorf("%s: compressed count = %d, want %d", name, got, want)
+		dg, err := Encode(g).Decode()
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		lg, err := core.TryPreprocess(dg, core.Options{Pool: pool})
+		if err != nil {
+			t.Fatalf("%s: preprocess: %v", name, err)
+		}
+		if got := lg.Count(pool).Total; got != want {
+			t.Errorf("%s: LOTUS count after the round trip = %d, want %d", name, got, want)
 		}
 	}
-}
-
-func TestCountTrianglesRequiresOriented(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Encode(gen.Complete(4)).CountTriangles()
 }
 
 func TestCompressionWins(t *testing.T) {
@@ -164,23 +166,4 @@ func TestCompressedVsLotusSizes(t *testing.T) {
 	if s.CompressedBytes >= s.CSXBytes {
 		t.Fatalf("compression did not shrink oriented RMAT: %d >= %d", s.CompressedBytes, s.CSXBytes)
 	}
-	_ = pool
-	_ = baseline.KernelMerge
 }
-
-func BenchmarkCompressedTriangles(b *testing.B) {
-	g := gen.RMAT(gen.DefaultRMAT(12, 8, 1)).Orient()
-	c := Encode(g)
-	b.Run("compressed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += c.CountTriangles()
-		}
-	})
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += baseline.CountOriented(g, pool, baseline.KernelMerge)
-		}
-	})
-}
-
-var benchSink uint64

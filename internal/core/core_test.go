@@ -10,6 +10,7 @@ import (
 	"lotustc/internal/baseline"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
+	"lotustc/internal/obs"
 	"lotustc/internal/sched"
 )
 
@@ -266,6 +267,34 @@ func TestSquaredTilingBalancesWork(t *testing.T) {
 	}
 }
 
+// TestPhase1TileWorkClampsWorkers asks for the tile work at 0 and -1
+// workers, which used to divide by zero: both must give the 1-worker
+// tiles, whose work sums to every vertex's hub-pair count.
+func TestPhase1TileWorkClampsWorkers(t *testing.T) {
+	g := gen.HubAndSpokes(64, 200, 8, 5)
+	lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
+	var pairs uint64
+	for v := 0; v < g.NumVertices(); v++ {
+		d := uint64(lg.HE.Degree(uint32(v)))
+		pairs += d * (d - 1) / 2
+	}
+	opt := CountOptions{TileThreshold: 8}
+	want := lg.Phase1TileWork(opt, 1)
+	for _, workers := range []int{0, -1} {
+		got := lg.Phase1TileWork(opt, workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: tile work %v, want the 1-worker tiles %v", workers, got, want)
+		}
+		var sum uint64
+		for _, w := range got {
+			sum += w
+		}
+		if sum != pairs {
+			t.Fatalf("workers=%d: tile work sums to %d, want %d hub pairs", workers, sum, pairs)
+		}
+	}
+}
+
 func TestPaperTilingExample(t *testing.T) {
 	// §4.6 worked example: 100 neighbours, 5 partitions -> borders
 	// 0, 45, 63, 77, 89, 100 (100*sqrt(k/5) truncated).
@@ -355,19 +384,25 @@ func TestTopologyBytesAccounting(t *testing.T) {
 // TestPreprocessBitIdentical holds TryPreprocess (the on-the-fly walk
 // the sharded build shares) to the materialize-then-split reference:
 // identical HE and NHE rows and the same H2H words, across shapes and
-// hub counts.
+// hub counts. At 63 to 129 hubs the R-MAT, k20, k130 and hub-spokes
+// rows reach the dense length 2·⌈H/64⌉, so the walk sorts them
+// through the hub bitmap over one to three words; each of those hub
+// counts must hit that path.
 func TestPreprocessBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat":      gen.RMAT(gen.DefaultRMAT(10, 8, 1)),
 		"er":        gen.ErdosRenyi(800, 3000, 2),
 		"chunglu":   gen.ChungLu(gen.ChungLuParams{N: 700, M: 5000, Gamma: 2.2, Seed: 3}),
 		"k20":       gen.Complete(20),
+		"k130":      gen.Complete(130),
 		"star":      gen.Star(50),
 		"hubspokes": gen.HubAndSpokes(8, 200, 3, 4),
 		"empty":     graph.FromEdges(nil, graph.BuildOptions{NumVertices: 10}),
 	}
+	denseHubs := []int{63, 64, 65, 128, 129}
+	dense := map[int]bool{}
 	for name, g := range graphs {
-		for _, hubs := range []int{1, 4, 37} {
+		for _, hubs := range append([]int{1, 4, 37}, denseHubs...) {
 			a := PreprocessMaterialize(g, Options{HubCount: hubs, Pool: pool})
 			b := Preprocess(g, Options{HubCount: hubs, Pool: pool})
 			if a.HubCount != b.HubCount {
@@ -392,7 +427,36 @@ func TestPreprocessBitIdentical(t *testing.T) {
 			if ra.Total != rb.Total {
 				t.Fatalf("%s hubs=%d: counts differ %d vs %d", name, hubs, ra.Total, rb.Total)
 			}
+			for v := 0; v < g.NumVertices(); v++ {
+				if b.HE.Degree(uint32(v)) >= denseRowMin(b.HubCount) {
+					dense[int(b.HubCount)] = true
+					break
+				}
+			}
 		}
+	}
+	for _, hubs := range denseHubs {
+		if !dense[hubs] {
+			t.Errorf("hubs=%d: no graph has an HE row of %d or more hubs", hubs, denseRowMin(uint32(hubs)))
+		}
+	}
+}
+
+// TestPreprocessPhaseSplit checks that the relabel and the two walk
+// passes are each timed, and that together they fit in preprocess.ns.
+func TestPreprocessPhaseSplit(t *testing.T) {
+	m := obs.New()
+	Preprocess(gen.RMAT(gen.DefaultRMAT(12, 16, 3)), Options{HubCount: 128, Pool: pool, Metrics: m})
+	var parts int64
+	for _, name := range []string{obs.PreprocessRelabelNS, obs.PreprocessWalkCountNS, obs.PreprocessWalkFillNS} {
+		ns := m.Get(name)
+		if ns <= 0 {
+			t.Errorf("%s = %d, want > 0", name, ns)
+		}
+		parts += ns
+	}
+	if total := m.Get("preprocess.ns"); parts > total {
+		t.Errorf("relabel + walk.count + walk.fill = %d ns, more than preprocess.ns = %d", parts, total)
 	}
 }
 

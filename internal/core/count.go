@@ -82,13 +82,14 @@ type CountOptions struct {
 	// in bulk at phase boundaries, so a nil Metrics costs nothing on
 	// the hot path.
 	Metrics *obs.Metrics
-	// Scratch, when non-nil, supplies reusable per-worker kernel
-	// scratch so a resident service's warm counts stop allocating
-	// phase-1/HNN hub bitmaps and NNN vertex bitmaps per request. One
-	// CountScratch must never be used by two concurrent counts;
-	// sequential reuse across graphs and hub counts is fine (each hub
-	// bitmap spans the whole 16-bit hub ID space, and vertex bitmaps
-	// grow to the largest graph seen).
+	// Scratch, when non-nil, supplies reusable kernel scratch so a
+	// resident service's warm counts stop allocating phase-1/HNN hub
+	// bitmaps, HNN's dense-row slab and NNN vertex bitmaps per
+	// request. One CountScratch must never be used by two concurrent
+	// counts; sequential reuse across graphs and hub counts is fine
+	// (each hub bitmap spans the whole 16-bit hub ID space, and the
+	// dense-row slab and vertex bitmaps grow to the largest graph
+	// seen).
 	Scratch *CountScratch
 }
 
@@ -97,6 +98,7 @@ type CountOptions struct {
 type CountScratch struct {
 	hubs    *sched.WorkerLocal[intersect.HubBitmap]
 	verts   *sched.WorkerLocal[intersect.VertexBitmap]
+	dense   denseRows
 	workers int
 }
 
@@ -109,7 +111,8 @@ func NewCountScratch() *CountScratch { return &CountScratch{} }
 // on its worker's first Get. A nil s gets fresh slabs. Otherwise the
 // previous count's slabs are recycled when the worker count matches;
 // every kernel clears what it marks before moving on, so recycled
-// bitmaps are always all-zero.
+// bitmaps are always all-zero. The dense-row index HNN rebuilds per
+// count is kept whatever the worker count.
 func (s *CountScratch) forWorkers(workers int) *CountScratch {
 	if s == nil {
 		s = &CountScratch{}
@@ -174,10 +177,9 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	res := &Result{}
 	m := opt.Metrics
 	sc := opt.Scratch.forWorkers(pool.Workers())
-	bms := sc.hubs
 
 	t0 := time.Now()
-	res.Phase1Load = lg.countPhase1(pool, opt, bms, res)
+	res.Phase1Load = lg.countPhase1(pool, opt, sc.hubs, res)
 	res.Phase1Time = time.Since(t0)
 	m.AddDuration("phase1.ns", res.Phase1Time)
 	m.Add("phase1.claims", res.Phase1Load.Claims)
@@ -188,26 +190,28 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 		return res
 	}
 
+	// HNN starts by indexing the dense HE rows it probes word-wise;
+	// the index build counts toward hnn.ns.
+	t1 := time.Now()
+	sc.dense.build(pool, lg)
+	m.Add(obs.HNNDenseRows, int64(sc.dense.count))
 	switch {
 	case opt.SkipNNN:
-		t1 := time.Now()
-		res.HNNLoad = lg.countHNN(pool, res, opt, bms)
+		res.HNNLoad = lg.countHNN(pool, res, opt, sc)
 		res.HNNTime = time.Since(t1)
 		m.Add("hnn.claims", res.HNNLoad.Claims)
 	case opt.FuseHNNAndNNN:
-		t1 := time.Now()
-		res.HNNLoad = lg.countFused(pool, res, opt, bms, sc.verts)
+		res.HNNLoad = lg.countFused(pool, res, opt, sc)
 		d := time.Since(t1)
 		res.HNNTime, res.NNNTime = d/2, d/2
 		res.NNNLoad = res.HNNLoad
 		// One fused region: its claims are attributed to HNN only.
 		m.Add("hnn.claims", res.HNNLoad.Claims)
 	default:
-		t1 := time.Now()
 		if opt.HNNBlocks > 1 {
-			res.HNNLoad = lg.countHNNBlocked(pool, res, opt, bms)
+			res.HNNLoad = lg.countHNNBlocked(pool, res, opt, sc)
 		} else {
-			res.HNNLoad = lg.countHNN(pool, res, opt, bms)
+			res.HNNLoad = lg.countHNN(pool, res, opt, sc)
 		}
 		res.HNNTime = time.Since(t1)
 		m.Add("hnn.claims", res.HNNLoad.Claims)
@@ -305,8 +309,9 @@ func (lg *LotusGraph) phase1Tiles(opt CountOptions, workers int) []tile {
 // every phase-1 tile the given options would produce. The Table 9
 // experiment feeds this into a list-scheduling simulation to compute
 // idle time at arbitrary thread counts, independent of the physical
-// core count of the host.
+// core count of the host. A worker count below 1 is taken as 1.
 func (lg *LotusGraph) Phase1TileWork(opt CountOptions, workers int) []uint64 {
+	workers = max(workers, 1)
 	if opt.TileThreshold <= 0 {
 		opt.TileThreshold = DefaultTileThreshold
 	}
@@ -410,13 +415,29 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched
 // v and non-hub neighbour u, the common hub neighbours |HE.N_v ∩
 // HE.N_u| each close a triangle. Random accesses touch only HE rows,
 // 2 bytes per edge (§4.5, Table 2). HE.N_v is marked once in the
-// worker's hub bitmap, every HE.N_u is probed against it branch-free,
+// worker's hub bitmap, every HE.N_u is probed against it (probeHE),
 // and the marks are cleared before the next v. Cancellation is polled
 // before the mark, so the bitmap is all-zero on every exit.
-func (lg *LotusGraph) countHNN(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap]) sched.LoadReport {
+func (lg *LotusGraph) countHNN(pool *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) sched.LoadReport {
 	var rep sched.LoadReport
-	res.HNN, rep = lg.countHNNRange(pool, opt, bms, 0, uint32(lg.numVertices))
+	res.HNN, rep = lg.countHNNRange(pool, opt, sc, 0, uint32(lg.numVertices))
 	return rep
+}
+
+// probeHE counts, over every u in nhe, the hubs of HE.N_u marked in
+// bm. A dense HE.N_u is probed as Σ popcount(bm[j] & row_u[j]) over
+// its dense-index bitset; every other row element by element,
+// branch-free. words counts the rows probed word-wise.
+func (lg *LotusGraph) probeHE(bm *intersect.HubBitmap, dense *denseRows, nhe []uint32) (found, words uint64) {
+	for _, u := range nhe {
+		if row := dense.row(u); row != nil {
+			found += bm.CountWords(row)
+			words++
+		} else {
+			found += bm.Count(lg.HE.Neighbors(u))
+		}
+	}
+	return found, words
 }
 
 // countHNNBlocked is countHNN with the §7 blocking strategy: the
@@ -424,7 +445,7 @@ func (lg *LotusGraph) countHNN(pool *sched.Pool, res *Result, opt CountOptions, 
 // each range gets its own NHE traversal that probes only neighbours u
 // inside the range, confining the random HE.N_u loads of a pass to
 // that range's rows.
-func (lg *LotusGraph) countHNNBlocked(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap]) sched.LoadReport {
+func (lg *LotusGraph) countHNNBlocked(pool *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) sched.LoadReport {
 	blocks := opt.HNNBlocks
 	hub := int(lg.HubCount)
 	nonHubs := lg.numVertices - hub
@@ -432,7 +453,7 @@ func (lg *LotusGraph) countHNNBlocked(pool *sched.Pool, res *Result, opt CountOp
 	for b := 0; b < blocks && nonHubs > 0 && !pool.Cancelled(); b++ {
 		lo := uint32(hub + b*nonHubs/blocks)
 		hi := uint32(hub + (b+1)*nonHubs/blocks)
-		found, rep := lg.countHNNRange(pool, opt, bms, lo, hi)
+		found, rep := lg.countHNNRange(pool, opt, sc, lo, hi)
 		res.HNN += found
 		total.Wall += rep.Wall
 		total.Claims += rep.Claims
@@ -454,16 +475,17 @@ func (lg *LotusGraph) countHNNBlocked(pool *sched.Pool, res *Result, opt CountOp
 // NHE rows are sorted, so the qualifying neighbours of each v form a
 // contiguous sub-list located by binary search; a full pass skips the
 // search.
-func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap], lo, hi uint32) (uint64, sched.LoadReport) {
+func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, sc *CountScratch, lo, hi uint32) (uint64, sched.LoadReport) {
 	m := opt.Metrics
 	n := lg.numVertices
 	whole := lo == 0 && hi == uint32(n)
 	acc := sched.NewAccumulator(pool.Workers())
 	inter := sched.NewAccumulator(pool.Workers())
+	wordRows := sched.NewAccumulator(pool.Workers())
 	polls := sched.NewAccumulator(pool.Workers())
 	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
-		bm := bms.Get(worker)
-		var local, localInter, localPolls uint64
+		bm := sc.hubs.Get(worker)
+		var local, localInter, localWords, localPolls uint64
 		for v := start; v < end; v++ {
 			localPolls++
 			if pool.Cancelled() {
@@ -485,18 +507,20 @@ func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, bms *sch
 			}
 			localInter += uint64(len(nhe))
 			bm.Mark(hv)
-			for _, u := range nhe {
-				local += bm.Count(lg.HE.Neighbors(u))
-			}
+			found, words := lg.probeHE(bm, &sc.dense, nhe)
 			bm.Clear(hv)
+			local += found
+			localWords += words
 		}
 		acc.Add(worker, local)
 		inter.Add(worker, localInter)
+		wordRows.Add(worker, localWords)
 		polls.Add(worker, localPolls)
 	})
 	m.Add("hnn.he_intersections", int64(inter.Sum()))
 	m.Add("hnn.polls", int64(polls.Sum()))
 	m.Add(obs.HNNDispatchBitmap, int64(inter.Sum()))
+	m.Add(obs.HNNDispatchWords, int64(wordRows.Sum()))
 	return acc.Sum(), rep
 }
 
@@ -548,7 +572,7 @@ func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions, 
 // probes (when its NHE row has at least two entries) back to back,
 // with the same row skips as the unfused loops, so the counters
 // match theirs.
-func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap], vbs *sched.WorkerLocal[intersect.VertexBitmap]) sched.LoadReport {
+func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) sched.LoadReport {
 	m := opt.Metrics
 	n := lg.numVertices
 	k := opt.Intersect
@@ -556,11 +580,12 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 	nnn := sched.NewAccumulator(pool.Workers())
 	hnnInter := sched.NewAccumulator(pool.Workers())
 	nnnInter := sched.NewAccumulator(pool.Workers())
+	wordRows := sched.NewAccumulator(pool.Workers())
 	polls := sched.NewAccumulator(pool.Workers())
 	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
-		bm := bms.Get(worker)
-		vbm := vertexBitmap(vbs, worker, n)
-		var localHNN, localNNN, localHNNInter, localNNNInter, localPolls uint64
+		bm := sc.hubs.Get(worker)
+		vbm := vertexBitmap(sc.verts, worker, n)
+		var localHNN, localNNN, localHNNInter, localNNNInter, localWords, localPolls uint64
 		for v := start; v < end; v++ {
 			localPolls++
 			if pool.Cancelled() {
@@ -573,10 +598,10 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 			if hv := lg.HE.Neighbors(uint32(v)); len(hv) > 0 {
 				localHNNInter += uint64(len(nv))
 				bm.Mark(hv)
-				for _, u := range nv {
-					localHNN += bm.Count(lg.HE.Neighbors(u))
-				}
+				found, words := lg.probeHE(bm, &sc.dense, nv)
 				bm.Clear(hv)
+				localHNN += found
+				localWords += words
 			}
 			if len(nv) >= 2 {
 				localNNNInter += uint64(len(nv))
@@ -587,6 +612,7 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 		nnn.Add(worker, localNNN)
 		hnnInter.Add(worker, localHNNInter)
 		nnnInter.Add(worker, localNNNInter)
+		wordRows.Add(worker, localWords)
 		polls.Add(worker, localPolls)
 	})
 	res.HNN = hnn.Sum()
@@ -595,6 +621,7 @@ func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions
 	m.Add("nnn.nhe_intersections", int64(nnnInter.Sum()))
 	m.Add("hnn.polls", int64(polls.Sum()))
 	m.Add(obs.HNNDispatchBitmap, int64(hnnInter.Sum()))
+	m.Add(obs.HNNDispatchWords, int64(wordRows.Sum()))
 	m.Add(k.DispatchCounter(), int64(nnnInter.Sum()))
 	return rep
 }

@@ -256,13 +256,16 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 		run loop
 	}{
 		"flat": {CountOptions{}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
-			lg.countHNN(p, res, opt, sc.hubs)
+			sc.dense.build(p, lg)
+			lg.countHNN(p, res, opt, sc)
 		}},
 		"blocked": {CountOptions{HNNBlocks: 4}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
-			lg.countHNNBlocked(p, res, opt, sc.hubs)
+			sc.dense.build(p, lg)
+			lg.countHNNBlocked(p, res, opt, sc)
 		}},
 		"fused": {CountOptions{FuseHNNAndNNN: true}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
-			lg.countFused(p, res, opt, sc.hubs, sc.verts)
+			sc.dense.build(p, lg)
+			lg.countFused(p, res, opt, sc)
 		}},
 		"nnn": {CountOptions{}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
 			lg.countNNN(p, res, opt, sc.verts)
@@ -306,38 +309,84 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 	}
 }
 
+// hnnReference counts HNN triangles by merging HE.N_v with HE.N_u for
+// every NHE edge (v, u): the paper's loop, independent of the hub
+// bitmap and the dense-row index.
+func hnnReference(lg *LotusGraph) uint64 {
+	var n uint64
+	for v := 0; v < lg.NumVertices(); v++ {
+		hv := lg.HE.Neighbors(uint32(v))
+		for _, u := range lg.NHE.Neighbors(uint32(v)) {
+			hu := lg.HE.Neighbors(u)
+			for i, j := 0, 0; i < len(hv) && j < len(hu); {
+				switch {
+				case hv[i] < hu[j]:
+					i++
+				case hv[i] > hu[j]:
+					j++
+				default:
+					n++
+					i++
+					j++
+				}
+			}
+		}
+	}
+	return n
+}
+
 // TestCountScratchReuseAcrossGraphs reuses one CountScratch across
-// graphs of 2^10, 2^14 and again 2^10 vertices, under both NNN kernels
-// and the fused loop: every count must match a scratch-free merge-join
-// count exactly in every class. The vertex bitmaps grow to the largest
-// graph and stay there, so the final small graph runs on bitmaps four
-// times wider than it needs.
+// graphs of 2^10, 2^14 and again 2^10 vertices with 64, 1000 and 64
+// hubs, under both NNN kernels and the fused loop: every count must
+// match a scratch-free merge-join count exactly in every class, and
+// that count's HNN must match a merge-join HNN reference. The
+// vertex bitmaps and the dense-row slab grow to the largest graph and
+// stay there, so the final small graph runs on bitmaps four times
+// wider than it needs and lays its one-word dense rows out again in a
+// slab last filled with 16-word rows.
 func TestCountScratchReuseAcrossGraphs(t *testing.T) {
 	scratch := NewCountScratch()
-	for i, scale := range []uint{10, 14, 10} {
-		g := gen.RMAT(gen.DefaultRMAT(scale, 8, int64(20+i)))
-		lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
+	slabCap := 0
+	for i, c := range []struct {
+		scale uint
+		hubs  int
+	}{{10, 64}, {14, 1000}, {10, 64}} {
+		g := gen.RMAT(gen.DefaultRMAT(c.scale, 8, int64(20+i)))
+		lg := Preprocess(g, Options{HubCount: c.hubs, Pool: pool})
 		want := lg.CountWithOptions(pool, CountOptions{Intersect: IntersectMerge})
+		if ref := hnnReference(lg); want.HNN != ref {
+			t.Fatalf("scale %d hubs %d: HNN = %d, merge-join reference %d", c.scale, c.hubs, want.HNN, ref)
+		}
 		for _, opt := range []CountOptions{
 			{},
 			{Intersect: IntersectMerge},
 			{FuseHNNAndNNN: true},
 		} {
+			m := obs.New()
 			opt.Scratch = scratch
+			opt.Metrics = m
 			got := lg.CountWithOptions(pool, opt)
 			if got.Total != want.Total || got.HHH != want.HHH || got.HHN != want.HHN ||
 				got.HNN != want.HNN || got.NNN != want.NNN {
-				t.Fatalf("scale %d %+v: count = %d (%d/%d/%d/%d), want %d (%d/%d/%d/%d)",
-					scale, opt, got.Total, got.HHH, got.HHN, got.HNN, got.NNN,
+				t.Fatalf("scale %d hubs %d %+v: count = %d (%d/%d/%d/%d), want %d (%d/%d/%d/%d)",
+					c.scale, c.hubs, opt, got.Total, got.HHH, got.HHN, got.HNN, got.NNN,
 					want.Total, want.HHH, want.HHN, want.HNN, want.NNN)
 			}
+			if m.Get(obs.HNNDenseRows) == 0 || m.Get(obs.HNNDispatchWords) == 0 {
+				t.Fatalf("scale %d hubs %d: %d dense rows, %d probed word-wise; the test needs both above 0",
+					c.scale, c.hubs, m.Get(obs.HNNDenseRows), m.Get(obs.HNNDispatchWords))
+			}
 		}
+		if cap(scratch.dense.slab) < slabCap {
+			t.Errorf("scale %d hubs %d: dense-row slab shrank from %d to %d words", c.scale, c.hubs, slabCap, cap(scratch.dense.slab))
+		}
+		slabCap = cap(scratch.dense.slab)
 		wide := 0
 		for w := 0; w < pool.Workers(); w++ {
 			wide = max(wide, len(*scratch.verts.Get(w)))
 		}
 		if wide < 1<<14/64 && i > 0 {
-			t.Errorf("scale %d: widest vertex bitmap %d words, want the 2^14 graph's %d kept", scale, wide, 1<<14/64)
+			t.Errorf("scale %d: widest vertex bitmap %d words, want the 2^14 graph's %d kept", c.scale, wide, 1<<14/64)
 		}
 	}
 }

@@ -42,9 +42,9 @@ type Options struct {
 	// GOMAXPROCS pool.
 	Pool *sched.Pool
 	// Metrics, when non-nil, receives the preprocessing counters
-	// (preprocess.ns, preprocess.relabel.ns, lotus.hubs,
-	// lotus.he_edges, lotus.nhe_edges, lotus.h2h_bits — names in
-	// DESIGN.md).
+	// (preprocess.ns, preprocess.relabel.ns, preprocess.walk.count.ns,
+	// preprocess.walk.fill.ns, lotus.hubs, lotus.he_edges,
+	// lotus.nhe_edges, lotus.h2h_bits — names in DESIGN.md).
 	Metrics *obs.Metrics
 }
 
@@ -200,7 +200,7 @@ func TryPreprocess(g *graph.Graph, opt Options) (*LotusGraph, error) {
 	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
 	relabel := time.Since(t0)
 	h2h := bitarray.NewTri(hubCount)
-	he, nhe := buildRows(g, opt.pool(), ra, hubCount, VertexRange{Hi: uint32(n)}, h2h.Rows())
+	he, nhe := buildRows(g, opt.pool(), ra, hubCount, VertexRange{Hi: uint32(n)}, h2h.Rows(), opt.Metrics)
 	lg := &LotusGraph{
 		HubCount:       hubCount,
 		H2H:            h2h,

@@ -7,6 +7,8 @@ import (
 
 	"lotustc/internal/bitarray"
 	"lotustc/internal/graph"
+	"lotustc/internal/intersect"
+	"lotustc/internal/obs"
 	"lotustc/internal/sched"
 )
 
@@ -80,14 +82,20 @@ func (s *LotusShard) TopologyBytes() int64 {
 // every hub-to-hub edge whose higher end lies in r; h2h must hold
 // those rows. Pass 1 counts each row's hub and non-hub neighbours;
 // pass 2 writes them, sets the H2H bits and sorts each row in
-// setEdges fashion. IDs are mapped through ra on the fly rather than
-// through a materialized relabeled graph (TryPreprocessMaterialize),
-// and every original vertex is visited even for a narrow range: the
-// relabeling scatters a range's rows across the original ID space.
-func buildRows(g *graph.Graph, pool *sched.Pool, ra []uint32, hubCount uint32, r VertexRange, h2h *bitarray.TriRows) (*HE16, *NHE32) {
-	m := r.Len()
-	heCnt := make([]int64, m+1)
-	nheCnt := make([]int64, m+1)
+// setEdges fashion. A dense HE row (denseRowMin) is sorted by marking
+// it in the worker's hub bitmap and draining the ⌈H/64⌉ words back in
+// order; shorter rows and NHE rows are comparison-sorted. IDs are
+// mapped through ra on the fly rather than through a materialized
+// relabeled graph (TryPreprocessMaterialize), and every original
+// vertex is visited even for a narrow range: the relabeling scatters
+// a range's rows across the original ID space. The wall times of the
+// two passes go to m as preprocess.walk.count.ns and
+// preprocess.walk.fill.ns.
+func buildRows(g *graph.Graph, pool *sched.Pool, ra []uint32, hubCount uint32, r VertexRange, h2h *bitarray.TriRows, m *obs.Metrics) (*HE16, *NHE32) {
+	t0 := time.Now()
+	rows := r.Len()
+	heCnt := make([]int64, rows+1)
+	nheCnt := make([]int64, rows+1)
 	pool.For(len(ra), 0, func(_, start, end int) {
 		for vOld := start; vOld < end; vOld++ {
 			if pool.Cancelled() {
@@ -113,14 +121,19 @@ func buildRows(g *graph.Graph, pool *sched.Pool, ra []uint32, hubCount uint32, r
 			nheCnt[vNew-r.Lo+1] = nhe
 		}
 	})
-	for v := 0; v < m; v++ {
+	for v := 0; v < rows; v++ {
 		heCnt[v+1] += heCnt[v]
 		nheCnt[v+1] += nheCnt[v]
 	}
-	he := &HE16{offsets: heCnt, nbrs: make([]uint16, heCnt[m])}
-	nhe := &NHE32{offsets: nheCnt, nbrs: make([]uint32, nheCnt[m])}
+	he := &HE16{offsets: heCnt, nbrs: make([]uint16, heCnt[rows])}
+	nhe := &NHE32{offsets: nheCnt, nbrs: make([]uint32, nheCnt[rows])}
+	t1 := time.Now()
+	m.AddDuration(obs.PreprocessWalkCountNS, t1.Sub(t0))
 
-	pool.For(len(ra), 0, func(_, start, end int) {
+	words := hubWords(hubCount)
+	minDense := denseRowMin(hubCount)
+	bms := sched.NewWorkerLocal(pool.Workers(), func() *intersect.HubBitmap { return new(intersect.HubBitmap) })
+	pool.For(len(ra), 0, func(worker, start, end int) {
 		for vOld := start; vOld < end; vOld++ {
 			if pool.Cancelled() {
 				return
@@ -148,10 +161,17 @@ func buildRows(g *graph.Graph, pool *sched.Pool, ra []uint32, hubCount uint32, r
 					nw++
 				}
 			}
-			slices.Sort(he.nbrs[he.offsets[local]:hw])
+			if row := he.nbrs[he.offsets[local]:hw]; len(row) >= minDense {
+				bm := bms.Get(worker)
+				bm.Mark(row)
+				bm.Drain(row, words)
+			} else {
+				slices.Sort(row)
+			}
 			slices.Sort(nhe.nbrs[nhe.offsets[local]:nw])
 		}
 	})
+	m.AddDuration(obs.PreprocessWalkFillNS, time.Since(t1))
 	return he, nhe
 }
 
@@ -218,7 +238,7 @@ func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange)
 	hubCount := uint32(opt.EffectiveHubCount(n))
 	hubHi := min(r.Hi, hubCount)
 	h2h := bitarray.NewTriRows(min(r.Lo, hubHi), hubHi)
-	he, nhe := buildRows(g, opt.pool(), ra, hubCount, r, h2h)
+	he, nhe := buildRows(g, opt.pool(), ra, hubCount, r, h2h, opt.Metrics)
 	return &LotusShard{
 		Range:          r,
 		HubCount:       hubCount,

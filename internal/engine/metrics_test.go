@@ -30,7 +30,9 @@ func TestRunCollectMetricsLotus(t *testing.T) {
 		"lotus.hubs", "lotus.he_edges", "lotus.nhe_edges", "lotus.h2h_bits",
 		"phase1.tiles", "phase1.h2h_probes", "phase1.polls",
 		"phase1.claims", "phase1.steals",
+		obs.PreprocessWalkCountNS, obs.PreprocessWalkFillNS,
 		"hnn.he_intersections", "hnn.polls", "hnn.claims", "hnn.dispatch.bitmap",
+		obs.HNNDispatchWords, obs.HNNDenseRows,
 		"nnn.nhe_intersections", "nnn.polls", "nnn.claims", "nnn.dispatch.bitmap",
 	}
 	for _, name := range required {

@@ -233,33 +233,6 @@ func (g *Graph) Relabel(ra []uint32) *Graph {
 	return &Graph{offsets: offsets, nbrs: nbrs}
 }
 
-// Induced returns the sub-graph induced by the given vertex set,
-// with vertices renumbered 0..len(vs)-1 in the order given. Requires
-// a symmetric input (the result is symmetric). Duplicate entries in
-// vs panic, as they would silently alias rows.
-func (g *Graph) Induced(vs []uint32) *Graph {
-	if g.Oriented {
-		panic("graph: Induced requires a symmetric graph")
-	}
-	idx := make(map[uint32]uint32, len(vs))
-	for i, v := range vs {
-		if _, dup := idx[v]; dup {
-			panic("graph: Induced vertex set has duplicates")
-		}
-		idx[v] = uint32(i)
-	}
-	var edges []Edge
-	for _, v := range vs {
-		nv := idx[v]
-		for _, u := range g.Neighbors(v) {
-			if nu, ok := idx[u]; ok && nu > nv {
-				edges = append(edges, Edge{U: nv, V: nu})
-			}
-		}
-	}
-	return FromEdges(edges, BuildOptions{NumVertices: len(vs)})
-}
-
 // GiniOfDegrees returns the Gini coefficient of the degree
 // distribution, a convenient scalar skewness measure used by tests and
 // the harness to separate power-law from uniform generators.

@@ -306,34 +306,6 @@ func TestGiniOfDegrees(t *testing.T) {
 	}
 }
 
-func TestInduced(t *testing.T) {
-	g := paperExample()
-	// Hubs {0,1} plus vertices 3,4: edges 0-1, 0-3, 0-4, 1-3, 1-4.
-	sub := g.Induced([]uint32{0, 1, 3, 4})
-	if sub.NumVertices() != 4 || sub.NumEdges() != 5 {
-		t.Fatalf("induced V=%d E=%d, want 4/5", sub.NumVertices(), sub.NumEdges())
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Reordered vertex set must renumber accordingly: vs[0] -> 0.
-	sub2 := g.Induced([]uint32{4, 0})
-	if !sub2.HasEdge(0, 1) {
-		t.Fatal("edge 4-0 missing after renumber")
-	}
-	// Empty set.
-	if g.Induced(nil).NumVertices() != 0 {
-		t.Fatal("empty induced sub-graph")
-	}
-	// Duplicates panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for duplicates")
-		}
-	}()
-	g.Induced([]uint32{1, 1})
-}
-
 func TestNewPanicsOnMalformed(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

@@ -6,6 +6,8 @@
 // (v,u) edge in the Forward algorithm.
 package intersect
 
+import "math/bits"
+
 // Merge counts |a ∩ b| with a linear merge join. This is the kernel
 // the paper uses for the HNN and NNN phases (§4.4.3): neighbour lists
 // of non-hubs are short, so the branchy but allocation-free merge
@@ -285,8 +287,35 @@ func (b *HubBitmap) Count(hs []uint16) uint64 {
 	return n
 }
 
+// CountWords returns how many hubs of a row given as a bitset over
+// the words [0, len(row)) are marked: Σ popcount(b[j] & row[j]), one
+// AND and popcount per 64 hubs instead of one probe per list element.
+func (b *HubBitmap) CountWords(row []uint64) uint64 {
+	bs := b[:len(row)]
+	var n int
+	for j, w := range row {
+		n += bits.OnesCount64(bs[j] & w)
+	}
+	return uint64(n)
+}
+
 // Has reports whether hub h is marked.
 func (b *HubBitmap) Has(h uint16) bool { return b[h>>6]>>(h&63)&1 != 0 }
+
+// Drain writes the marked hubs of words [0, words) to dst in
+// ascending order and zeroes those words: marking a row of distinct
+// hubs and draining it sorts the row in O(len + words). dst must hold
+// exactly the marked count.
+func (b *HubBitmap) Drain(dst []uint16, words int) {
+	i := 0
+	for w, x := range b[:words] {
+		for ; x != 0; x &= x - 1 {
+			dst[i] = uint16(w<<6 | bits.TrailingZeros64(x))
+			i++
+		}
+		b[w] = 0
+	}
+}
 
 // Clear undoes Mark(hs). It zeroes whole words, so it restores the
 // all-zero invariant only when hs was the sole marked row — costing

@@ -18,6 +18,13 @@ const (
 	// HNNDispatchBitmap counts HE rows probed against the per-worker
 	// hub bitmap in the HNN phase (flat, blocked, fused and sharded).
 	HNNDispatchBitmap = "hnn.dispatch.bitmap"
+	// HNNDispatchWords counts the part of those rows that was dense
+	// (at least 2·⌈H/64⌉ hubs) and so was probed word-wise against the
+	// dense-row index, one AND and popcount per 64 hubs.
+	HNNDispatchWords = "hnn.dispatch.words"
+	// HNNDenseRows is the number of dense non-hub HE rows the HNN phase
+	// indexed as ⌈H/64⌉-word bitsets before probing.
+	HNNDenseRows = "hnn.dense_rows"
 	// HNNDispatchMerge / HNNDispatchGallop are retired: HNN no longer
 	// dispatches between merge join and galloping search, so nothing
 	// publishes them. The constants stay for readers of older reports.
@@ -104,6 +111,12 @@ const (
 	// (degree ranking plus front block): part of preprocess.ns on the
 	// flat LOTUS build and of shard.preprocess.ns on a sharded one.
 	PreprocessRelabelNS = "preprocess.relabel.ns"
+	// PreprocessWalkCountNS and PreprocessWalkFillNS are the wall
+	// times of the Algorithm 2 walk's two passes: counting each row's
+	// hub and non-hub neighbours, then filling and sorting the rows
+	// and setting the H2H bits.
+	PreprocessWalkCountNS = "preprocess.walk.count.ns"
+	PreprocessWalkFillNS  = "preprocess.walk.fill.ns"
 )
 
 // Counter names of the serving layer's graph cache.

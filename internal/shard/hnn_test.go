@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lotustc/internal/core"
@@ -72,7 +73,10 @@ func bruteForceClasses(g *graph.Graph, relabel []uint32, hubCount uint32) (class
 // the 2^16 cap (clamped to |V|), and 1, 2 and 4 workers. The flat,
 // blocked and fused counts share one CountScratch per worker count,
 // so a bitmap left dirty by any count (of any graph or hub count)
-// would corrupt a later one. `make check` runs it with -race.
+// would corrupt a later one. The flat count must index dense HE rows
+// (hnn.dense_rows) on R-MAT at 63 to 65 hubs, where rows of two or
+// four hubs are dense, and none on a ring, whose rows hold at most two
+// hubs and never two below a non-hub. `make check` runs it with -race.
 func TestHNNBitmapEquivalence(t *testing.T) {
 	scratch := map[int]*core.CountScratch{}
 	for _, w := range []int{1, 2, 4} {
@@ -86,6 +90,7 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 		}
 		graphs[fmt.Sprintf("er-%d", n)] = g
 	}
+	graphs["ring-200"] = gen.Ring(200)
 	kernels := []core.IntersectKernel{core.IntersectBitmap, core.IntersectMerge}
 	for name, g := range graphs {
 		seen := map[int]bool{}
@@ -121,10 +126,22 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 						"blocked": {HNNBlocks: 4},
 						"fused":   {FuseHNNAndNNN: true},
 					} {
+						m := obs.New()
 						opt.Scratch = scratch[workers]
 						opt.Intersect = k
+						opt.Metrics = m
 						r := lg.CountWithOptions(pool, opt)
 						check(path+" "+k.String(), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
+						dense, words := m.Get(obs.HNNDenseRows), m.Get(obs.HNNDispatchWords)
+						switch {
+						case strings.HasPrefix(name, "rmat") && eff >= 63 && eff <= 65 && dense == 0:
+							t.Errorf("%s hubs=%d %s: no dense HE rows indexed", name, eff, path)
+						case strings.HasPrefix(name, "ring") && dense != 0:
+							t.Errorf("%s hubs=%d %s: %d dense HE rows on a ring", name, eff, path, dense)
+						case words > m.Get(obs.HNNDispatchBitmap) || (words > 0 && dense == 0):
+							t.Errorf("%s hubs=%d %s: %d rows probed word-wise of %d, with %d dense rows",
+								name, eff, path, words, m.Get(obs.HNNDispatchBitmap), dense)
+						}
 					}
 					for p := 1; p <= 4; p++ {
 						m := obs.New()

@@ -119,41 +119,30 @@ func ComputeProbe(g *graph.Graph, hubCount int, pool *sched.Pool) Probe {
 	chunks := probeChunks(n, pool.Workers())
 	nc := len(chunks)
 
-	// Degree histogram, built per chunk (growing each chunk's bins to
-	// its local max) and merged: the O(|V| + max-degree) spine of the
-	// skew and hub threshold computations, one pass over the degrees.
+	// Degree histogram, built per chunk with bins sized once from the
+	// maximum degree and merged into the last chunk's (the tie quota
+	// below reads only the earlier chunks' own): the O(|V| +
+	// max-degree) spine of the skew and hub threshold computations.
+	maxDeg := g.MaxDegree()
+	p.MaxDegree = int64(maxDeg)
 	histPer := make([][]int64, nc)
 	pool.For(nc, 1, func(_, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			if pool.Cancelled() {
 				return
 			}
-			h := make([]int64, 256)
+			h := make([]int64, maxDeg+1)
 			for v := chunks[c][0]; v < chunks[c][1]; v++ {
-				d := g.Degree(uint32(v))
-				for d >= len(h) {
-					h = append(h[:cap(h)], make([]int64, cap(h))...)
-				}
-				h[d]++
+				h[g.Degree(uint32(v))]++
 			}
 			histPer[c] = h
 		}
 	})
-	maxDeg := 0
-	for _, h := range histPer {
-		for d := len(h) - 1; d > maxDeg; d-- {
-			if h[d] != 0 {
-				maxDeg = d
-				break
-			}
-		}
+	if pool.Cancelled() {
+		return p
 	}
-	p.MaxDegree = int64(maxDeg)
-	hist := make([]int64, maxDeg+1)
-	for _, h := range histPer {
-		if len(h) > maxDeg+1 {
-			h = h[:maxDeg+1]
-		}
+	hist := histPer[nc-1]
+	for _, h := range histPer[:nc-1] {
 		for d, c := range h {
 			hist[d] += c
 		}
