@@ -26,9 +26,9 @@ check:
 	$(GO) test -race ./internal/faults/
 	$(GO) test -race ./internal/approx/
 	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestStreaming' ./internal/core/
-	# Every HNN and NNN path (flat, blocked, fused, sharded p=1..4,
-	# per-vertex; both NNN kernels) against a brute-force oracle,
-	# racing the per-worker hub and vertex bitmaps; the bitmap-vs-merge
+	# Every HNN and NNN path (flat, sharded p=1..4, per-vertex; both
+	# NNN kernels) against a brute-force oracle, racing the per-worker
+	# hub and vertex bitmaps; the bitmap-vs-merge
 	# NNN equivalence with its dispatch counters; cancellation mid-HNN
 	# and mid-NNN leaving every bitmap clear; one CountScratch reused
 	# across graph sizes and hub counts (so the dense-row slab is laid

@@ -200,26 +200,18 @@ func BenchmarkTable8H2H(b *testing.B) {
 	b.ReportMetric(density/float64(b.N), "density-%")
 }
 
-// BenchmarkTable9Tiling times phase 1 under the two partitioners and
-// reports their imbalance ratios (the Table 9 comparison).
+// BenchmarkTable9Tiling times phase 1 under squared-edge tiling and
+// reports its imbalance ratio (Table 9; the edge-balanced side is
+// simulated by the table9 experiment).
 func BenchmarkTable9Tiling(b *testing.B) {
 	g := benchGraph()
 	pool := sched.NewPool(0)
 	lg := core.Preprocess(g, core.Options{Pool: pool})
 	thr := harness.DefaultTileThresholdForSuite(benchSuite)
-	b.Run("EdgeBalanced", func(b *testing.B) {
-		var imb float64
-		for i := 0; i < b.N; i++ {
-			res := lg.CountWithOptions(pool, core.CountOptions{Partitioner: core.EdgeBalanced, TileThreshold: thr})
-			imb += res.Phase1Load.ImbalanceRatio()
-			benchSink += res.Total
-		}
-		b.ReportMetric(imb/float64(b.N), "max/mean-busy")
-	})
 	b.Run("SquaredEdgeTiling", func(b *testing.B) {
 		var imb float64
 		for i := 0; i < b.N; i++ {
-			res := lg.CountWithOptions(pool, core.CountOptions{Partitioner: core.SquaredEdgeTiling, TileThreshold: thr})
+			res := lg.CountWithOptions(pool, core.CountOptions{TileThreshold: thr})
 			imb += res.Phase1Load.ImbalanceRatio()
 			benchSink += res.Total
 		}
@@ -266,23 +258,6 @@ func BenchmarkAblationRelabel(b *testing.B) {
 			gd := g.Relabel(reorder.DegreeOrder(g))
 			lg := core.Preprocess(gd, core.Options{Pool: pool})
 			benchSink += lg.Count(pool).Total
-		}
-	})
-}
-
-// BenchmarkAblationFusedLoops compares split vs fused HNN/NNN (§4.5).
-func BenchmarkAblationFusedLoops(b *testing.B) {
-	g := benchGraph()
-	pool := sched.NewPool(0)
-	lg := core.Preprocess(g, core.Options{Pool: pool})
-	b.Run("Split", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += lg.CountWithOptions(pool, core.CountOptions{}).Total
-		}
-	})
-	b.Run("Fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += lg.CountWithOptions(pool, core.CountOptions{FuseHNNAndNNN: true}).Total
 		}
 	})
 }
@@ -386,25 +361,6 @@ func BenchmarkExtensionApprox(b *testing.B) {
 	b.Run("hybrid-p0.3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink += uint64(approx.Hybrid(g, 0.3, int64(i), core.Options{Pool: pool}, pool).Estimate)
-		}
-	})
-}
-
-// BenchmarkSchedulers compares the shared-counter self-scheduler
-// against the Chase-Lev work-stealing deques on phase 1.
-func BenchmarkSchedulers(b *testing.B) {
-	g := benchGraph()
-	pool := sched.NewPool(0)
-	lg := core.Preprocess(g, core.Options{Pool: pool})
-	thr := harness.DefaultTileThresholdForSuite(benchSuite)
-	b.Run("SharedCounter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += lg.CountWithOptions(pool, core.CountOptions{TileThreshold: thr}).Total
-		}
-	})
-	b.Run("WorkStealing", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += lg.CountWithOptions(pool, core.CountOptions{TileThreshold: thr, WorkStealing: true}).Total
 		}
 	})
 }

@@ -63,3 +63,17 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestRemovedExperimentsRejected: the experiments of the retired fused
+// and blocked HNN loops are unknown IDs (exit 2) and print no table.
+func TestRemovedExperimentsRejected(t *testing.T) {
+	for _, id := range []string{"ablation-fused", "ext-hnnblock"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-exp", id, "-scale", "8", "-edgefactor", "6"}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", id, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: experiment ran anyway: %q", id, stdout.String())
+		}
+	}
+}

@@ -152,7 +152,7 @@ func TestJSONReport(t *testing.T) {
 	if rr.Classes == nil {
 		t.Error("class split missing")
 	}
-	for _, name := range []string{"phase1.steals", "phase1.h2h_probes", "hnn.he_intersections",
+	for _, name := range []string{"phase1.claims", "phase1.h2h_probes", "hnn.he_intersections",
 		"nnn.nhe_intersections", "lotus.h2h_bits", "run.workers"} {
 		if _, ok := rr.Metrics[name]; !ok {
 			t.Errorf("metric %q missing from JSON report", name)

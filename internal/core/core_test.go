@@ -179,18 +179,15 @@ func TestValidateAfterPreprocess(t *testing.T) {
 	}
 }
 
+// TestPartitionersAgree: phase 1 split into squared-edge pair tiles
+// counts what the untiled (huge threshold) partition counts.
 func TestPartitionersAgree(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(11, 8, 7))
 	lg := Preprocess(g, Options{HubCount: 128, Pool: pool})
-	want := lg.CountWithOptions(pool, CountOptions{Partitioner: SquaredEdgeTiling, TileThreshold: 8}).Total
-	got := lg.CountWithOptions(pool, CountOptions{Partitioner: EdgeBalanced, TileThreshold: 8}).Total
+	want := lg.CountWithOptions(pool, CountOptions{TileThreshold: 8}).Total
+	got := lg.CountWithOptions(pool, CountOptions{TileThreshold: 1 << 30}).Total
 	if got != want {
-		t.Fatalf("edge-balanced %d != squared %d", got, want)
-	}
-	// Also with tiling disabled (huge threshold).
-	got2 := lg.CountWithOptions(pool, CountOptions{TileThreshold: 1 << 30}).Total
-	if got2 != want {
-		t.Fatalf("untiled %d != tiled %d", got2, want)
+		t.Fatalf("untiled %d != tiled %d", got, want)
 	}
 }
 
@@ -201,26 +198,22 @@ func TestTilesCoverAllPairs(t *testing.T) {
 	lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
 	want := lg.CountWithOptions(pool, CountOptions{TileThreshold: 1 << 30}).Total
 	for _, tiles := range []int{1, 2, 3, 5, 16, 64} {
-		for _, part := range []Partitioner{SquaredEdgeTiling, EdgeBalanced} {
-			res := lg.CountWithOptions(pool, CountOptions{
-				Partitioner: part, TileThreshold: 2, TilesPerVertex: tiles,
-			})
-			if res.Total != want {
-				t.Errorf("%v tiles=%d: %d, want %d", part, tiles, res.Total, want)
-			}
+		res := lg.CountWithOptions(pool, CountOptions{TileThreshold: 2, TilesPerVertex: tiles})
+		if res.Total != want {
+			t.Errorf("tiles=%d: %d, want %d", tiles, res.Total, want)
 		}
 	}
 }
 
 // tilePairWork computes the per-tile pair work (sum of h1 indices)
-// for a degree-d vertex split into p tiles under the given policy,
-// mirroring the boundaries phase1Tiles generates.
-func tilePairWork(d, p int, part Partitioner) []uint64 {
+// for a degree-d vertex split into p tiles, at the squared boundaries
+// phase1Tiles generates or at equal-neighbour-count boundaries.
+func tilePairWork(d, p int, squared bool) []uint64 {
 	work := make([]uint64, 0, p)
 	var prev uint32
 	for k := 1; k <= p; k++ {
 		var hi uint32
-		if part == SquaredEdgeTiling {
+		if squared {
 			hi = uint32(float64(d) * math.Sqrt(float64(k)/float64(p)))
 		} else {
 			hi = uint32(d * k / p)
@@ -243,8 +236,8 @@ func TestSquaredTilingBalancesWork(t *testing.T) {
 	// sit at 1000*sqrt(k/4) = 0,500,707,866,1000; each tile's pair
 	// work must be near-equal, while equal-neighbour-count tiles are
 	// skewed ~7x (last tile has 750^2-ish more pairs than the first).
-	sq := tilePairWork(1000, 4, SquaredEdgeTiling)
-	eb := tilePairWork(1000, 4, EdgeBalanced)
+	sq := tilePairWork(1000, 4, true)
+	eb := tilePairWork(1000, 4, false)
 	maxMin := func(w []uint64) (uint64, uint64) {
 		mx, mn := w[0], w[0]
 		for _, x := range w {
@@ -318,56 +311,6 @@ func TestPaperTilingExample(t *testing.T) {
 		if d < -1 || d > 1 {
 			t.Fatalf("border %d = %d, want %d±1", i, borders[i], want[i])
 		}
-	}
-}
-
-func TestWorkStealingSchedulerMatches(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(10, 8, 6))
-	lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
-	want := lg.CountWithOptions(pool, CountOptions{})
-	got := lg.CountWithOptions(pool, CountOptions{WorkStealing: true, TileThreshold: 8})
-	if got.Total != want.Total || got.HHH != want.HHH || got.HHN != want.HHN {
-		t.Fatalf("stealing scheduler: (%d,%d,%d), want (%d,%d,%d)",
-			got.Total, got.HHH, got.HHN, want.Total, want.HHH, want.HHN)
-	}
-	if len(got.Phase1Load.Busy) == 0 {
-		t.Fatal("stealing load report missing")
-	}
-}
-
-func TestHNNBlockedMatches(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"rmat":      gen.RMAT(gen.DefaultRMAT(10, 8, 9)),
-		"hubspokes": gen.HubAndSpokes(8, 300, 3, 1),
-		"k24":       gen.Complete(24),
-		"er":        gen.ErdosRenyi(500, 3000, 2),
-	}
-	for name, g := range graphs {
-		lg := Preprocess(g, Options{HubCount: 8, Pool: pool})
-		want := lg.CountWithOptions(pool, CountOptions{})
-		for _, blocks := range []int{2, 3, 7, 16} {
-			got := lg.CountWithOptions(pool, CountOptions{HNNBlocks: blocks})
-			if got.Total != want.Total || got.HNN != want.HNN {
-				t.Errorf("%s blocks=%d: (%d,%d), want (%d,%d)",
-					name, blocks, got.Total, got.HNN, want.Total, want.HNN)
-			}
-		}
-	}
-	// All-hub graph: no non-hubs, blocked path must not divide by zero.
-	lgAll := Preprocess(gen.Complete(6), Options{HubCount: 6, Pool: pool})
-	if r := lgAll.CountWithOptions(pool, CountOptions{HNNBlocks: 4}); r.Total != 20 {
-		t.Fatalf("all-hub blocked count = %d", r.Total)
-	}
-}
-
-func TestFusedMatchesSplit(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(10, 8, 9))
-	lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
-	split := lg.CountWithOptions(pool, CountOptions{})
-	fused := lg.CountWithOptions(pool, CountOptions{FuseHNNAndNNN: true})
-	if split.Total != fused.Total || split.HNN != fused.HNN || split.NNN != fused.NNN {
-		t.Fatalf("fused (%d,%d,%d) != split (%d,%d,%d)",
-			fused.Total, fused.HNN, fused.NNN, split.Total, split.HNN, split.NNN)
 	}
 }
 

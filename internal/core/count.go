@@ -9,59 +9,15 @@ import (
 	"lotustc/internal/sched"
 )
 
-// Partitioner selects the load-balancing policy for the quadratic
-// HHH/HHN phase (§4.6, Table 9).
-type Partitioner int
-
-const (
-	// SquaredEdgeTiling splits a high-degree vertex's pair work at
-	// boundaries i_k ≈ d·sqrt(k/p), equalizing work complexity.
-	SquaredEdgeTiling Partitioner = iota
-	// EdgeBalanced splits a high-degree vertex's neighbours into
-	// equal-count ranges, the [67]/[79] policy the paper compares
-	// against; tiles near the end of the list carry quadratically
-	// more work.
-	EdgeBalanced
-)
-
-// String names the partitioner.
-func (p Partitioner) String() string {
-	if p == SquaredEdgeTiling {
-		return "squared-edge-tiling"
-	}
-	return "edge-balanced"
-}
-
 // CountOptions tune the counting phases.
 type CountOptions struct {
-	// Partitioner for phase 1 (default SquaredEdgeTiling).
-	Partitioner Partitioner
 	// TileThreshold: vertices with more than this many hub
-	// neighbours are tiled (paper: 512).
+	// neighbours are split into squared-edge pair tiles (§4.6; paper:
+	// 512).
 	TileThreshold int
-	// TilesPerVertex: number of partitions per tiled vertex
-	// (paper: 2 × #threads). Zero picks 2 × pool workers. For the
-	// EdgeBalanced policy the paper uses 256 × #threads partitions
-	// across all edges; we apply the same per-vertex tile count for
-	// a like-for-like comparison and report idle time.
+	// TilesPerVertex: number of pair tiles per tiled vertex (paper:
+	// 2 × #threads). Zero picks 2 × pool workers.
 	TilesPerVertex int
-	// FuseHNNAndNNN runs the HNN and NNN loops fused in a single
-	// traversal of NHE — the alternative §4.5 argues against;
-	// exposed for the ablation benchmark.
-	FuseHNNAndNNN bool
-	// WorkStealing schedules the phase-1 tiles on per-worker
-	// Chase-Lev deques with stealing (the paper's runtime model,
-	// §5.1.3) instead of the shared-counter self-scheduler. Results
-	// are identical; only the scheduling differs.
-	WorkStealing bool
-	// HNNBlocks > 0 enables the §7 future-work blocking for the HNN
-	// phase: the non-hub ID range is split into that many blocks and
-	// the NHE sub-graph is traversed once per block, intersecting
-	// only with neighbours u inside the block. The random HE-row
-	// accesses of each pass are then confined to one block's rows,
-	// shrinking the randomly-accessed working set at the cost of
-	// re-streaming NHE per block.
-	HNNBlocks int
 	// SkipNNN suppresses phase 3. CountRecursive replaces it with a
 	// recursive LOTUS split of the non-hub sub-graph; the approx
 	// package replaces it with sampling (§6.2).
@@ -77,10 +33,10 @@ type CountOptions struct {
 	Intersect IntersectKernel
 	// Metrics, when non-nil, receives the per-phase observability
 	// counters (phase timings, tile/probe/intersection counts,
-	// scheduler claims and steals, cancellation polls — names in
-	// DESIGN.md). Counts are accumulated worker-locally and published
-	// in bulk at phase boundaries, so a nil Metrics costs nothing on
-	// the hot path.
+	// scheduler claims, cancellation polls — names in DESIGN.md).
+	// Counts are accumulated worker-locally and published in bulk at
+	// phase boundaries, so a nil Metrics costs nothing on the hot
+	// path.
 	Metrics *obs.Metrics
 	// Scratch, when non-nil, supplies reusable kernel scratch so a
 	// resident service's warm counts stop allocating phase-1/HNN hub
@@ -162,8 +118,9 @@ func (lg *LotusGraph) Count(pool *sched.Pool) *Result {
 
 // CountWithOptions runs Algorithm 3: phase 1 counts HHH and HHN
 // triangles against the H2H bit array, phase 2 counts HNN triangles
-// by intersecting 16-bit HE rows, and phase 3 counts NNN triangles by
-// intersecting NHE rows against a per-worker vertex bitmap.
+// by intersecting 16-bit HE rows, and phase 3 (unless SkipNNN) counts
+// NNN triangles by intersecting NHE rows against a per-worker vertex
+// bitmap.
 func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Result {
 	if pool == nil {
 		pool = sched.NewPool(0)
@@ -183,7 +140,6 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	res.Phase1Time = time.Since(t0)
 	m.AddDuration("phase1.ns", res.Phase1Time)
 	m.Add("phase1.claims", res.Phase1Load.Claims)
-	m.Add("phase1.steals", res.Phase1Load.Steals)
 	if pool.Cancelled() {
 		// The run is being torn down: skip the remaining phases; the
 		// engine discards the partial result.
@@ -195,30 +151,13 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	t1 := time.Now()
 	sc.dense.build(pool, lg)
 	m.Add(obs.HNNDenseRows, int64(sc.dense.count))
-	switch {
-	case opt.SkipNNN:
-		res.HNNLoad = lg.countHNN(pool, res, opt, sc)
-		res.HNNTime = time.Since(t1)
-		m.Add("hnn.claims", res.HNNLoad.Claims)
-	case opt.FuseHNNAndNNN:
-		res.HNNLoad = lg.countFused(pool, res, opt, sc)
-		d := time.Since(t1)
-		res.HNNTime, res.NNNTime = d/2, d/2
-		res.NNNLoad = res.HNNLoad
-		// One fused region: its claims are attributed to HNN only.
-		m.Add("hnn.claims", res.HNNLoad.Claims)
-	default:
-		if opt.HNNBlocks > 1 {
-			res.HNNLoad = lg.countHNNBlocked(pool, res, opt, sc)
-		} else {
-			res.HNNLoad = lg.countHNN(pool, res, opt, sc)
-		}
-		res.HNNTime = time.Since(t1)
-		m.Add("hnn.claims", res.HNNLoad.Claims)
+	res.HNN, res.HNNLoad = lg.countHNN(pool, opt, sc)
+	res.HNNTime = time.Since(t1)
+	m.Add("hnn.claims", res.HNNLoad.Claims)
+	if !opt.SkipNNN {
 		if pool.Cancelled() {
 			return res
 		}
-
 		t2 := time.Now()
 		res.NNNLoad = lg.countNNN(pool, res, opt, sc.verts)
 		res.NNNTime = time.Since(t2)
@@ -240,9 +179,10 @@ type tile struct {
 }
 
 // phase1Tiles builds the phase-1 task list. High-degree vertices
-// (HE degree > threshold) become TilesPerVertex pair tiles under the
-// selected policy; the remaining vertices are grouped into ranges of
-// roughly equal pair work.
+// (HE degree > threshold) become TilesPerVertex squared-edge pair
+// tiles with boundaries i_k ≈ d·sqrt(k/p), equalizing pair work
+// (§4.6); the remaining vertices are grouped into ranges of roughly
+// equal pair work.
 func (lg *LotusGraph) phase1Tiles(opt CountOptions, workers int) []tile {
 	n := lg.numVertices
 	var tiles []tile
@@ -278,15 +218,8 @@ func (lg *LotusGraph) phase1Tiles(opt CountOptions, workers int) []tile {
 			flush(v)
 			rangeStart = v + 1
 			for k := 0; k < p; k++ {
-				var lo, hi uint32
-				switch opt.Partitioner {
-				case SquaredEdgeTiling:
-					lo = uint32(float64(d) * sqrtF[k])
-					hi = uint32(float64(d) * sqrtF[k+1])
-				case EdgeBalanced:
-					lo = uint32(d * k / p)
-					hi = uint32(d * (k + 1) / p)
-				}
+				lo := uint32(float64(d) * sqrtF[k])
+				hi := uint32(float64(d) * sqrtF[k+1])
 				if k == p-1 {
 					hi = uint32(d)
 				}
@@ -355,11 +288,7 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched
 	wordRows := sched.NewAccumulator(pool.Workers())
 	scalarRows := sched.NewAccumulator(pool.Workers())
 
-	runTasks := pool.RunTasks
-	if opt.WorkStealing {
-		runTasks = pool.Stealing().RunTasks
-	}
-	report := runTasks(len(tiles), func(worker, ti int) {
+	report := pool.RunTasks(len(tiles), func(worker, ti int) {
 		t := tiles[ti]
 		bm := bms.Get(worker)
 		var localHHH, localHHN, localPolls uint64
@@ -417,68 +346,11 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched
 // 2 bytes per edge (§4.5, Table 2). HE.N_v is marked once in the
 // worker's hub bitmap, every HE.N_u is probed against it (probeHE),
 // and the marks are cleared before the next v. Cancellation is polled
-// before the mark, so the bitmap is all-zero on every exit.
-func (lg *LotusGraph) countHNN(pool *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) sched.LoadReport {
-	var rep sched.LoadReport
-	res.HNN, rep = lg.countHNNRange(pool, opt, sc, 0, uint32(lg.numVertices))
-	return rep
-}
-
-// probeHE counts, over every u in nhe, the hubs of HE.N_u marked in
-// bm. A dense HE.N_u is probed as Σ popcount(bm[j] & row_u[j]) over
-// its dense-index bitset; every other row element by element,
-// branch-free. words counts the rows probed word-wise.
-func (lg *LotusGraph) probeHE(bm *intersect.HubBitmap, dense *denseRows, nhe []uint32) (found, words uint64) {
-	for _, u := range nhe {
-		if row := dense.row(u); row != nil {
-			found += bm.CountWords(row)
-			words++
-		} else {
-			found += bm.Count(lg.HE.Neighbors(u))
-		}
-	}
-	return found, words
-}
-
-// countHNNBlocked is countHNN with the §7 blocking strategy: the
-// non-hub ID space is cut into opt.HNNBlocks contiguous ranges, and
-// each range gets its own NHE traversal that probes only neighbours u
-// inside the range, confining the random HE.N_u loads of a pass to
-// that range's rows.
-func (lg *LotusGraph) countHNNBlocked(pool *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) sched.LoadReport {
-	blocks := opt.HNNBlocks
-	hub := int(lg.HubCount)
-	nonHubs := lg.numVertices - hub
-	var total sched.LoadReport
-	for b := 0; b < blocks && nonHubs > 0 && !pool.Cancelled(); b++ {
-		lo := uint32(hub + b*nonHubs/blocks)
-		hi := uint32(hub + (b+1)*nonHubs/blocks)
-		found, rep := lg.countHNNRange(pool, opt, sc, lo, hi)
-		res.HNN += found
-		total.Wall += rep.Wall
-		total.Claims += rep.Claims
-		total.Steals += rep.Steals
-		if total.Busy == nil {
-			total.Busy = append([]time.Duration(nil), rep.Busy...)
-		} else {
-			for i := range rep.Busy {
-				total.Busy[i] += rep.Busy[i]
-			}
-		}
-	}
-	opt.Metrics.Add("hnn.blocks", int64(blocks))
-	return total
-}
-
-// countHNNRange runs one HNN pass that probes only neighbours u in
-// [lo, hi), publishes its counters and returns its triangle total.
-// NHE rows are sorted, so the qualifying neighbours of each v form a
-// contiguous sub-list located by binary search; a full pass skips the
-// search.
-func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, sc *CountScratch, lo, hi uint32) (uint64, sched.LoadReport) {
+// before the mark, so the bitmap is all-zero on every exit. It
+// publishes its counters and returns its triangle total.
+func (lg *LotusGraph) countHNN(pool *sched.Pool, opt CountOptions, sc *CountScratch) (uint64, sched.LoadReport) {
 	m := opt.Metrics
 	n := lg.numVertices
-	whole := lo == 0 && hi == uint32(n)
 	acc := sched.NewAccumulator(pool.Workers())
 	inter := sched.NewAccumulator(pool.Workers())
 	wordRows := sched.NewAccumulator(pool.Workers())
@@ -496,12 +368,6 @@ func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, sc *Coun
 				continue
 			}
 			nhe := lg.NHE.Neighbors(uint32(v))
-			if !whole {
-				// Branch-free search: a closure-based sort.Search
-				// here costs two indirect calls per vertex per block.
-				a := intersect.LowerBound(nhe, lo)
-				nhe = nhe[a : a+intersect.LowerBound(nhe[a:], hi)]
-			}
 			if len(nhe) == 0 {
 				continue
 			}
@@ -522,6 +388,22 @@ func (lg *LotusGraph) countHNNRange(pool *sched.Pool, opt CountOptions, sc *Coun
 	m.Add(obs.HNNDispatchBitmap, int64(inter.Sum()))
 	m.Add(obs.HNNDispatchWords, int64(wordRows.Sum()))
 	return acc.Sum(), rep
+}
+
+// probeHE counts, over every u in nhe, the hubs of HE.N_u marked in
+// bm. A dense HE.N_u is probed as Σ popcount(bm[j] & row_u[j]) over
+// its dense-index bitset; every other row element by element,
+// branch-free. words counts the rows probed word-wise.
+func (lg *LotusGraph) probeHE(bm *intersect.HubBitmap, dense *denseRows, nhe []uint32) (found, words uint64) {
+	for _, u := range nhe {
+		if row := dense.row(u); row != nil {
+			found += bm.CountWords(row)
+			words++
+		} else {
+			found += bm.Count(lg.HE.Neighbors(u))
+		}
+	}
+	return found, words
 }
 
 // countNNN counts NNN triangles (Alg 3 lines 10-12): the Forward
@@ -562,66 +444,5 @@ func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions, 
 	m.Add("nnn.nhe_intersections", int64(inter.Sum()))
 	m.Add("nnn.polls", int64(polls.Sum()))
 	m.Add(k.DispatchCounter(), int64(inter.Sum()))
-	return rep
-}
-
-// countFused runs the HNN and NNN intersections inside one traversal
-// of NHE — the loop fusion §4.5 rejects because it enlarges the
-// working set of randomly accessed data. Kept for the ablation bench.
-// Each v runs its HNN probes (when it has hub neighbours) and its NNN
-// probes (when its NHE row has at least two entries) back to back,
-// with the same row skips as the unfused loops, so the counters
-// match theirs.
-func (lg *LotusGraph) countFused(pool *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) sched.LoadReport {
-	m := opt.Metrics
-	n := lg.numVertices
-	k := opt.Intersect
-	hnn := sched.NewAccumulator(pool.Workers())
-	nnn := sched.NewAccumulator(pool.Workers())
-	hnnInter := sched.NewAccumulator(pool.Workers())
-	nnnInter := sched.NewAccumulator(pool.Workers())
-	wordRows := sched.NewAccumulator(pool.Workers())
-	polls := sched.NewAccumulator(pool.Workers())
-	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
-		bm := sc.hubs.Get(worker)
-		vbm := vertexBitmap(sc.verts, worker, n)
-		var localHNN, localNNN, localHNNInter, localNNNInter, localWords, localPolls uint64
-		for v := start; v < end; v++ {
-			localPolls++
-			if pool.Cancelled() {
-				break
-			}
-			nv := lg.NHE.Neighbors(uint32(v))
-			if len(nv) == 0 {
-				continue
-			}
-			if hv := lg.HE.Neighbors(uint32(v)); len(hv) > 0 {
-				localHNNInter += uint64(len(nv))
-				bm.Mark(hv)
-				found, words := lg.probeHE(bm, &sc.dense, nv)
-				bm.Clear(hv)
-				localHNN += found
-				localWords += words
-			}
-			if len(nv) >= 2 {
-				localNNNInter += uint64(len(nv))
-				localNNN += k.CountRows(vbm, nv, nv, lg.NHE, 0)
-			}
-		}
-		hnn.Add(worker, localHNN)
-		nnn.Add(worker, localNNN)
-		hnnInter.Add(worker, localHNNInter)
-		nnnInter.Add(worker, localNNNInter)
-		wordRows.Add(worker, localWords)
-		polls.Add(worker, localPolls)
-	})
-	res.HNN = hnn.Sum()
-	res.NNN = nnn.Sum()
-	m.Add("hnn.he_intersections", int64(hnnInter.Sum()))
-	m.Add("nnn.nhe_intersections", int64(nnnInter.Sum()))
-	m.Add("hnn.polls", int64(polls.Sum()))
-	m.Add(obs.HNNDispatchBitmap, int64(hnnInter.Sum()))
-	m.Add(obs.HNNDispatchWords, int64(wordRows.Sum()))
-	m.Add(k.DispatchCounter(), int64(nnnInter.Sum()))
 	return rep
 }

@@ -89,76 +89,50 @@ func TestPhase1KernelEquivalenceTiled(t *testing.T) {
 	lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
 	base := lg.CountWithOptions(pool, CountOptions{Phase1Kernel: Phase1Scalar})
 	for _, k := range []Phase1Kernel{Phase1Word, Phase1Auto} {
-		for _, ws := range []bool{false, true} {
-			got := lg.CountWithOptions(pool, CountOptions{
-				Phase1Kernel: k, TileThreshold: 8, TilesPerVertex: 7, WorkStealing: ws,
-			})
-			if got.HHH != base.HHH || got.HHN != base.HHN || got.Total != base.Total {
-				t.Errorf("kernel=%s stealing=%v: HHH/HHN/Total = %d/%d/%d, want %d/%d/%d",
-					k, ws, got.HHH, got.HHN, got.Total, base.HHH, base.HHN, base.Total)
-			}
+		got := lg.CountWithOptions(pool, CountOptions{Phase1Kernel: k, TileThreshold: 8, TilesPerVertex: 7})
+		if got.HHH != base.HHH || got.HHN != base.HHN || got.Total != base.Total {
+			t.Errorf("kernel=%s: HHH/HHN/Total = %d/%d/%d, want %d/%d/%d",
+				k, got.HHH, got.HHN, got.Total, base.HHH, base.HHN, base.Total)
 		}
 	}
 }
 
 // TestIntersectKernelEquivalence asserts the NNN vertex-bitmap kernel
-// returns the same per-class counts as merge join, over the plain,
-// blocked and fused phase variants, and that the dispatch counters
-// account for every row: one hub-bitmap probe per HE-row intersection,
-// one vertex-bitmap (or, under merge, merge-join) probe per NHE-row
-// intersection, and no retired counter published. The fused loop
-// must report the same intersection counts as the unfused ones.
+// returns the same per-class counts as merge join, and that the
+// dispatch counters account for every row: one hub-bitmap probe per
+// HE-row intersection, one vertex-bitmap (or, under merge, merge-join)
+// probe per NHE-row intersection, and no retired counter published.
 func TestIntersectKernelEquivalence(t *testing.T) {
 	for name, g := range kernelCorpus(t) {
 		lg := Preprocess(g, Options{HubCount: 32, Pool: pool})
-		variants := []CountOptions{
-			{},
-			{HNNBlocks: 4},
-			{FuseHNNAndNNN: true},
+		merge := CountOptions{Intersect: IntersectMerge, Metrics: obs.New()}
+		bitmap := CountOptions{Intersect: IntersectBitmap, Metrics: obs.New()}
+		wantRes := lg.CountWithOptions(pool, merge)
+		gotRes := lg.CountWithOptions(pool, bitmap)
+		if gotRes.HNN != wantRes.HNN || gotRes.NNN != wantRes.NNN || gotRes.Total != wantRes.Total {
+			t.Errorf("%s: bitmap HNN/NNN/Total = %d/%d/%d, merge = %d/%d/%d",
+				name, gotRes.HNN, gotRes.NNN, gotRes.Total, wantRes.HNN, wantRes.NNN, wantRes.Total)
 		}
-		var plain *obs.Metrics
-		for _, v := range variants {
-			merge, bitmap := v, v
-			merge.Intersect = IntersectMerge
-			merge.Metrics = obs.New()
-			bitmap.Intersect = IntersectBitmap
-			bitmap.Metrics = obs.New()
-			wantRes := lg.CountWithOptions(pool, merge)
-			gotRes := lg.CountWithOptions(pool, bitmap)
-			if gotRes.HNN != wantRes.HNN || gotRes.NNN != wantRes.NNN || gotRes.Total != wantRes.Total {
-				t.Errorf("%s %+v: bitmap HNN/NNN/Total = %d/%d/%d, merge = %d/%d/%d",
-					name, v, gotRes.HNN, gotRes.NNN, gotRes.Total, wantRes.HNN, wantRes.NNN, wantRes.Total)
+		for _, c := range []struct {
+			m               *obs.Metrics
+			published, idle string
+		}{
+			{bitmap.Metrics, obs.NNNDispatchBitmap, obs.NNNDispatchMerge},
+			{merge.Metrics, obs.NNNDispatchMerge, obs.NNNDispatchBitmap},
+		} {
+			m := c.m
+			if rows := m.Get(obs.HNNDispatchBitmap); rows != m.Get("hnn.he_intersections") {
+				t.Errorf("%s %s: %d hub-bitmap row probes != %d HE intersections",
+					name, c.published, rows, m.Get("hnn.he_intersections"))
 			}
-			for _, c := range []struct {
-				m               *obs.Metrics
-				published, idle string
-			}{
-				{bitmap.Metrics, obs.NNNDispatchBitmap, obs.NNNDispatchMerge},
-				{merge.Metrics, obs.NNNDispatchMerge, obs.NNNDispatchBitmap},
-			} {
-				m := c.m
-				if rows := m.Get(obs.HNNDispatchBitmap); rows != m.Get("hnn.he_intersections") {
-					t.Errorf("%s %+v: %d hub-bitmap row probes != %d HE intersections",
-						name, v, rows, m.Get("hnn.he_intersections"))
-				}
-				if rows := m.Get(c.published); rows != m.Get("nnn.nhe_intersections") {
-					t.Errorf("%s %+v: %s = %d != %d NHE intersections",
-						name, v, c.published, rows, m.Get("nnn.nhe_intersections"))
-				}
-				snap := m.Snapshot()
-				for _, unpublished := range []string{c.idle, obs.NNNDispatchGallop, obs.HNNDispatchMerge, obs.HNNDispatchGallop} {
-					if _, ok := snap[unpublished]; ok {
-						t.Errorf("%s %+v: %s published", name, v, unpublished)
-					}
-				}
+			if rows := m.Get(c.published); rows != m.Get("nnn.nhe_intersections") {
+				t.Errorf("%s: %s = %d != %d NHE intersections",
+					name, c.published, rows, m.Get("nnn.nhe_intersections"))
 			}
-			if plain == nil {
-				plain = bitmap.Metrics
-				continue
-			}
-			for _, counter := range []string{"hnn.he_intersections", "nnn.nhe_intersections"} {
-				if got, want := bitmap.Metrics.Get(counter), plain.Get(counter); got != want {
-					t.Errorf("%s %+v: %s = %d, plain loops report %d", name, v, counter, got, want)
+			snap := m.Snapshot()
+			for _, unpublished := range []string{c.idle, obs.NNNDispatchGallop, obs.HNNDispatchMerge, obs.HNNDispatchGallop} {
+				if _, ok := snap[unpublished]; ok {
+					t.Errorf("%s %s: %s published", name, c.published, unpublished)
 				}
 			}
 		}
@@ -239,10 +213,10 @@ func TestKernelParsers(t *testing.T) {
 	}
 }
 
-// TestHNNCancellationLeavesBitmapsClear cancels each HNN and NNN loop
-// (flat HNN, blocked HNN, fused, NNN) mid-run, asserts every worker's
-// hub and vertex bitmaps are all-zero, then reuses the same
-// CountScratch for a fresh count, which must be exact in every class:
+// TestHNNCancellationLeavesBitmapsClear cancels the HNN and the NNN
+// loop mid-run, asserts every worker's hub and vertex bitmaps are
+// all-zero, then reuses the same CountScratch for a fresh count,
+// which must be exact in every class:
 // a cancellation exit that left marks in a worker's bitmap would
 // inflate the next count's HHH/HHN, HNN or NNN.
 func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
@@ -250,29 +224,16 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 	lg := Preprocess(g, Options{HubCount: 512, Pool: pool})
 	want := lg.Count(pool)
 	scratch := NewCountScratch()
-	type loop func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch)
-	for name, c := range map[string]struct {
-		opt CountOptions
-		run loop
-	}{
-		"flat": {CountOptions{}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
+	opt := CountOptions{Scratch: scratch}
+	for name, run := range map[string]func(p *sched.Pool, res *Result, sc *CountScratch){
+		"hnn": func(p *sched.Pool, res *Result, sc *CountScratch) {
 			sc.dense.build(p, lg)
-			lg.countHNN(p, res, opt, sc)
-		}},
-		"blocked": {CountOptions{HNNBlocks: 4}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
-			sc.dense.build(p, lg)
-			lg.countHNNBlocked(p, res, opt, sc)
-		}},
-		"fused": {CountOptions{FuseHNNAndNNN: true}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
-			sc.dense.build(p, lg)
-			lg.countFused(p, res, opt, sc)
-		}},
-		"nnn": {CountOptions{}, func(p *sched.Pool, res *Result, opt CountOptions, sc *CountScratch) {
+			res.HNN, _ = lg.countHNN(p, opt, sc)
+		},
+		"nnn": func(p *sched.Pool, res *Result, sc *CountScratch) {
 			lg.countNNN(p, res, opt, sc.verts)
-		}},
+		},
 	} {
-		opt := c.opt
-		opt.Scratch = scratch
 		sc := scratch.forWorkers(pool.Workers())
 		ctx, cancel := context.WithCancel(context.Background())
 		bound := pool.Bind(ctx)
@@ -282,7 +243,7 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 		var partial bool
 		for !bound.Cancelled() {
 			res := &Result{}
-			c.run(bound, res, opt, sc)
+			run(bound, res, sc)
 			partial = res.HNN+res.NNN < want.HNN+want.NNN
 		}
 		bound.Release()
@@ -337,7 +298,7 @@ func hnnReference(lg *LotusGraph) uint64 {
 
 // TestCountScratchReuseAcrossGraphs reuses one CountScratch across
 // graphs of 2^10, 2^14 and again 2^10 vertices with 64, 1000 and 64
-// hubs, under both NNN kernels and the fused loop: every count must
+// hubs, under both NNN kernels: every count must
 // match a scratch-free merge-join count exactly in every class, and
 // that count's HNN must match a merge-join HNN reference. The
 // vertex bitmaps and the dense-row slab grow to the largest graph and
@@ -360,7 +321,6 @@ func TestCountScratchReuseAcrossGraphs(t *testing.T) {
 		for _, opt := range []CountOptions{
 			{},
 			{Intersect: IntersectMerge},
-			{FuseHNNAndNNN: true},
 		} {
 			m := obs.New()
 			opt.Scratch = scratch

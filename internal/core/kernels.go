@@ -90,7 +90,7 @@ func ParseIntersectKernel(s string) (IntersectKernel, error) {
 }
 
 // CountRows is the one NNN intersection kernel (Alg 3 lines 10-12)
-// that the flat, fused and sharded counts share. For one apex row nv
+// that the flat and sharded counts share. For one apex row nv
 // it returns the sum of |nv ∩ N_u| over u in us, where rows holds N_u
 // at index u-base (base is 0 for the flat NHE, the shard's range start
 // for a shard's). Under IntersectBitmap nv is marked once in the

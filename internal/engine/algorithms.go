@@ -88,14 +88,8 @@ func lotusKernel(t *Task) (uint64, error) {
 		return 0, err
 	}
 	copt := core.CountOptions{
-		TileThreshold: t.Params.TileThreshold,
-		HNNBlocks:     t.Params.HNNBlocks,
-		WorkStealing:  t.Params.WorkStealing,
-		Metrics:       t.Metrics(),
-		Scratch:       t.Params.Scratch,
-	}
-	if t.Params.EdgeBalancedTiling {
-		copt.Partitioner = core.EdgeBalanced
+		Metrics: t.Metrics(),
+		Scratch: t.Params.Scratch,
 	}
 	var err error
 	if copt.Phase1Kernel, err = core.ParsePhase1Kernel(t.Params.Phase1Kernel); err != nil {

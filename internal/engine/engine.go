@@ -75,17 +75,8 @@ type Params struct {
 	HubCount int
 	// FrontFraction overrides the §4.3.1 relabeling front block.
 	FrontFraction float64
-	// TileThreshold overrides the squared-edge-tiling degree cutoff.
-	TileThreshold int
-	// EdgeBalancedTiling switches phase 1 to the edge-balanced
-	// partitioner (Table 9's comparison policy).
-	EdgeBalancedTiling bool
 	// MaxDepth bounds the recursive LOTUS variant (0 = 2 levels).
 	MaxDepth int
-	// HNNBlocks > 1 enables the §7 blocked HNN phase.
-	HNNBlocks int
-	// WorkStealing schedules phase-1 tiles on work-stealing deques.
-	WorkStealing bool
 	// Phase1Kernel selects the H2H probe kernel for phase 1: "" or
 	// "auto" (per-row dispatch), "scalar", or "word". Unknown values
 	// fail the run up front rather than silently falling back.
@@ -149,7 +140,7 @@ type Report struct {
 	RecursionDepth int
 	// Metrics is the flat counter snapshot collected when
 	// Spec.CollectMetrics was set (nil otherwise). Names are dotted
-	// (e.g. "phase1.steals"); DESIGN.md documents the full set.
+	// (e.g. "phase1.claims"); DESIGN.md documents the full set.
 	Metrics map[string]int64
 	// Decision is the auto-tuner's routing record (the "auto" kernel
 	// only): the chosen algorithm, the policy reason, and every probe

@@ -10,13 +10,12 @@ import (
 
 // TestRunCollectMetricsLotus: an instrumented lotus run must surface
 // the engine-level gauges, all four phase wall times, the scheduler
-// claim/steal counters, and the structure touch counts.
+// claim counters, and the structure touch counts.
 func TestRunCollectMetricsLotus(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
 	rep, err := Run(context.Background(), g, Spec{
 		Algorithm:      "lotus",
 		CollectMetrics: true,
-		Params:         Params{WorkStealing: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +28,7 @@ func TestRunCollectMetricsLotus(t *testing.T) {
 		"preprocess.ns", "phase1.ns", "hnn.ns", "nnn.ns",
 		"lotus.hubs", "lotus.he_edges", "lotus.nhe_edges", "lotus.h2h_bits",
 		"phase1.tiles", "phase1.h2h_probes", "phase1.polls",
-		"phase1.claims", "phase1.steals",
+		"phase1.claims",
 		obs.PreprocessWalkCountNS, obs.PreprocessWalkFillNS,
 		"hnn.he_intersections", "hnn.polls", "hnn.claims", "hnn.dispatch.bitmap",
 		obs.HNNDispatchWords, obs.HNNDenseRows,
@@ -38,6 +37,12 @@ func TestRunCollectMetricsLotus(t *testing.T) {
 	for _, name := range required {
 		if _, ok := rep.Metrics[name]; !ok {
 			t.Errorf("metric %q missing from snapshot", name)
+		}
+	}
+	// Retired with the work-stealing scheduler and the blocked HNN loop.
+	for _, name := range []string{"phase1.steals", "hnn.blocks"} {
+		if _, ok := rep.Metrics[name]; ok {
+			t.Errorf("retired metric %q published", name)
 		}
 	}
 	if v := rep.Metrics["graph.vertices"]; v != int64(g.NumVertices()) {

@@ -161,28 +161,6 @@ func RunAblationRelabel(w io.Writer, s Suite, workers int) {
 	fmt.Fprintln(w, "(§4.3.1: preserving original order for non-hubs keeps the graph's initial locality)")
 }
 
-// RunAblationFused compares the split HNN/NNN loops (LOTUS, §4.5)
-// against the fused single-traversal alternative.
-func RunAblationFused(w io.Writer, s Suite, workers int) {
-	pool := s.NewPool(workers)
-	fmt.Fprintln(w, "=== Ablation: split vs fused HNN/NNN loops ===")
-	fmt.Fprintf(w, "%-12s %12s %12s %10s\n", "dataset", "split(s)", "fused(s)", "fused/split")
-	for _, d := range s.Datasets() {
-		g := d.Build()
-		lg := core.Preprocess(g, core.Options{Pool: pool})
-		split := lg.CountWithOptions(pool, core.CountOptions{})
-		fused := lg.CountWithOptions(pool, core.CountOptions{FuseHNNAndNNN: true})
-		if split.Total != fused.Total {
-			fmt.Fprintf(w, "%-12s COUNT MISMATCH\n", d.Name)
-			continue
-		}
-		ts := (split.HNNTime + split.NNNTime).Seconds()
-		tf := (fused.HNNTime + fused.NNNTime).Seconds()
-		fmt.Fprintf(w, "%-12s %12.3f %12.3f %10.2f\n", d.Name, ts, tf, tf/ts)
-	}
-	fmt.Fprintln(w, "(§4.5: fusing enlarges the randomly-accessed working set; LOTUS keeps the loops split)")
-}
-
 // RunBaselinesClassic times the §6.1 classic algorithms LOTUS
 // descends from, next to Forward and LOTUS, on each dataset.
 func RunBaselinesClassic(w io.Writer, s Suite, workers int) {
@@ -325,30 +303,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// RunExtensionHNNBlocking evaluates the paper's second §7 bullet:
-// blocking the HNN phase to confine its random HE-row accesses.
-func RunExtensionHNNBlocking(w io.Writer, s Suite, workers int) {
-	pool := s.NewPool(workers)
-	fmt.Fprintln(w, "=== Extension: HNN blocking (§7) — HNN phase time by block count ===")
-	fmt.Fprintf(w, "%-12s %12s %12s %12s %12s\n", "dataset", "unblocked", "4 blocks", "16 blocks", "64 blocks")
-	for _, d := range s.Datasets() {
-		g := d.Build()
-		lg := core.Preprocess(g, core.Options{Pool: pool})
-		base := lg.CountWithOptions(pool, core.CountOptions{})
-		fmt.Fprintf(w, "%-12s %12.3f", d.Name, base.HNNTime.Seconds())
-		for _, blocks := range []int{4, 16, 64} {
-			r := lg.CountWithOptions(pool, core.CountOptions{HNNBlocks: blocks})
-			if r.Total != base.Total {
-				fmt.Fprintf(w, " COUNT MISMATCH")
-				break
-			}
-			fmt.Fprintf(w, " %12.3f", r.HNNTime.Seconds())
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w, "(blocking shrinks the random working set per pass but re-streams NHE; wins once HE exceeds cache)")
 }
 
 // RunAblationRecursive compares flat LOTUS against the recursive

@@ -45,8 +45,6 @@ func Experiments() []Experiment {
 			func(w io.Writer, s Suite, workers int) { RunAblationIntersect(w, s, workers) }},
 		{"ablation-relabel", "Ablation: LOTUS relabeling vs full degree ordering",
 			func(w io.Writer, s Suite, workers int) { RunAblationRelabel(w, s, workers) }},
-		{"ablation-fused", "Ablation: split vs fused HNN/NNN loops",
-			func(w io.Writer, s Suite, workers int) { RunAblationFused(w, s, workers) }},
 		{"ablation-phase1", "Ablation: phase-1 kernel, scalar probes vs word-parallel bitmap",
 			func(w io.Writer, s Suite, workers int) { RunAblationPhase1(w, s, workers) }},
 		{"ablation-preprocess", "Ablation: materialize+split vs literal Alg 2 preprocessing",
@@ -59,8 +57,6 @@ func Experiments() []Experiment {
 			func(w io.Writer, s Suite, workers int) { RunExtensionKClique(w, s, workers) }},
 		{"ext-approx", "Extension: approximate TC, Doulion vs Lotus hybrid",
 			func(w io.Writer, s Suite, workers int) { RunExtensionApprox(w, s, workers) }},
-		{"ext-hnnblock", "Extension: HNN blocking (§7 second bullet)",
-			func(w io.Writer, s Suite, workers int) { RunExtensionHNNBlocking(w, s, workers) }},
 		{"arch", "Architecture sweep (§5.2): LOTUS advantage vs LLC size",
 			func(w io.Writer, s Suite, _ int) { RunArchSweep(w, s) }},
 		{"mrc", "Miss-ratio curves: exact LRU stack analysis of both kernels",

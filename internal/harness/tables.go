@@ -271,14 +271,14 @@ func RunTable9(w io.Writer, s Suite, workers int) {
 		lg := core.Preprocess(g, core.Options{Pool: pool})
 		// Verify the squared-tiling path still counts correctly.
 		ref := lg.CountWithOptions(pool, core.CountOptions{TileThreshold: 1 << 30})
-		sqRes := lg.CountWithOptions(pool, core.CountOptions{Partitioner: core.SquaredEdgeTiling, TileThreshold: thr, TilesPerVertex: 2 * simThreads})
+		sqRes := lg.CountWithOptions(pool, core.CountOptions{TileThreshold: thr, TilesPerVertex: 2 * simThreads})
 		if ref.Total != sqRes.Total {
 			fmt.Fprintf(w, "%-12s COUNT MISMATCH\n", d.Name)
 			continue
 		}
 		ebCoarse := edgeBalancedChunkWork(lg, 2*simThreads)
 		ebFine := edgeBalancedChunkWork(lg, 256*simThreads)
-		sqWork := lg.Phase1TileWork(core.CountOptions{Partitioner: core.SquaredEdgeTiling, TileThreshold: thr, TilesPerVertex: 2 * simThreads}, simThreads)
+		sqWork := lg.Phase1TileWork(core.CountOptions{TileThreshold: thr, TilesPerVertex: 2 * simThreads}, simThreads)
 		ebCSpan, ebCIdle := simulateSchedule(ebCoarse, simThreads)
 		_, ebFIdle := simulateSchedule(ebFine, simThreads)
 		sqSpan, sqIdle := simulateSchedule(sqWork, simThreads)

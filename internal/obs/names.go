@@ -16,7 +16,7 @@ const (
 	Phase1RowsWord   = "phase1.rows.word"
 	Phase1RowsScalar = "phase1.rows.scalar"
 	// HNNDispatchBitmap counts HE rows probed against the per-worker
-	// hub bitmap in the HNN phase (flat, blocked, fused and sharded).
+	// hub bitmap in the HNN phase (flat and sharded).
 	HNNDispatchBitmap = "hnn.dispatch.bitmap"
 	// HNNDispatchWords counts the part of those rows that was dense
 	// (at least 2·⌈H/64⌉ hubs) and so was probed word-wise against the
@@ -31,7 +31,7 @@ const (
 	HNNDispatchMerge  = "hnn.dispatch.merge"
 	HNNDispatchGallop = "hnn.dispatch.gallop"
 	// NNNDispatchBitmap counts NHE rows probed against the per-worker
-	// vertex bitmap in the NNN phase (flat, fused and sharded), one
+	// vertex bitmap in the NNN phase (flat and sharded), one
 	// per N_u row; NNNDispatchMerge counts them instead when the
 	// merge-join ablation baseline runs.
 	NNNDispatchBitmap = "nnn.dispatch.bitmap"

@@ -85,7 +85,7 @@ func TestRunReportJSON(t *testing.T) {
 	rr.Algorithm = "lotus"
 	rr.Triangles = 42
 	rr.Phases = []PhaseNS{{Name: "phase1", NS: 100}}
-	rr.Metrics = map[string]int64{"phase1.steals": 3}
+	rr.Metrics = map[string]int64{"phase1.claims": 3}
 	var buf bytes.Buffer
 	if err := rr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestRunReportJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != SchemaRun || back.Triangles != 42 || back.Metrics["phase1.steals"] != 3 {
+	if back.Schema != SchemaRun || back.Triangles != 42 || back.Metrics["phase1.claims"] != 3 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 	// An un-instrumented run must serialize without the optional keys.

@@ -95,26 +95,6 @@ func TestRunTasksStopsEarly(t *testing.T) {
 	}
 }
 
-func TestStealingPoolInheritsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := NewPool(1).Bind(ctx)
-	defer p.Release()
-	sp := p.Stealing()
-	var done atomic.Int64
-	sp.RunTasks(1000, func(_, task int) {
-		if done.Add(1) == 5 {
-			cancel()
-			// Wait for the watcher so the very next claim sees it.
-			for !p.Cancelled() {
-				runtime.Gosched()
-			}
-		}
-	})
-	if d := done.Load(); d >= 1000 {
-		t.Fatalf("ran %d tasks, want an early stop", d)
-	}
-}
-
 func TestReleaseIdempotentOnUnbound(t *testing.T) {
 	p := NewPool(2)
 	p.Release() // no-op on unbound pools

@@ -230,10 +230,6 @@ type LoadReport struct {
 	// cancellation flag, so this is also the number of scheduler-level
 	// cancellation polls the region performed.
 	Claims int64
-	// Steals counts tasks executed by a worker other than the one
-	// whose deque they were dealt to. Zero for the shared-counter
-	// scheduler, which has no locality to lose.
-	Steals int64
 }
 
 // IdleFraction returns the mean fraction of wall time workers spent

@@ -64,19 +64,19 @@ func bruteForceClasses(g *graph.Graph, relabel []uint32, hubCount uint32) (class
 }
 
 // TestHNNBitmapEquivalence checks every path that runs the hub-bitmap
-// HNN kernel or the vertex-bitmap NNN kernel — flat, §7-blocked,
-// fused and sharded at p = 1..4, each under both NNN kernels (bitmap
-// and merge), and the per-vertex count — against a brute-force oracle
-// (totals, class split, per-vertex counts). It sweeps the corpus plus
-// graphs of 63, 64, 65 and 129 vertices (vertex-bitmap word
-// boundaries), hub counts straddling hub-bitmap word boundaries up to
-// the 2^16 cap (clamped to |V|), and 1, 2 and 4 workers. The flat,
-// blocked and fused counts share one CountScratch per worker count,
-// so a bitmap left dirty by any count (of any graph or hub count)
-// would corrupt a later one. The flat count must index dense HE rows
-// (hnn.dense_rows) on R-MAT at 63 to 65 hubs, where rows of two or
-// four hubs are dense, and none on a ring, whose rows hold at most two
-// hubs and never two below a non-hub. `make check` runs it with -race.
+// HNN kernel or the vertex-bitmap NNN kernel — flat and sharded at
+// p = 1..4, each under both NNN kernels (bitmap and merge), and the
+// per-vertex count — against a brute-force oracle (totals, class
+// split, per-vertex counts). It sweeps the corpus plus graphs of 63,
+// 64, 65 and 129 vertices (vertex-bitmap word boundaries), hub counts
+// straddling hub-bitmap word boundaries up to the 2^16 cap (clamped
+// to |V|), and 1, 2 and 4 workers. The flat counts share one
+// CountScratch per worker count, so a bitmap left dirty by any count
+// (of any graph or hub count) would corrupt a later one. The flat
+// count must index dense HE rows (hnn.dense_rows) on R-MAT at 63 to
+// 65 hubs, where rows of two or four hubs are dense, and none on a
+// ring, whose rows hold at most two hubs and never two below a
+// non-hub. `make check` runs it with -race.
 func TestHNNBitmapEquivalence(t *testing.T) {
 	scratch := map[int]*core.CountScratch{}
 	for _, w := range []int{1, 2, 4} {
@@ -121,27 +121,18 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 					}
 				}
 				for _, k := range kernels {
-					for path, opt := range map[string]core.CountOptions{
-						"flat":    {},
-						"blocked": {HNNBlocks: 4},
-						"fused":   {FuseHNNAndNNN: true},
-					} {
-						m := obs.New()
-						opt.Scratch = scratch[workers]
-						opt.Intersect = k
-						opt.Metrics = m
-						r := lg.CountWithOptions(pool, opt)
-						check(path+" "+k.String(), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
-						dense, words := m.Get(obs.HNNDenseRows), m.Get(obs.HNNDispatchWords)
-						switch {
-						case strings.HasPrefix(name, "rmat") && eff >= 63 && eff <= 65 && dense == 0:
-							t.Errorf("%s hubs=%d %s: no dense HE rows indexed", name, eff, path)
-						case strings.HasPrefix(name, "ring") && dense != 0:
-							t.Errorf("%s hubs=%d %s: %d dense HE rows on a ring", name, eff, path, dense)
-						case words > m.Get(obs.HNNDispatchBitmap) || (words > 0 && dense == 0):
-							t.Errorf("%s hubs=%d %s: %d rows probed word-wise of %d, with %d dense rows",
-								name, eff, path, words, m.Get(obs.HNNDispatchBitmap), dense)
-						}
+					m := obs.New()
+					r := lg.CountWithOptions(pool, core.CountOptions{Scratch: scratch[workers], Intersect: k, Metrics: m})
+					check("flat "+k.String(), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
+					dense, words := m.Get(obs.HNNDenseRows), m.Get(obs.HNNDispatchWords)
+					switch {
+					case strings.HasPrefix(name, "rmat") && eff >= 63 && eff <= 65 && dense == 0:
+						t.Errorf("%s hubs=%d %s: no dense HE rows indexed", name, eff, k)
+					case strings.HasPrefix(name, "ring") && dense != 0:
+						t.Errorf("%s hubs=%d %s: %d dense HE rows on a ring", name, eff, k, dense)
+					case words > m.Get(obs.HNNDispatchBitmap) || (words > 0 && dense == 0):
+						t.Errorf("%s hubs=%d %s: %d rows probed word-wise of %d, with %d dense rows",
+							name, eff, k, words, m.Get(obs.HNNDispatchBitmap), dense)
 					}
 					for p := 1; p <= 4; p++ {
 						m := obs.New()

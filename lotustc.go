@@ -105,25 +105,13 @@ type Options struct {
 	// Workers bounds parallelism; 0 uses GOMAXPROCS.
 	Workers int
 	// HubCount overrides the LOTUS hub count (0 = adaptive:
-	// min(64K, |V|/4), the paper's 64K at scale).
+	// min(64K, |V|/64), the paper's 64K at scale).
 	HubCount int
 	// FrontFraction overrides the §4.3.1 relabeling front block
 	// (0 = the paper's 10%).
 	FrontFraction float64
-	// TileThreshold overrides the squared-edge-tiling degree cutoff
-	// (0 = the paper's 512).
-	TileThreshold int
-	// EdgeBalancedTiling switches phase 1 to the edge-balanced
-	// partitioner the paper compares against in Table 9.
-	EdgeBalancedTiling bool
 	// MaxDepth bounds AlgoLotusRecursive (0 = 2 levels).
 	MaxDepth int
-	// HNNBlocks > 1 enables the §7 blocked HNN phase with that many
-	// ID-range blocks (0/1 = unblocked).
-	HNNBlocks int
-	// WorkStealing schedules phase-1 tiles on work-stealing deques
-	// (the paper's runtime model) instead of the shared counter.
-	WorkStealing bool
 	// Shards is the grid dimension p for AlgoLotusSharded
 	// (0 = the default 2; 1 = a single block). Other algorithms
 	// ignore it.
@@ -137,7 +125,7 @@ type Options struct {
 	// context.DeadlineExceeded.
 	Timeout time.Duration
 	// CollectMetrics populates Result.Metrics with the per-phase
-	// counter snapshot (steal counts, structure touch counts, ...).
+	// counter snapshot (scheduler claims, structure touch counts, ...).
 	// Off by default; the counting hot paths pay nothing when off.
 	CollectMetrics bool
 }
@@ -164,7 +152,7 @@ type Result struct {
 	RecursionDepth int
 	// Metrics is the flat observability snapshot collected when
 	// Options.CollectMetrics was set, nil otherwise. Keys are dotted
-	// counter names ("phase1.steals", "lotus.h2h_bits", ...); the full
+	// counter names ("phase1.claims", "lotus.h2h_bits", ...); the full
 	// catalogue is documented in DESIGN.md.
 	Metrics map[string]int64
 	// Decision is the structural auto-tuner's routing record — the
@@ -208,15 +196,11 @@ func CountContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		Timeout:        opt.Timeout,
 		CollectMetrics: opt.CollectMetrics,
 		Params: engine.Params{
-			HubCount:           opt.HubCount,
-			FrontFraction:      opt.FrontFraction,
-			TileThreshold:      opt.TileThreshold,
-			EdgeBalancedTiling: opt.EdgeBalancedTiling,
-			MaxDepth:           opt.MaxDepth,
-			HNNBlocks:          opt.HNNBlocks,
-			WorkStealing:       opt.WorkStealing,
-			Shards:             opt.Shards,
-			TuneAlgorithm:      string(opt.TuneAlgorithm),
+			HubCount:      opt.HubCount,
+			FrontFraction: opt.FrontFraction,
+			MaxDepth:      opt.MaxDepth,
+			Shards:        opt.Shards,
+			TuneAlgorithm: string(opt.TuneAlgorithm),
 		},
 	})
 	if err != nil {

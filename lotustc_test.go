@@ -76,23 +76,6 @@ func TestCountRecursiveResult(t *testing.T) {
 	}
 }
 
-func TestEdgeBalancedTilingOption(t *testing.T) {
-	g := RMAT(10, 8, 3)
-	a, _ := Count(g, Options{Algorithm: AlgoLotus})
-	b, _ := Count(g, Options{Algorithm: AlgoLotus, EdgeBalancedTiling: true, TileThreshold: 4})
-	if a.Triangles != b.Triangles {
-		t.Fatalf("tiling policies disagree: %d vs %d", a.Triangles, b.Triangles)
-	}
-	c, _ := Count(g, Options{Algorithm: AlgoLotus, HNNBlocks: 8})
-	if c.Triangles != a.Triangles {
-		t.Fatalf("blocked HNN disagrees: %d vs %d", c.Triangles, a.Triangles)
-	}
-	d, _ := Count(g, Options{Algorithm: AlgoLotus, WorkStealing: true, TileThreshold: 4})
-	if d.Triangles != a.Triangles {
-		t.Fatalf("work stealing disagrees: %d vs %d", d.Triangles, a.Triangles)
-	}
-}
-
 func TestGraphRoundTripFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.lotg")
