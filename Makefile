@@ -26,6 +26,10 @@ check:
 	$(GO) test -race ./internal/faults/
 	$(GO) test -race ./internal/approx/
 	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestStreaming' ./internal/core/
+	# The randomized cross-check battery: every algorithm against brute
+	# force, and shuffled streams (with a third of the edges removed
+	# and re-added) against LOTUS's class split over the same hubs.
+	$(GO) run ./cmd/lotus-verify -rounds 50
 	# Every HNN and NNN path (flat, sharded p=1..4, per-vertex; both
 	# NNN kernels) against a brute-force oracle, racing the per-worker
 	# hub and vertex bitmaps; the bitmap-vs-merge

@@ -81,25 +81,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if n := g.NumVertices(); n > 0 {
 			hubs := 1 + rng.Intn(n)
 			lg := core.Preprocess(g, core.Options{HubCount: hubs, Pool: pool})
-			if got := lg.Count(pool).Total; got != want {
-				report(fmt.Sprintf("%s/lotus-hubs-%d", label, hubs), g, got, want)
+			ref := lg.Count(pool)
+			if ref.Total != want {
+				report(fmt.Sprintf("%s/lotus-hubs-%d", label, hubs), g, ref.Total, want)
 			}
 			checked++
-			// Streaming (hub triangles + NNN must sum to the total).
+			// Streaming: a shuffled stream of the same graph over the
+			// same hub set must reproduce LOTUS's class split, and
+			// still does after a random third of the edges is removed
+			// and streamed in again.
 			sc, err := lotustc.NewStreamingCounter(n, lotustc.TopDegreeVertices(g, hubs))
 			if err != nil {
 				report(label+"/streaming-init", g, 0, want)
 			} else {
 				sc.CountNonHub = true
-				for _, e := range g.Edges() {
+				edges := g.Edges()
+				rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+				for _, e := range edges {
 					sc.AddEdge(e.U, e.V)
 				}
-				_, _, _, nnn := sc.Classes()
-				if got := sc.HubTriangles() + nnn; got != want {
-					report(label+"/streaming", g, got, want)
+				checkStream := func(stage string) {
+					hhh, hhn, hnn, nnn := sc.Classes()
+					got := [4]uint64{hhh, hhn, hnn, nnn}
+					if exp := [4]uint64{ref.HHH, ref.HHN, ref.HNN, ref.NNN}; got != exp {
+						failures++
+						fmt.Fprintf(stderr, "FAIL %s/streaming-%s-hubs-%d: classes %v want %v (V=%d E=%d)\n",
+							label, stage, hubs, got, exp, g.NumVertices(), g.NumEdges())
+					}
+					checked++
 				}
+				checkStream("add")
+				churn := edges[:len(edges)/3]
+				for _, e := range churn {
+					sc.RemoveEdge(e.U, e.V)
+				}
+				for _, e := range churn {
+					sc.AddEdge(e.U, e.V)
+				}
+				checkStream("readd")
 			}
-			checked++
 			// k-cliques: generic vs lotus-structured.
 			og := g.Orient()
 			for k := 3; k <= *kmax; k++ {

@@ -1,6 +1,9 @@
 // Streaming: the paper's §6.2 extension. A social graph arrives as
 // an edge stream; a memory-resident hub structure (square H2H bit
-// matrix plus per-vertex hub lists) counts hub triangles on the fly.
+// matrix, per-vertex hub lists, and per-hub non-hub rows that turn
+// into vertex bitmaps once they hold ⌈⌈n/64⌉/2⌉ entries, so a hub
+// arrival costs the short side's degree) counts hub triangles on the
+// fly.
 // Since hub triangles are ~93% of all triangles on skewed graphs
 // (§3.4), the running hub count tracks the true total closely — this
 // example measures exactly how closely.

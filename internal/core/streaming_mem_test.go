@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -36,6 +37,46 @@ func TestStreamingMemoryBytes(t *testing.T) {
 	s.RemoveEdge(0, 1)
 	if got := s.MemoryBytes(); got != base {
 		t.Fatalf("after removing everything: %d, want base %d", got, base)
+	}
+
+	// Dense rows: over 1024 vertices a hub row turns into a 16-word
+	// bitmap at 8 entries, charged 128 bytes on the hub side whatever
+	// its length, and back into a list below 8.
+	d, err := NewStreaming(1024, []uint32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = d.MemoryBytes()
+	for x := uint32(1); x <= 7; x++ {
+		d.AddEdge(0, 100*x)
+	}
+	if got, want := d.MemoryBytes(), base+7*2*streamAdjEntryBytes; got != want || d.denseRow[0] != nil {
+		t.Fatalf("7-entry row: %d bytes (dense %v), want %d as a list", got, d.denseRow[0] != nil, want)
+	}
+	d.AddEdge(0, 800)
+	if got, want := d.MemoryBytes(), base+8*streamAdjEntryBytes+8*16; got != want || d.denseRow[0] == nil {
+		t.Fatalf("8-entry row: %d bytes (dense %v), want %d as a bitmap", got, d.denseRow[0] != nil, want)
+	}
+	for x := uint32(1); x <= 12; x++ {
+		d.AddEdge(0, 900+x)
+	}
+	if got, want := d.MemoryBytes(), base+20*streamAdjEntryBytes+8*16; got != want {
+		t.Fatalf("20-entry dense row: %d bytes, want %d", got, want)
+	}
+	d.RemoveEdge(0, 900) // absent: a clear bit, no change
+	d.AddEdge(0, 901)    // duplicate: a set bit, no change
+	if got, want := d.MemoryBytes(), base+20*streamAdjEntryBytes+8*16; got != want {
+		t.Fatalf("absent remove or duplicate add changed accounting: %d, want %d", got, want)
+	}
+	for x := uint32(1); x <= 12; x++ {
+		d.RemoveEdge(0, 900+x)
+	}
+	d.RemoveEdge(0, 800)
+	if got, want := d.MemoryBytes(), base+7*2*streamAdjEntryBytes; got != want || d.denseRow[0] != nil {
+		t.Fatalf("back to 7 entries: %d bytes (dense %v), want %d as a list", got, d.denseRow[0] != nil, want)
+	}
+	if want := []uint32{100, 200, 300, 400, 500, 600, 700}; !slices.Equal(d.nonHubNbrs[0], want) {
+		t.Fatalf("row after densify and back: %v, want %v", d.nonHubNbrs[0], want)
 	}
 }
 

@@ -58,7 +58,10 @@ func Count(g *graph.Graph, pool *sched.Pool, m *obs.Metrics) *Result {
 	for i := range levels {
 		levels[i] = -1
 	}
-	queue := make([]uint32, 0, 1024)
+	// Every vertex is enqueued exactly once over all components, so
+	// one |V|-entry queue serves every walk without growing.
+	queue := make([]uint32, n)
+	head, tail := 0, 0
 	maxLevel := int32(0)
 	for r := 0; r < n; r++ {
 		if levels[r] >= 0 {
@@ -68,8 +71,9 @@ func Count(g *graph.Graph, pool *sched.Pool, m *obs.Metrics) *Result {
 			return res
 		}
 		levels[r] = 0
-		queue = append(queue[:0], uint32(r))
-		for head := 0; head < len(queue); head++ {
+		queue[tail] = uint32(r)
+		tail++
+		for ; head < tail; head++ {
 			v := queue[head]
 			lv := levels[v]
 			if lv > maxLevel {
@@ -81,7 +85,8 @@ func Count(g *graph.Graph, pool *sched.Pool, m *obs.Metrics) *Result {
 			for _, u := range g.Neighbors(v) {
 				if levels[u] < 0 {
 					levels[u] = lv + 1
-					queue = append(queue, u)
+					queue[tail] = u
+					tail++
 				}
 			}
 		}
