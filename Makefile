@@ -13,12 +13,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The pre-commit gate: static analysis, the race-enabled short test
-# subset (large cancellation graphs shrink under -short), and a full
-# race-enabled pass over the observability and I/O-hardening surface
-# (concurrent counter publication and the corrupt-input corpus are
-# exactly where races and panics would hide).
+# The pre-commit gate: formatting (gofmt must list no file), static
+# analysis, the race-enabled short test subset (large cancellation
+# graphs shrink under -short), and a full race-enabled pass over the
+# observability and I/O-hardening surface (concurrent counter
+# publication and the corrupt-input corpus are exactly where races and
+# panics would hide).
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/obs/
@@ -39,9 +41,9 @@ check:
 	# out again); the Algorithm 2 walk (concurrent H2H Sets, dense HE
 	# rows sorted through per-worker hub bitmaps) and phase-1 hub-pair
 	# kernel that the flat and the sharded path share, held to the
-	# materialize reference, the monolithic rows and the scalar probe;
-	# the walk's timed passes; and the phase-1 tile work at worker
-	# counts below 1.
+	# test-local relabel-and-split oracle, the monolithic rows and the
+	# scalar probe; the walk's timed passes; and the phase-1 tile work
+	# at worker counts below 1.
 	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence|TestShardRowsMatchMonolithic' ./internal/shard/
 	$(GO) test -race -run 'TestIntersectKernelEquivalence|TestHNNCancellationLeavesBitmapsClear|TestCountScratchReuseAcrossGraphs|TestPreprocessBitIdentical|TestPreprocessPhaseSplit|TestPhase1KernelEquivalence|TestPhase1TileWorkClampsWorkers' ./internal/core/
 	# Auto-tuner surface: the probe's parallel reductions, the policy,

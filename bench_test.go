@@ -303,26 +303,6 @@ func BenchmarkIntersectDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPreprocess compares the two Algorithm 2
-// implementations (materialize+split vs the literal per-edge walk
-// Preprocess runs).
-func BenchmarkAblationPreprocess(b *testing.B) {
-	g := benchGraph()
-	pool := sched.NewPool(0)
-	b.Run("Materialize", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lg := core.PreprocessMaterialize(g, core.Options{Pool: pool})
-			benchSink += uint64(lg.HE.NumEdges())
-		}
-	})
-	b.Run("DirectAlg2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lg := core.Preprocess(g, core.Options{Pool: pool})
-			benchSink += uint64(lg.HE.NumEdges())
-		}
-	})
-}
-
 // BenchmarkExtensionKClique measures k-clique counting, generic vs
 // LOTUS-structured (§7).
 func BenchmarkExtensionKClique(b *testing.B) {
@@ -381,19 +361,6 @@ func BenchmarkExtensionStreaming(b *testing.B) {
 			sc.AddEdge(e.U, e.V)
 		}
 		benchSink += sc.HubTriangles()
-	}
-}
-
-// BenchmarkExtensionRecursive measures the recursive NHE split.
-func BenchmarkExtensionRecursive(b *testing.B) {
-	g := benchGraph()
-	pool := sched.NewPool(0)
-	for i := 0; i < b.N; i++ {
-		rr, err := core.CountRecursive(g, pool, core.RecursiveOptions{MaxDepth: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += rr.Total
 	}
 }
 

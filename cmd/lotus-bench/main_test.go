@@ -65,9 +65,10 @@ func TestRemovedFlagsRejected(t *testing.T) {
 }
 
 // TestRemovedExperimentsRejected: the experiments of the retired fused
-// and blocked HNN loops are unknown IDs (exit 2) and print no table.
+// and blocked HNN loops, recursive LOTUS and the materialize-then-split
+// preprocessor are unknown IDs (exit 2) and print no table.
 func TestRemovedExperimentsRejected(t *testing.T) {
-	for _, id := range []string{"ablation-fused", "ext-hnnblock"} {
+	for _, id := range []string{"ablation-fused", "ext-hnnblock", "ext-recursive", "ablation-preprocess"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-exp", id, "-scale", "8", "-edgefactor", "6"}, &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2", id, code)

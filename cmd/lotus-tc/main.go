@@ -219,7 +219,7 @@ func fillRunReport(rr *obs.RunReport, res *lotustc.Result) {
 		effective = lotustc.Algorithm(res.Decision.Algorithm)
 	}
 	switch effective {
-	case lotustc.AlgoLotus, lotustc.AlgoLotusRecursive:
+	case lotustc.AlgoLotus:
 		rr.Phases = []obs.PhaseNS{
 			{Name: "preprocess", NS: res.Preprocess.Nanoseconds()},
 			{Name: "phase1", NS: res.Phase1.Nanoseconds()},

@@ -110,6 +110,28 @@ func TestAlgosListing(t *testing.T) {
 	}
 }
 
+// TestRecursiveLotusRetired: the recursive NHE split is no longer a
+// registered algorithm, so naming it fails like any unknown name, and
+// the listing holds the 15 that remain.
+func TestRecursiveLotusRetired(t *testing.T) {
+	if code, out, _ := runTC(t, "-rmat", "6", "-algo", "lotus-recursive"); code != 1 || strings.Contains(out, "triangles:") {
+		t.Fatalf("-algo lotus-recursive: exit %d, output %q; want exit 1 and no count", code, out)
+	}
+	code, out, _ := runTC(t, "-algos")
+	if code != 0 {
+		t.Fatalf("-algos: exit %d", code)
+	}
+	names := strings.Fields(out)
+	if len(names) != 15 {
+		t.Fatalf("-algos lists %d names, want 15: %v", len(names), names)
+	}
+	for _, name := range names {
+		if name == "lotus-recursive" {
+			t.Fatal("-algos still lists lotus-recursive")
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	if code, _, _ := runTC(t); code != 2 {
 		t.Fatal("no input should exit 2")

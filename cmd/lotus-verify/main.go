@@ -1,12 +1,16 @@
 // Command lotus-verify cross-checks every triangle counting
 // algorithm in the repository against a brute-force oracle on a
-// randomized battery of graphs, plus the streaming, recursive and
-// k-clique extensions. It exits non-zero on any disagreement — the
-// release gate for the library.
+// randomized battery of graphs, plus the streaming and k-clique
+// extensions. The LOTUS-structured algorithms must also reproduce the
+// HHH/HHN/HNN/NNN split of a default-hub core.Preprocess count. It
+// exits non-zero on any disagreement — the release gate for the
+// library.
 //
 // Usage:
 //
 //	lotus-verify -rounds 50 -maxn 200 -seed 1
+//
+// -maxn must be at least 4, the smallest random graph drawn.
 package main
 
 import (
@@ -44,6 +48,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *maxN < 4 {
+		fmt.Fprintf(stderr, "lotus-verify: -maxn %d: must be at least 4\n", *maxN)
+		fs.Usage()
+		return 2
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -59,9 +68,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "FAIL %s: got %d want %d (V=%d E=%d)\n",
 			what, got, want, g.NumVertices(), g.NumEdges())
 	}
+	checkClasses := func(what string, g *graph.Graph, got, want [4]uint64) {
+		checked++
+		if got != want {
+			failures++
+			fmt.Fprintf(stderr, "FAIL %s: classes %v want %v (V=%d E=%d)\n",
+				what, got, want, g.NumVertices(), g.NumEdges())
+		}
+	}
 
 	verify := func(label string, g *graph.Graph, rng *rand.Rand) {
 		want := baseline.BruteForce(g)
+		split := core.Preprocess(g, core.Options{Pool: pool}).Count(pool)
+		wantClasses := [4]uint64{split.HHH, split.HHN, split.HNN, split.NNN}
 		for _, alg := range lotustc.Algorithms() {
 			res, err := lotustc.CountContext(ctx, g, lotustc.Options{Algorithm: alg})
 			if err == context.DeadlineExceeded || err == context.Canceled {
@@ -75,6 +94,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			checked++
 			if res.Triangles != want {
 				report(label+"/"+string(alg), g, res.Triangles, want)
+			}
+			if alg == lotustc.AlgoLotus || alg == lotustc.AlgoLotusSharded ||
+				(alg == lotustc.AlgoAuto && res.Decision != nil && res.Decision.Algorithm == string(lotustc.AlgoLotus)) {
+				checkClasses(label+"/"+string(alg), g, [4]uint64{res.HHH, res.HHN, res.HNN, res.NNN}, wantClasses)
 			}
 		}
 		// Random hub count for the core path.
@@ -102,13 +125,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				checkStream := func(stage string) {
 					hhh, hhn, hnn, nnn := sc.Classes()
-					got := [4]uint64{hhh, hhn, hnn, nnn}
-					if exp := [4]uint64{ref.HHH, ref.HHN, ref.HNN, ref.NNN}; got != exp {
-						failures++
-						fmt.Fprintf(stderr, "FAIL %s/streaming-%s-hubs-%d: classes %v want %v (V=%d E=%d)\n",
-							label, stage, hubs, got, exp, g.NumVertices(), g.NumEdges())
-					}
-					checked++
+					checkClasses(fmt.Sprintf("%s/streaming-%s-hubs-%d", label, stage, hubs), g,
+						[4]uint64{hhh, hhn, hnn, nnn}, [4]uint64{ref.HHH, ref.HHN, ref.HNN, ref.NNN})
 				}
 				checkStream("add")
 				churn := edges[:len(edges)/3]

@@ -8,9 +8,11 @@ import (
 	"testing/quick"
 
 	"lotustc/internal/baseline"
+	"lotustc/internal/bitarray"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
+	"lotustc/internal/reorder"
 	"lotustc/internal/sched"
 )
 
@@ -324,13 +326,43 @@ func TestTopologyBytesAccounting(t *testing.T) {
 	}
 }
 
+// relabelSplitOracle is a serial Algorithm 2 reference: materialize
+// the relabeled graph, then split each vertex's lower neighbours at
+// the hub bound into its HE prefix and NHE suffix, setting an H2H bit
+// for every hub-to-hub edge.
+func relabelSplitOracle(g *graph.Graph, opt Options) *LotusGraph {
+	n := g.NumVertices()
+	hubCount := uint32(opt.EffectiveHubCount(n))
+	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
+	rg := g.Relabel(ra)
+	he := &HE16{offsets: make([]int64, 1, n+1), nbrs: []uint16{}}
+	nhe := &NHE32{offsets: make([]int64, 1, n+1), nbrs: []uint32{}}
+	h2h := bitarray.NewTri(hubCount)
+	for v := uint32(0); v < uint32(n); v++ {
+		for _, u := range rg.Neighbors(v) {
+			switch {
+			case u >= v: // stored in u's row (N^< only)
+			case u < hubCount:
+				he.nbrs = append(he.nbrs, uint16(u))
+				if v < hubCount {
+					h2h.Set(v, u)
+				}
+			default:
+				nhe.nbrs = append(nhe.nbrs, u)
+			}
+		}
+		he.offsets = append(he.offsets, int64(len(he.nbrs)))
+		nhe.offsets = append(nhe.offsets, int64(len(nhe.nbrs)))
+	}
+	return &LotusGraph{HubCount: hubCount, H2H: h2h, HE: he, NHE: nhe, Relabeling: ra, numVertices: n}
+}
+
 // TestPreprocessBitIdentical holds TryPreprocess (the on-the-fly walk
-// the sharded build shares) to the materialize-then-split reference:
-// identical HE and NHE rows and the same H2H words, across shapes and
-// hub counts. At 63 to 129 hubs the R-MAT, k20, k130 and hub-spokes
-// rows reach the dense length 2·⌈H/64⌉, so the walk sorts them
-// through the hub bitmap over one to three words; each of those hub
-// counts must hit that path.
+// the sharded build shares) to relabelSplitOracle: identical HE and
+// NHE rows and the same H2H words, across shapes and hub counts. At 63
+// to 129 hubs the R-MAT, k20, k130 and hub-spokes rows reach the dense
+// length 2·⌈H/64⌉, so the walk sorts them through the hub bitmap over
+// one to three words; each of those hub counts must hit that path.
 func TestPreprocessBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat":      gen.RMAT(gen.DefaultRMAT(10, 8, 1)),
@@ -346,7 +378,7 @@ func TestPreprocessBitIdentical(t *testing.T) {
 	dense := map[int]bool{}
 	for name, g := range graphs {
 		for _, hubs := range append([]int{1, 4, 37}, denseHubs...) {
-			a := PreprocessMaterialize(g, Options{HubCount: hubs, Pool: pool})
+			a := relabelSplitOracle(g, Options{HubCount: hubs})
 			b := Preprocess(g, Options{HubCount: hubs, Pool: pool})
 			if a.HubCount != b.HubCount {
 				t.Fatalf("%s hubs=%d: hub counts differ", name, hubs)
@@ -401,15 +433,6 @@ func TestPreprocessPhaseSplit(t *testing.T) {
 	if total := m.Get("preprocess.ns"); parts > total {
 		t.Errorf("relabel + walk.count + walk.fill = %d ns, more than preprocess.ns = %d", parts, total)
 	}
-}
-
-func TestPreprocessMaterializeRejectsOriented(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on oriented input")
-		}
-	}()
-	PreprocessMaterialize(gen.Complete(4).Orient(), Options{HubCount: 2})
 }
 
 func TestPreprocessRejectsOriented(t *testing.T) {

@@ -18,9 +18,8 @@ type CountOptions struct {
 	// TilesPerVertex: number of pair tiles per tiled vertex (paper:
 	// 2 × #threads). Zero picks 2 × pool workers.
 	TilesPerVertex int
-	// SkipNNN suppresses phase 3. CountRecursive replaces it with a
-	// recursive LOTUS split of the non-hub sub-graph; the approx
-	// package replaces it with sampling (§6.2).
+	// SkipNNN suppresses phase 3; the approx package's hybrid
+	// replaces it with sampling of the non-hub sub-graph (§6.2).
 	SkipNNN bool
 	// Phase1Kernel selects the H2H probe strategy for phase 1:
 	// per-row auto dispatch (default), always-scalar bit probes, or

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"lotustc/internal/baseline"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 )
@@ -38,56 +37,6 @@ func mustStreaming(tb testing.TB, n int, hubIDs []uint32) *Streaming {
 		tb.Fatalf("NewStreaming(%d, %v): %v", n, hubIDs, err)
 	}
 	return s
-}
-
-// mustRecursive wraps CountRecursive for tests on valid graphs.
-func mustRecursive(tb testing.TB, g *graph.Graph, opt RecursiveOptions) *RecursiveResult {
-	tb.Helper()
-	rr, err := CountRecursive(g, pool, opt)
-	if err != nil {
-		tb.Fatalf("CountRecursive: %v", err)
-	}
-	return rr
-}
-
-func TestCountRecursiveMatchesFlat(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"rmat":      gen.RMAT(gen.DefaultRMAT(10, 8, 3)),
-		"chunglu":   gen.ChungLu(gen.ChungLuParams{N: 1024, M: 8192, Gamma: 2.2, Seed: 5}),
-		"er":        gen.ErdosRenyi(512, 4096, 6),
-		"k32":       gen.Complete(32),
-		"planted":   gen.PlantedTriangles(50, 10),
-		"hubspokes": gen.HubAndSpokes(16, 500, 4, 7),
-	}
-	for name, g := range graphs {
-		want := baseline.BruteForce(g)
-		for _, depth := range []int{1, 2, 3} {
-			rr := mustRecursive(t, g, RecursiveOptions{
-				Options:  Options{HubCount: 32},
-				MaxDepth: depth, MinVertices: 16,
-			})
-			if rr.Total != want {
-				t.Errorf("%s depth=%d: %d, want %d", name, depth, rr.Total, want)
-			}
-			if rr.Depth < 1 || rr.Depth > depth {
-				t.Errorf("%s: reported depth %d outside [1,%d]", name, rr.Depth, depth)
-			}
-			if len(rr.Levels) != rr.Depth {
-				t.Errorf("%s: %d levels for depth %d", name, len(rr.Levels), rr.Depth)
-			}
-		}
-	}
-}
-
-func TestCountRecursiveActuallyRecurses(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(11, 8, 4))
-	rr := mustRecursive(t, g, RecursiveOptions{
-		Options:  Options{HubCount: 64},
-		MaxDepth: 3, MinVertices: 8,
-	})
-	if rr.Depth < 2 {
-		t.Fatalf("expected >= 2 levels on a scale-11 RMAT, got %d", rr.Depth)
-	}
 }
 
 // refHubTriangles classifies every triangle of g by its hub content,

@@ -2,15 +2,14 @@
 // structure — H2H triangular bit array, HE (hub edges, 16-bit IDs)
 // and NHE (non-hub edges, 32-bit IDs) sub-graphs — its preprocessing
 // (Algorithm 2), the three-phase triangle count (Algorithm 3), and
-// Squared Edge Tiling (§4.6). The paper's two future-work extensions,
-// recursive NHE splitting (§5.5/§7) and streaming hub TC (§6.2), live
-// in recursive.go and streaming.go.
+// Squared Edge Tiling (§4.6). The paper's streaming future-work
+// extension (§6.2, hub TC under edge insertions and deletions) lives
+// in streaming.go.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"lotustc/internal/bitarray"
@@ -150,6 +149,26 @@ func (lg *LotusGraph) TopologyBytes() int64 {
 	return idx + lg.H2H.SizeBytes() + 2*lg.HE.NumEdges() + 4*lg.NHE.NumEdges()
 }
 
+// NonHubSubgraph extracts the symmetric sub-graph induced by the
+// non-hub vertices (the NNN domain), with non-hub v mapped to
+// v - HubCount. The approximate hybrid samples it in place of phase 3
+// and the k-clique experiment counts it to measure the hub share.
+func (lg *LotusGraph) NonHubSubgraph() *graph.Graph {
+	n := lg.numVertices
+	hub := int(lg.HubCount)
+	sub := n - hub
+	if sub <= 0 {
+		return graph.FromEdges(nil, graph.BuildOptions{})
+	}
+	edges := make([]graph.Edge, 0, lg.NHE.NumEdges())
+	for v := hub; v < n; v++ {
+		for _, u := range lg.NHE.Neighbors(uint32(v)) {
+			edges = append(edges, graph.Edge{U: u - uint32(hub), V: uint32(v) - uint32(hub)})
+		}
+	}
+	return graph.FromEdges(edges, graph.BuildOptions{NumVertices: sub})
+}
+
 // ErrOriented is returned by the Try preprocessors when handed an
 // oriented graph: Algorithm 2 walks symmetric neighbour lists, so an
 // oriented input would silently drop every forward edge.
@@ -183,10 +202,9 @@ func mustLotusGraph(lg *LotusGraph, err error) *LotusGraph {
 // implementing Algorithm 2: relabel, split each vertex's N^< into hub
 // and non-hub neighbours, and populate the H2H bit array. It runs the
 // walk the sharded build shares (buildRows) over [0, |V|), mapping IDs
-// through the relabeling on the fly; that measures ~2x faster than
-// materializing the relabeled graph first, which TryPreprocessMaterialize
-// keeps as the bit-identity reference and the ablation-preprocess
-// comparison point.
+// through the relabeling on the fly rather than materializing the
+// relabeled graph first (measured 1.5-2.4x faster; EXPERIMENTS.md,
+// "Preprocessing strategies").
 //
 // Invalid inputs (nil or oriented graphs) are rejected with an error;
 // the serving path depends on this never panicking.
@@ -221,90 +239,8 @@ func Preprocess(g *graph.Graph, opt Options) *LotusGraph {
 	return mustLotusGraph(TryPreprocess(g, opt))
 }
 
-// TryPreprocessMaterialize builds the LotusGraph by first
-// materializing the fully relabeled graph (sorted rows), then
-// splitting each row into its HE/NHE parts with two binary searches.
-// Kept as the reference the bit-identity test holds TryPreprocess to
-// and as the comparison point for the preprocessing ablation.
-func TryPreprocessMaterialize(g *graph.Graph, opt Options) (*LotusGraph, error) {
-	if err := checkPreprocessInput(g); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	pool := opt.pool()
-	n := g.NumVertices()
-	hubCount := opt.EffectiveHubCount(n)
-
-	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: hubCount, FrontFraction: opt.FrontFraction})
-	relabel := time.Since(t0)
-	rg := g.Relabel(ra)
-
-	heOff := make([]int64, n+1)
-	nheOff := make([]int64, n+1)
-	// Neighbour lists are sorted, so within N^<_v the hub neighbours
-	// (IDs < hubCount) form a prefix: two binary searches per vertex
-	// give the split points.
-	pool.For(n, 0, func(_, start, end int) {
-		for v := start; v < end; v++ {
-			nb := rg.Neighbors(uint32(v))
-			below := sort.Search(len(nb), func(i int) bool { return nb[i] >= uint32(v) })
-			limit := uint32(hubCount)
-			if uint32(v) < limit {
-				limit = uint32(v)
-			}
-			hubs := sort.Search(below, func(i int) bool { return nb[i] >= limit })
-			heOff[v+1] = int64(hubs)
-			nheOff[v+1] = int64(below - hubs)
-		}
-	})
-	for v := 0; v < n; v++ {
-		heOff[v+1] += heOff[v]
-		nheOff[v+1] += nheOff[v]
-	}
-	he := &HE16{offsets: heOff, nbrs: make([]uint16, heOff[n])}
-	nhe := &NHE32{offsets: nheOff, nbrs: make([]uint32, nheOff[n])}
-	h2h := bitarray.NewTri(uint32(hubCount))
-	pool.For(n, 0, func(_, start, end int) {
-		for v := start; v < end; v++ {
-			nb := rg.Neighbors(uint32(v))
-			hd := he.offsets[v+1] - he.offsets[v]
-			for i := int64(0); i < hd; i++ {
-				u := nb[i]
-				he.nbrs[he.offsets[v]+i] = uint16(u)
-				if uint32(v) < uint32(hubCount) {
-					// hub-to-hub edge: also record in H2H (Alg 2 l.19)
-					h2h.Set(uint32(v), u)
-				}
-			}
-			nd := nhe.offsets[v+1] - nhe.offsets[v]
-			for i := int64(0); i < nd; i++ {
-				nhe.nbrs[nhe.offsets[v]+i] = nb[hd+i]
-			}
-		}
-	})
-
-	lg := &LotusGraph{
-		HubCount:       uint32(hubCount),
-		H2H:            h2h,
-		HE:             he,
-		NHE:            nhe,
-		Relabeling:     ra,
-		PreprocessTime: time.Since(t0),
-		numVertices:    n,
-	}
-	lg.recordPreprocessMetrics(opt.Metrics, relabel)
-	return lg, nil
-}
-
-// PreprocessMaterialize is the thin panicking wrapper over
-// TryPreprocessMaterialize.
-func PreprocessMaterialize(g *graph.Graph, opt Options) *LotusGraph {
-	return mustLotusGraph(TryPreprocessMaterialize(g, opt))
-}
-
 // recordPreprocessMetrics publishes the preprocessing time, its
-// relabel part and the structure-size counters; nil-safe, called by
-// both preprocessing variants.
+// relabel part and the structure-size counters; nil-safe.
 func (lg *LotusGraph) recordPreprocessMetrics(m *obs.Metrics, relabel time.Duration) {
 	if m == nil {
 		return

@@ -86,9 +86,9 @@ func (s *LotusShard) TopologyBytes() int64 {
 // it in the worker's hub bitmap and draining the ⌈H/64⌉ words back in
 // order; shorter rows and NHE rows are comparison-sorted. IDs are
 // mapped through ra on the fly rather than through a materialized
-// relabeled graph (TryPreprocessMaterialize), and every original
-// vertex is visited even for a narrow range: the relabeling scatters
-// a range's rows across the original ID space. The wall times of the
+// relabeled graph, and every original vertex is visited even for a
+// narrow range: the relabeling scatters a range's rows across the
+// original ID space. The wall times of the
 // two passes go to m as preprocess.walk.count.ns and
 // preprocess.walk.fill.ns.
 func buildRows(g *graph.Graph, pool *sched.Pool, ra []uint32, hubCount uint32, r VertexRange, h2h *bitarray.TriRows, m *obs.Metrics) (*HE16, *NHE32) {

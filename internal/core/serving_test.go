@@ -21,7 +21,6 @@ func TestTryPreprocessReturnsErrOriented(t *testing.T) {
 			_, err := TryPreprocessRange(og, Options{HubCount: 2}, make([]uint32, 6), VertexRange{Hi: 6})
 			return err
 		},
-		"TryPreprocessMaterialize": func() error { _, err := TryPreprocessMaterialize(og, Options{HubCount: 2}); return err },
 	} {
 		err := try()
 		if err == nil {

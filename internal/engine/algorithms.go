@@ -2,13 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"lotustc/internal/baseline"
 	"lotustc/internal/core"
 )
 
-// The built-in registrations: the two LOTUS variants, the §5.1.4
+// The built-in registrations: flat and sharded LOTUS, the §5.1.4
 // comparators, and the §6.1 classics. Registration order is the
 // display order of every algorithm listing.
 func init() {
@@ -25,7 +24,6 @@ func init() {
 	sharded.Shardable = true
 
 	MustRegister("lotus", streaming, lotusKernel)
-	MustRegister("lotus-recursive", lotus, lotusRecursiveKernel)
 	MustRegister("lotus-sharded", sharded, lotusShardedKernel)
 	MustRegister("cover-edge", phased, coverEdgeKernel)
 	MustRegister("auto", phased, autoKernel)
@@ -104,47 +102,6 @@ func lotusKernel(t *Task) (uint64, error) {
 	t.Report.AddPhase(PhaseNNN, cr.NNNTime)
 	t.Report.HHH, t.Report.HHN, t.Report.HNN, t.Report.NNN = cr.HHH, cr.HHN, cr.HNN, cr.NNN
 	return cr.Total, nil
-}
-
-// lotusRecursiveKernel applies LOTUS recursively (§5.5/§7), folding
-// the per-level results into the report. The deepest level is the
-// only one whose NNN phase ran, so only its NNN count is real — and
-// on degenerate inputs (e.g. cancellation before the first level
-// completed) Levels can be empty, which must not panic.
-func lotusRecursiveKernel(t *Task) (uint64, error) {
-	rr, err := core.CountRecursive(t.Graph, t.Pool, core.RecursiveOptions{
-		Options: core.Options{
-			HubCount:      t.Params.HubCount,
-			FrontFraction: t.Params.FrontFraction,
-			Pool:          t.Pool,
-			Metrics:       t.Metrics(),
-		},
-		MaxDepth: t.Params.MaxDepth,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := t.Err(); err != nil {
-		return 0, err
-	}
-	t.Report.RecursionDepth = rr.Depth
-	t.Report.AddPhase(PhasePreprocess, rr.Preprocess)
-	var phase1, hnn, nnn time.Duration
-	for _, lvl := range rr.Levels {
-		t.Report.HHH += lvl.HHH
-		t.Report.HHN += lvl.HHN
-		t.Report.HNN += lvl.HNN
-		phase1 += lvl.Phase1Time
-		hnn += lvl.HNNTime
-		nnn += lvl.NNNTime
-	}
-	t.Report.AddPhase(PhaseHub, phase1)
-	t.Report.AddPhase(PhaseHNN, hnn)
-	t.Report.AddPhase(PhaseNNN, nnn)
-	if len(rr.Levels) > 0 {
-		t.Report.NNN = rr.Levels[len(rr.Levels)-1].NNN
-	}
-	return rr.Total, nil
 }
 
 // forwardKernel builds a kernel for one Forward-family intersection

@@ -75,8 +75,6 @@ type Params struct {
 	HubCount int
 	// FrontFraction overrides the §4.3.1 relabeling front block.
 	FrontFraction float64
-	// MaxDepth bounds the recursive LOTUS variant (0 = 2 levels).
-	MaxDepth int
 	// Phase1Kernel selects the H2H probe kernel for phase 1: "" or
 	// "auto" (per-row dispatch), "scalar", or "word". Unknown values
 	// fail the run up front rather than silently falling back.
@@ -91,9 +89,8 @@ type Params struct {
 	// queries: the "lotus" kernel skips Algorithm 2 and records a
 	// zero-length preprocess phase. The structure must have been built
 	// from the run's graph — the kernel cross-checks the vertex count
-	// and returns an error wrapping ErrPreparedMismatch otherwise;
-	// kernels that rebuild per level (lotus-recursive) and the
-	// baselines ignore it.
+	// and returns an error wrapping ErrPreparedMismatch otherwise; the
+	// other kernels ignore it.
 	Prepared *core.LotusGraph
 	// Shards is the grid dimension p for the "lotus-sharded" kernel
 	// (0 = shard.DefaultGrid; 1 = a single block). Other kernels
@@ -125,8 +122,7 @@ type Phase struct {
 
 // Report is the structured outcome of one engine run. Phases appear
 // in execution order; the class counters are populated only by
-// kernels whose capabilities declare ReportsClasses, and
-// RecursionDepth only by the recursive variant.
+// kernels whose capabilities declare ReportsClasses.
 type Report struct {
 	Algorithm string
 	Triangles uint64
@@ -136,8 +132,6 @@ type Report struct {
 	Phases  []Phase
 	// Triangle classes (Fig 7), LOTUS kernels only.
 	HHH, HHN, HNN, NNN uint64
-	// RecursionDepth reports levels used by the recursive variant.
-	RecursionDepth int
 	// Metrics is the flat counter snapshot collected when
 	// Spec.CollectMetrics was set (nil otherwise). Names are dotted
 	// (e.g. "phase1.claims"); DESIGN.md documents the full set.

@@ -28,8 +28,8 @@ func TestMain(m *testing.M) {
 const k12Triangles = 220
 
 func TestRegistryResolvesEveryBuiltin(t *testing.T) {
-	if len(builtins) != 16 {
-		t.Fatalf("expected 16 built-in algorithms, got %d: %v", len(builtins), builtins)
+	if len(builtins) != 15 {
+		t.Fatalf("expected 15 built-in algorithms, got %d: %v", len(builtins), builtins)
 	}
 	g := gen.Complete(12)
 	for _, name := range builtins {
@@ -176,7 +176,7 @@ func testGraph(t *testing.T) *graph.Graph {
 // graph must return context.Canceled within 500ms of the cancel call,
 // and no goroutine may outlive the run.
 func TestRunCancellationPromptAndLeakFree(t *testing.T) {
-	for _, algo := range []string{"lotus", "lotus-recursive", "lotus-sharded", "forward"} {
+	for _, algo := range []string{"lotus", "lotus-sharded", "forward"} {
 		t.Run(algo, func(t *testing.T) {
 			g := testGraph(t)
 			before := runtime.NumGoroutine()

@@ -276,10 +276,10 @@ func (r *Registry) Inject(name string) error {
 
 // PointStatus is the observable state of one fault point.
 type PointStatus struct {
-	Name   string  `json:"name"`
-	Armed  *Policy `json:"armed,omitempty"`
-	Evals  int64   `json:"evals"`
-	Fires  int64   `json:"fires"`
+	Name  string  `json:"name"`
+	Armed *Policy `json:"armed,omitempty"`
+	Evals int64   `json:"evals"`
+	Fires int64   `json:"fires"`
 }
 
 // Points lists every registered point, sorted by name.

@@ -201,31 +201,6 @@ func RunBaselinesClassic(w io.Writer, s Suite, workers int) {
 	}
 }
 
-// RunAblationPreprocess compares the two Algorithm 2 implementations:
-// PreprocessMaterialize (relabel the whole graph once, then split rows
-// with binary searches) vs Preprocess (per-edge on-the-fly
-// relabeling, literal Alg 2). Fig 6's preprocessing-share claim
-// depends on this constant factor.
-func RunAblationPreprocess(w io.Writer, s Suite, workers int) {
-	pool := s.NewPool(workers)
-	fmt.Fprintln(w, "=== Ablation: PreprocessMaterialize (materialize+split) vs Preprocess (literal Alg 2) ===")
-	fmt.Fprintf(w, "%-12s %16s %16s %10s\n", "dataset", "materialize(s)", "direct(s)", "ratio")
-	for _, d := range s.Datasets() {
-		g := d.Build()
-		lg1 := core.PreprocessMaterialize(g, core.Options{Pool: pool})
-		lg2 := core.Preprocess(g, core.Options{Pool: pool})
-		c1 := lg1.Count(pool)
-		c2 := lg2.Count(pool)
-		if c1.Total != c2.Total {
-			fmt.Fprintf(w, "%-12s COUNT MISMATCH\n", d.Name)
-			continue
-		}
-		t1 := lg1.PreprocessTime.Seconds()
-		t2 := lg2.PreprocessTime.Seconds()
-		fmt.Fprintf(w, "%-12s %16.3f %16.3f %10.2f\n", d.Name, t1, t2, t2/t1)
-	}
-}
-
 // RunExtensionKClique compares the generic ordered k-clique counter
 // against the LOTUS-structured variant (§7 future work) for k=3..5.
 func RunExtensionKClique(w io.Writer, s Suite, workers int) {
@@ -303,33 +278,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// RunAblationRecursive compares flat LOTUS against the recursive
-// NHE-splitting extension (§5.5/§7).
-func RunAblationRecursive(w io.Writer, s Suite, workers int) {
-	pool := s.NewPool(workers)
-	fmt.Fprintln(w, "=== Extension: flat Lotus vs recursive NHE splitting ===")
-	fmt.Fprintf(w, "%-12s %12s %12s %8s %12s\n", "dataset", "flat(s)", "recursive(s)", "depth", "triangles")
-	for _, d := range s.Datasets() {
-		g := d.Build()
-		t0 := time.Now()
-		lg := core.Preprocess(g, core.Options{Pool: pool})
-		flat := lg.Count(pool)
-		flatS := time.Since(t0).Seconds()
-		t1 := time.Now()
-		rec, err := core.CountRecursive(g, pool, core.RecursiveOptions{MaxDepth: 3})
-		if err != nil {
-			fmt.Fprintf(w, "%-12s RECURSIVE ERROR %v\n", d.Name, err)
-			continue
-		}
-		recS := time.Since(t1).Seconds()
-		if flat.Total != rec.Total {
-			fmt.Fprintf(w, "%-12s COUNT MISMATCH flat=%d rec=%d\n", d.Name, flat.Total, rec.Total)
-			continue
-		}
-		fmt.Fprintf(w, "%-12s %12.3f %12.3f %8d %12d\n", d.Name, flatS, recS, rec.Depth, rec.Total)
-	}
 }
 
 // RunAblationPhase1 compares the phase-1 kernels (scalar bit probes

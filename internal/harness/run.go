@@ -47,12 +47,8 @@ func Experiments() []Experiment {
 			func(w io.Writer, s Suite, workers int) { RunAblationRelabel(w, s, workers) }},
 		{"ablation-phase1", "Ablation: phase-1 kernel, scalar probes vs word-parallel bitmap",
 			func(w io.Writer, s Suite, workers int) { RunAblationPhase1(w, s, workers) }},
-		{"ablation-preprocess", "Ablation: materialize+split vs literal Alg 2 preprocessing",
-			func(w io.Writer, s Suite, workers int) { RunAblationPreprocess(w, s, workers) }},
 		{"baselines-classic", "Classic §6.1 algorithms (Latapy, node-iterator-core, AYZ)",
 			func(w io.Writer, s Suite, workers int) { RunBaselinesClassic(w, s, workers) }},
-		{"ext-recursive", "Extension: recursive NHE splitting",
-			func(w io.Writer, s Suite, workers int) { RunAblationRecursive(w, s, workers) }},
 		{"ext-kclique", "Extension: k-clique counting, generic vs Lotus-structured",
 			func(w io.Writer, s Suite, workers int) { RunExtensionKClique(w, s, workers) }},
 		{"ext-approx", "Extension: approximate TC, Doulion vs Lotus hybrid",

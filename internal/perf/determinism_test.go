@@ -35,18 +35,6 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// Preprocessing strategy must not change the replay: the structures
-// are bit-identical, so the LOTUS reference stream is too.
-func TestReplayIndependentOfPreprocessor(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(9, 8, 13))
-	cfg := tinyMachine()
-	a := InstrumentedLotus(core.PreprocessMaterialize(g, core.Options{Pool: pool}), cfg)
-	b := InstrumentedLotus(core.Preprocess(g, core.Options{Pool: pool}), cfg)
-	if a != b {
-		t.Fatalf("replay differs across preprocessors:\n%+v\n%+v", a, b)
-	}
-}
-
 // The prefetch flag must thread through MachineConfig and only ever
 // reduce modeled misses.
 func TestPrefetchConfigPropagates(t *testing.T) {

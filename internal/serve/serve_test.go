@@ -197,6 +197,27 @@ func TestTimeoutReturns504AndServerSurvives(t *testing.T) {
 	}
 }
 
+// TestRecursiveLotusUnknown: recursive LOTUS is not registered, so a
+// request naming it is refused like any unknown algorithm, and no
+// tune decision counter is pre-registered for it.
+func TestRecursiveLotusUnknown(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	status, raw := postJSON(t, ts.URL+"/v1/count",
+		`{"graph": {"type": "rmat", "scale": 8, "edge_factor": 8, "seed": 1}, "algorithm": "lotus-recursive"}`)
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", status, raw)
+	}
+	var e struct {
+		Code string `json:"code"`
+	}
+	if err := json.Unmarshal(raw, &e); err != nil || e.Code != "unknown_algorithm" {
+		t.Fatalf("body %s, want code unknown_algorithm", raw)
+	}
+	if _, ok := s.Metrics().Snapshot()[obs.TuneDecisionPrefix+"lotus-recursive"]; ok {
+		t.Fatal("/metrics still carries tune.decision.lotus-recursive")
+	}
+}
+
 func TestBadSpecAndOrientedAndCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 

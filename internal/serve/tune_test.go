@@ -151,7 +151,7 @@ func TestAlgorithmsListsTunerFamily(t *testing.T) {
 	// The class split is its own tag: the LOTUS-structured kernels
 	// carry it, cover-edge and auto report phases without it, and the
 	// comparators carry neither.
-	for _, name := range []string{"lotus", "lotus-recursive", "lotus-sharded"} {
+	for _, name := range []string{"lotus", "lotus-sharded"} {
 		if caps := byName[name]; !caps.ReportsClasses || !caps.ReportsPhases {
 			t.Errorf("%s must advertise reports_classes and reports_phases: %+v", name, caps)
 		}

@@ -11,8 +11,8 @@
 //     edge-iterator/GraphGrind, GBBS-style, BBTC-style, node
 //     iterator).
 //   - Deterministic graph generators standing in for the paper's
-//     datasets, graph I/O, topology statistics, and the paper's two
-//     future-work extensions (recursive splitting, streaming hub TC).
+//     datasets, graph I/O, topology statistics, and the paper's
+//     streaming hub TC future-work extension (§6.2).
 //
 // Quick start:
 //
@@ -56,8 +56,7 @@ type Algorithm string
 // The available algorithms. AlgoLotus is the paper's contribution;
 // the others are the §5.1.4 comparators.
 const (
-	AlgoLotus          Algorithm = "lotus"
-	AlgoLotusRecursive Algorithm = "lotus-recursive"
+	AlgoLotus Algorithm = "lotus"
 	// AlgoLotusSharded partitions the relabeled ID space into a
 	// Shards-way grid, builds one LOTUS structure per block, and counts
 	// by block triple; totals and classes match AlgoLotus exactly.
@@ -110,8 +109,6 @@ type Options struct {
 	// FrontFraction overrides the §4.3.1 relabeling front block
 	// (0 = the paper's 10%).
 	FrontFraction float64
-	// MaxDepth bounds AlgoLotusRecursive (0 = 2 levels).
-	MaxDepth int
 	// Shards is the grid dimension p for AlgoLotusSharded
 	// (0 = the default 2; 1 = a single block). Other algorithms
 	// ignore it.
@@ -148,8 +145,6 @@ type Result struct {
 	CountPhase time.Duration
 	// Triangle classes (Fig 7).
 	HHH, HHN, HNN, NNN uint64
-	// RecursionDepth reports levels used by AlgoLotusRecursive.
-	RecursionDepth int
 	// Metrics is the flat observability snapshot collected when
 	// Options.CollectMetrics was set, nil otherwise. Keys are dotted
 	// counter names ("phase1.claims", "lotus.h2h_bits", ...); the full
@@ -198,7 +193,6 @@ func CountContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		Params: engine.Params{
 			HubCount:      opt.HubCount,
 			FrontFraction: opt.FrontFraction,
-			MaxDepth:      opt.MaxDepth,
 			Shards:        opt.Shards,
 			TuneAlgorithm: string(opt.TuneAlgorithm),
 		},
@@ -207,20 +201,19 @@ func CountContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Algorithm:      Algorithm(rep.Algorithm),
-		Triangles:      rep.Triangles,
-		Elapsed:        rep.Elapsed,
-		Preprocess:     rep.Phase(engine.PhasePreprocess),
-		Phase1:         rep.Phase(engine.PhaseHub),
-		HNNPhase:       rep.Phase(engine.PhaseHNN),
-		NNNPhase:       rep.Phase(engine.PhaseNNN),
-		CountPhase:     rep.Phase(engine.PhaseCount),
-		HHH:            rep.HHH,
-		HHN:            rep.HHN,
-		HNN:            rep.HNN,
-		NNN:            rep.NNN,
-		RecursionDepth: rep.RecursionDepth,
-		Metrics:        rep.Metrics,
-		Decision:       rep.Decision,
+		Algorithm:  Algorithm(rep.Algorithm),
+		Triangles:  rep.Triangles,
+		Elapsed:    rep.Elapsed,
+		Preprocess: rep.Phase(engine.PhasePreprocess),
+		Phase1:     rep.Phase(engine.PhaseHub),
+		HNNPhase:   rep.Phase(engine.PhaseHNN),
+		NNNPhase:   rep.Phase(engine.PhaseNNN),
+		CountPhase: rep.Phase(engine.PhaseCount),
+		HHH:        rep.HHH,
+		HHN:        rep.HHN,
+		HNN:        rep.HNN,
+		NNN:        rep.NNN,
+		Metrics:    rep.Metrics,
+		Decision:   rep.Decision,
 	}, nil
 }

@@ -16,23 +16,6 @@ func TestCountNilGraph(t *testing.T) {
 	}
 }
 
-// TestCountRecursiveEmptyGraph is the regression test for the
-// rr.Levels[len(rr.Levels)-1] panic: on a graph with no edges the
-// recursive variant can finish with degenerate levels and must still
-// return a zero count, not panic.
-func TestCountRecursiveEmptyGraph(t *testing.T) {
-	for _, n := range []int{0, 1, 5} {
-		g := FromEdges(nil, n)
-		res, err := Count(g, Options{Algorithm: AlgoLotusRecursive})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if res.Triangles != 0 || res.NNN != 0 {
-			t.Fatalf("n=%d: empty graph counted %d triangles (NNN=%d)", n, res.Triangles, res.NNN)
-		}
-	}
-}
-
 func TestCountContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

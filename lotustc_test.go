@@ -58,24 +58,6 @@ func TestCountUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-func TestCountRecursiveResult(t *testing.T) {
-	g := RMAT(11, 8, 7)
-	flat, _ := Count(g, Options{Algorithm: AlgoLotus, HubCount: 64})
-	rec, err := Count(g, Options{Algorithm: AlgoLotusRecursive, HubCount: 64, MaxDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Triangles != flat.Triangles {
-		t.Fatalf("recursive %d != flat %d", rec.Triangles, flat.Triangles)
-	}
-	if rec.RecursionDepth < 1 {
-		t.Fatal("depth not reported")
-	}
-	if rec.HHH+rec.HHN+rec.HNN+rec.NNN != rec.Triangles {
-		t.Fatal("recursive class sum mismatch")
-	}
-}
-
 func TestGraphRoundTripFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.lotg")
