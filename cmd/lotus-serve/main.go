@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -185,9 +186,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runSmoke boots the service on a loopback port, counts a scale-N
-// R-MAT graph twice, and verifies both the answer (200, nonzero
-// triangles, both queries agree) and the cache (second query is a
-// result hit and at least 10x faster). It is the `make serve-smoke`
+// R-MAT graph once cold and five times warm, and verifies both the
+// answer (200, nonzero triangles, every query agrees) and the cache
+// (every warm query is a result hit, and their median is at least 10x
+// faster than the cold one). It is the `make serve-smoke`
 // target and doubles as a deployment sanity check.
 func runSmoke(cfg serve.Config, scale uint, stdout, stderr io.Writer) int {
 	fail := func(format string, args ...any) int {
@@ -230,16 +232,24 @@ func runSmoke(cfg serve.Config, scale uint, stdout, stderr io.Writer) int {
 	if first.Triangles == 0 {
 		return fail("cold query returned zero triangles for rmat scale %d", scale)
 	}
-	second, warmT, err := query()
-	if err != nil {
-		return fail("warm query: %v", err)
+	// The warm time is the median of five result-cache hits, so one
+	// hit that a busy host delays cannot fail the speedup check.
+	warmTs := make([]time.Duration, 5)
+	for i := range warmTs {
+		warm, d, err := query()
+		if err != nil {
+			return fail("warm query: %v", err)
+		}
+		if warm.Triangles != first.Triangles {
+			return fail("count changed between queries: %d then %d", first.Triangles, warm.Triangles)
+		}
+		if !warm.Cache.Result {
+			return fail("identical query %d was not a result-cache hit", i+2)
+		}
+		warmTs[i] = d
 	}
-	if second.Triangles != first.Triangles {
-		return fail("count changed between queries: %d then %d", first.Triangles, second.Triangles)
-	}
-	if !second.Cache.Result {
-		return fail("second identical query was not a result-cache hit")
-	}
+	slices.Sort(warmTs)
+	warmT := warmTs[len(warmTs)/2]
 	if warmT*10 > coldT {
 		return fail("warm query %v not 10x faster than cold %v", warmT, coldT)
 	}

@@ -184,12 +184,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "triangles: %d\n", res.Triangles)
 	fmt.Fprintf(stdout, "end-to-end: %v (%.0f edges/s)\n", res.Elapsed, res.TCRate(g.NumEdges()))
 	if *verbose && (effective == lotustc.AlgoLotus || effective == lotustc.AlgoLotusSharded) {
-		if effective == lotustc.AlgoLotusSharded {
-			fmt.Fprintf(stdout, "breakdown: preprocess %v, count %v\n", res.Preprocess, res.CountPhase)
-		} else {
-			fmt.Fprintf(stdout, "breakdown: preprocess %v, HHH+HHN %v, HNN %v, NNN %v\n",
-				res.Preprocess, res.Phase1, res.HNNPhase, res.NNNPhase)
-		}
+		fmt.Fprintf(stdout, "breakdown: preprocess %v, HHH+HHN %v, HNN %v, NNN %v\n",
+			res.Preprocess, res.Phase1, res.HNNPhase, res.NNNPhase)
 		total := float64(res.Triangles)
 		if total < 1 {
 			total = 1
@@ -218,19 +214,12 @@ func fillRunReport(rr *obs.RunReport, res *lotustc.Result) {
 	if res.Decision != nil {
 		effective = lotustc.Algorithm(res.Decision.Algorithm)
 	}
-	switch effective {
-	case lotustc.AlgoLotus:
+	if effective == lotustc.AlgoLotus || effective == lotustc.AlgoLotusSharded {
 		rr.Phases = []obs.PhaseNS{
 			{Name: "preprocess", NS: res.Preprocess.Nanoseconds()},
 			{Name: "phase1", NS: res.Phase1.Nanoseconds()},
 			{Name: "hnn", NS: res.HNNPhase.Nanoseconds()},
 			{Name: "nnn", NS: res.NNNPhase.Nanoseconds()},
-		}
-		rr.Classes = &obs.Classes{HHH: res.HHH, HHN: res.HHN, HNN: res.HNN, NNN: res.NNN}
-	case lotustc.AlgoLotusSharded:
-		rr.Phases = []obs.PhaseNS{
-			{Name: "preprocess", NS: res.Preprocess.Nanoseconds()},
-			{Name: "count", NS: res.CountPhase.Nanoseconds()},
 		}
 		rr.Classes = &obs.Classes{HHH: res.HHH, HHN: res.HHN, HNN: res.HNN, NNN: res.NNN}
 	}

@@ -207,3 +207,47 @@ func TestJSONReportFlagValidation(t *testing.T) {
 		t.Fatal("-report json with k-cliques should exit 2")
 	}
 }
+
+// TestShardedReportsLotusPhases: lotus-sharded runs the flat count's
+// three phases, so -v prints the same breakdown as lotus and the JSON
+// report carries preprocess, phase1, hnn and nnn rows (no single count
+// row) with the flat count's per-phase counters.
+func TestShardedReportsLotusPhases(t *testing.T) {
+	code, out, errOut := runTC(t, "-rmat", "9", "-edgefactor", "8", "-shards", "2", "-v")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	if !strings.Contains(out, "algorithm: lotus-sharded") ||
+		!strings.Contains(out, "breakdown: preprocess ") || !strings.Contains(out, ", HHH+HHN ") ||
+		!strings.Contains(out, ", HNN ") || !strings.Contains(out, ", NNN ") || strings.Contains(out, ", count ") {
+		t.Fatalf("sharded -v output lacks the three-phase breakdown: %q", out)
+	}
+
+	code, out, errOut = runTC(t, "-rmat", "9", "-edgefactor", "8", "-shards", "2", "-report", "json")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	var rr obs.RunReport
+	if err := json.Unmarshal([]byte(out), &rr); err != nil {
+		t.Fatalf("stdout is not valid JSON: %v\n%s", err, out)
+	}
+	var names []string
+	for _, p := range rr.Phases {
+		names = append(names, p.Name)
+		if p.Name != "preprocess" && p.NS <= 0 {
+			t.Errorf("phase %q has no time", p.Name)
+		}
+	}
+	if got := strings.Join(names, ","); got != "preprocess,phase1,hnn,nnn" {
+		t.Fatalf("sharded JSON phases = %s, want preprocess,phase1,hnn,nnn", got)
+	}
+	if rr.Classes == nil || rr.Classes.HHH+rr.Classes.HHN+rr.Classes.HNN+rr.Classes.NNN != rr.Triangles {
+		t.Fatalf("class split %+v does not sum to %d triangles", rr.Classes, rr.Triangles)
+	}
+	for _, name := range []string{"phase1.claims", "phase1.h2h_probes", "hnn.he_intersections",
+		"nnn.nhe_intersections", "shard.triples"} {
+		if _, ok := rr.Metrics[name]; !ok {
+			t.Errorf("metric %q missing from sharded JSON report", name)
+		}
+	}
+}

@@ -2,7 +2,10 @@
 // algorithm in the repository against a brute-force oracle on a
 // randomized battery of graphs, plus the streaming and k-clique
 // extensions. The LOTUS-structured algorithms must also reproduce the
-// HHH/HHN/HNN/NNN split of a default-hub core.Preprocess count. It
+// HHH/HHN/HNN/NNN split of a default-hub core.Preprocess count, and
+// lotus-sharded at a random grid size and the exact streaming counter
+// (shuffled, then with a third of the edges re-added) the split of a
+// count over random hubs. It
 // exits non-zero on any disagreement — the release gate for the
 // library.
 //
@@ -109,6 +112,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 				report(fmt.Sprintf("%s/lotus-hubs-%d", label, hubs), g, ref.Total, want)
 			}
 			checked++
+			// The shard grid at a random p over the same hubs must
+			// reproduce that split too.
+			p := 1 + rng.Intn(4)
+			sh, err := lotustc.CountContext(ctx, g, lotustc.Options{Algorithm: lotustc.AlgoLotusSharded, HubCount: hubs, Shards: p})
+			if err == context.DeadlineExceeded || err == context.Canceled {
+				return
+			}
+			if err != nil {
+				fmt.Fprintf(stderr, "FAIL %s/lotus-sharded-p%d-hubs-%d: %v\n", label, p, hubs, err)
+				failures++
+			} else {
+				checkClasses(fmt.Sprintf("%s/lotus-sharded-p%d-hubs-%d", label, p, hubs), g,
+					[4]uint64{sh.HHH, sh.HHN, sh.HNN, sh.NNN}, [4]uint64{ref.HHH, ref.HHN, ref.HNN, ref.NNN})
+			}
 			// Streaming: a shuffled stream of the same graph over the
 			// same hub set must reproduce LOTUS's class split, and
 			// still does after a random third of the edges is removed

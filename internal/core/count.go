@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"lotustc/internal/intersect"
@@ -115,27 +116,174 @@ func (lg *LotusGraph) Count(pool *sched.Pool) *Result {
 	return lg.CountWithOptions(pool, CountOptions{})
 }
 
-// CountWithOptions runs Algorithm 3: phase 1 counts HHH and HHN
-// triangles against the H2H bit array, phase 2 counts HNN triangles
-// by intersecting 16-bit HE rows, and phase 3 (unless SkipNNN) counts
-// NNN triangles by intersecting NHE rows against a per-worker vertex
-// bitmap.
+// CountWithOptions runs Algorithm 3 over the whole graph: the single
+// block (0, 0, 0) of the one-row partition lg.rows (CountBlocks).
 func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Result {
-	if pool == nil {
-		pool = sched.NewPool(0)
-	}
+	return CountBlocks(pool, lg.rows(), []Block{{}}, opt)
+}
+
+// rows returns lg as a one-row partition: a LotusShard over [0, |V|)
+// that views lg's own HE, NHE and H2H rows, with no copy.
+func (lg *LotusGraph) rows() []*LotusShard {
+	return []*LotusShard{{
+		Range:       VertexRange{Hi: uint32(lg.numVertices)},
+		HubCount:    lg.HubCount,
+		H2H:         lg.H2H.Rows(),
+		HE:          lg.HE,
+		NHE:         lg.NHE,
+		numVertices: lg.numVertices,
+	}}
+}
+
+// withDefaults fills in the tiling defaults for a pool of the given
+// workers.
+func (opt CountOptions) withDefaults(workers int) CountOptions {
 	if opt.TileThreshold <= 0 {
 		opt.TileThreshold = DefaultTileThreshold
 	}
 	if opt.TilesPerVertex <= 0 {
-		opt.TilesPerVertex = 2 * pool.Workers()
+		opt.TilesPerVertex = 2 * workers
 	}
+	return opt
+}
+
+// Block is one block triple (I, J, K) of a row partition, as indices
+// into the rows passed to CountBlocks. Apexes x stream from rows[K],
+// middle vertices y from rows[J] (its H2H rows in phase 1, its HE and
+// NHE rows in HNN and NNN), and the closing vertex z must fall in the
+// range of rows[I]. With ascending ranges and I <= J <= K, a triangle
+// z < y < x lands in exactly one block, (block(z), block(y),
+// block(x)), at the same apex and with the same class as in the flat
+// count.
+type Block struct{ I, J, K int }
+
+// Live reports whether any phase can close a triangle in b.
+func (b Block) Live(rows []*LotusShard) bool {
+	p1, hnn, nnn := b.phases(rows)
+	return p1 || hnn || nnn
+}
+
+// phases reports which phases can close a triangle in b. Phase 1
+// needs hubs in I and J and an apex in K, HNN hubs in I and non-hubs
+// in J and K, NNN non-hubs in all three. Hubs are the IDs below the
+// hub count, so every range holds a hub prefix and a non-hub suffix.
+func (b Block) phases(rows []*LotusShard) (p1, hnn, nnn bool) {
+	h := rows[0].HubCount
+	hubs := func(r VertexRange) bool { return r.Lo < min(r.Hi, h) }
+	nonHubs := func(r VertexRange) bool { return max(r.Lo, h) < r.Hi }
+	i, j, k := rows[b.I].Range, rows[b.J].Range, rows[b.K].Range
+	p1 = hubs(i) && hubs(j) && k.Len() > 0
+	hnn = hubs(i) && nonHubs(j) && nonHubs(k)
+	nnn = nonHubs(i) && nonHubs(j) && nonHubs(k)
+	return p1, hnn, nnn
+}
+
+// span is a block resolved against its rows for the phase loops.
+type span struct {
+	apex, mid *LotusShard // the rows of K and of J
+	i, j      VertexRange
+	// hubCut and nonHubCut say whether I and J leave out part of the
+	// IDs that HE rows ([0, h)) or NHE rows ([h, |V|)) hold, so that
+	// restricting such a row to them can change it. The flat count's
+	// single block cuts nothing.
+	hubCut, nonHubCut cut
+}
+
+// cut marks which of I and J an apex row must be restricted to.
+type cut struct{ i, j bool }
+
+// any reports whether the row must be restricted at all.
+func (c cut) any() bool { return c.i || c.j }
+
+// resolve returns the spans of the blocks each phase can close a
+// triangle in, in block order.
+func resolve(rows []*LotusShard, blocks []Block) (p1, hnn, nnn []span) {
+	h, n := rows[0].HubCount, uint32(rows[0].numVertices)
+	// cuts reports which of i and j leave out part of [lo, hi).
+	cuts := func(i, j VertexRange, lo, hi uint32) cut {
+		return cut{i: i.Lo > lo || i.Hi < hi, j: j.Lo > lo || j.Hi < hi}
+	}
+	for _, b := range blocks {
+		i, j := rows[b.I].Range, rows[b.J].Range
+		s := span{
+			apex: rows[b.K], mid: rows[b.J], i: i, j: j,
+			hubCut: cuts(i, j, 0, h), nonHubCut: cuts(i, j, h, n),
+		}
+		live1, liveHNN, liveNNN := b.phases(rows)
+		if live1 {
+			p1 = append(p1, s)
+		}
+		if liveHNN {
+			hnn = append(hnn, s)
+		}
+		if liveNNN {
+			nnn = append(nnn, s)
+		}
+	}
+	return p1, hnn, nnn
+}
+
+// cutRow returns an apex row restricted, as c says, to I (the closing
+// vertices zs) and to J (the middle vertices ys). Callers test c.any
+// first, so the flat count's loops never call it.
+func cutRow[T uint16 | uint32](s *span, c cut, row []T) (zs, ys []T) {
+	zs, ys = row, row
+	if c.i {
+		zs = restrict(row, s.i)
+	}
+	if c.j {
+		ys = restrict(row, s.j)
+	}
+	return zs, ys
+}
+
+// restrict returns the sub-slice of the ascending row whose IDs fall
+// in r.
+func restrict[T uint16 | uint32](row []T, r VertexRange) []T {
+	a := lowerBound(row, r.Lo)
+	return row[a : a+lowerBound(row[a:], r.Hi)]
+}
+
+// lowerBound returns the number of entries of the ascending row below
+// bound, by intersect.LowerBound's halving search over either row
+// width.
+func lowerBound[T uint16 | uint32](row []T, bound uint32) int {
+	base, n := 0, len(row)
+	for n > 1 {
+		half := n >> 1
+		if uint32(row[base+half-1]) < bound {
+			base += half
+		}
+		n -= half
+	}
+	if n == 1 && uint32(row[base]) < bound {
+		base++
+	}
+	return base
+}
+
+// CountBlocks runs Algorithm 3 over blocks of a row partition. rows
+// must be non-empty, built with one relabeling and hub count, with
+// ranges that ascend and cover every vertex: a LotusGraph's own rows
+// or a shard grid's. Phase 1 counts HHH and HHN triangles against the H2H
+// rows of J, phase 2 HNN triangles by probing the HE rows of J against
+// the apex's hubs in I, and phase 3 (unless SkipNNN) NNN triangles by
+// probing the NHE rows of J against the apex's non-hub neighbours in
+// I. Each phase runs the blocks it can close a triangle in as one task
+// list. The totals are exact when the blocks hold every triangle
+// exactly once.
+func CountBlocks(pool *sched.Pool, rows []*LotusShard, blocks []Block, opt CountOptions) *Result {
+	if pool == nil {
+		pool = sched.NewPool(0)
+	}
+	opt = opt.withDefaults(pool.Workers())
 	res := &Result{}
 	m := opt.Metrics
 	sc := opt.Scratch.forWorkers(pool.Workers())
+	p1, hnn, nnn := resolve(rows, blocks)
 
 	t0 := time.Now()
-	res.Phase1Load = lg.countPhase1(pool, opt, sc.hubs, res)
+	res.Phase1Load = countPhase1(pool, p1, opt, sc.hubs, res)
 	res.Phase1Time = time.Since(t0)
 	m.AddDuration("phase1.ns", res.Phase1Time)
 	m.Add("phase1.claims", res.Phase1Load.Claims)
@@ -148,9 +296,9 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	// HNN starts by indexing the dense HE rows it probes word-wise;
 	// the index build counts toward hnn.ns.
 	t1 := time.Now()
-	sc.dense.build(pool, lg)
+	sc.dense.build(pool, rows)
 	m.Add(obs.HNNDenseRows, int64(sc.dense.count))
-	res.HNN, res.HNNLoad = lg.countHNN(pool, opt, sc)
+	res.HNN, res.HNNLoad = countHNN(pool, hnn, opt, sc)
 	res.HNNTime = time.Since(t1)
 	m.Add("hnn.claims", res.HNNLoad.Claims)
 	if !opt.SkipNNN {
@@ -158,7 +306,7 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 			return res
 		}
 		t2 := time.Now()
-		res.NNNLoad = lg.countNNN(pool, res, opt, sc.verts)
+		res.NNNLoad = countNNN(pool, nnn, res, opt, sc.verts)
 		res.NNNTime = time.Since(t2)
 		m.Add("nnn.claims", res.NNNLoad.Claims)
 	}
@@ -169,21 +317,21 @@ func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Resu
 	return res
 }
 
-// tile is one unit of phase-1 work: either a contiguous vertex range
+// tile is one unit of phase-1 work in spans[s]: either the apex range
 // [vStart, vEnd) processed whole, or (when vEnd == 0 and hi > 0) the
-// pair sub-range [lo, hi) of vertex vStart's hub-neighbour indices.
+// sub-range [lo, hi) of apex vStart's middle-hub indices.
 type tile struct {
+	s            uint32
 	vStart, vEnd uint32
 	lo, hi       uint32
 }
 
-// phase1Tiles builds the phase-1 task list. High-degree vertices
-// (HE degree > threshold) become TilesPerVertex squared-edge pair
-// tiles with boundaries i_k ≈ d·sqrt(k/p), equalizing pair work
-// (§4.6); the remaining vertices are grouped into ranges of roughly
-// equal pair work.
-func (lg *LotusGraph) phase1Tiles(opt CountOptions, workers int) []tile {
-	n := lg.numVertices
+// phase1Tiles builds the phase-1 task list over every span's apex
+// range. Apexes with more than TileThreshold middle hubs become
+// TilesPerVertex squared-edge pair tiles with boundaries
+// i_k ≈ d·sqrt(k/p), equalizing pair work (§4.6); the remaining apexes
+// are grouped into ranges of roughly equal pair work.
+func phase1Tiles(spans []span, opt CountOptions, workers int) []tile {
 	var tiles []tile
 	// Sqrt(k/p) boundaries are shared across vertices (§4.6: values
 	// of sqrt(f) are pre-calculated and reused).
@@ -192,48 +340,63 @@ func (lg *LotusGraph) phase1Tiles(opt CountOptions, workers int) []tile {
 	for k := 0; k <= p; k++ {
 		sqrtF[k] = math.Sqrt(float64(k) / float64(p))
 	}
+	// degree returns the middle hubs of apex x, whose indices tiles
+	// split.
+	degree := func(he *HE16, base uint32, cutJ bool, j VertexRange, x uint32) int {
+		if cutJ {
+			return len(restrict(he.Neighbors(x-base), j))
+		}
+		return he.Degree(x - base)
+	}
 
 	var totalSmallWork uint64
-	for v := 0; v < n; v++ {
-		d := lg.HE.Degree(uint32(v))
-		if d <= opt.TileThreshold {
-			totalSmallWork += uint64(d) * uint64(d-1) / 2
+	for si := range spans {
+		s := &spans[si]
+		he, r, cutJ := s.apex.HE, s.apex.Range, s.hubCut.j
+		for x := r.Lo; x < r.Hi; x++ {
+			if d := degree(he, r.Lo, cutJ, s.j, x); d <= opt.TileThreshold {
+				totalSmallWork += uint64(d) * uint64(d-1) / 2
+			}
 		}
 	}
 	budget := totalSmallWork/uint64(workers*16) + 1
 
-	var rangeStart int
-	var rangeWork uint64
-	flush := func(endExclusive int) {
-		if rangeStart < endExclusive {
-			tiles = append(tiles, tile{vStart: uint32(rangeStart), vEnd: uint32(endExclusive)})
-		}
-		rangeStart = endExclusive
-		rangeWork = 0
-	}
-	for v := 0; v < n; v++ {
-		d := lg.HE.Degree(uint32(v))
-		if d > opt.TileThreshold {
-			flush(v)
-			rangeStart = v + 1
-			for k := 0; k < p; k++ {
-				lo := uint32(float64(d) * sqrtF[k])
-				hi := uint32(float64(d) * sqrtF[k+1])
-				if k == p-1 {
-					hi = uint32(d)
-				}
-				if hi > lo {
-					tiles = append(tiles, tile{vStart: uint32(v), lo: lo, hi: hi})
-				}
+	for si := range spans {
+		s := &spans[si]
+		he, r, cutJ := s.apex.HE, s.apex.Range, s.hubCut.j
+		rangeStart := r.Lo
+		var rangeWork uint64
+		flush := func(endExclusive uint32) {
+			if rangeStart < endExclusive {
+				tiles = append(tiles, tile{s: uint32(si), vStart: rangeStart, vEnd: endExclusive})
 			}
-			continue
+			rangeStart = endExclusive
+			rangeWork = 0
 		}
-		rangeWork += uint64(d) * uint64(d-1) / 2
-		if rangeWork >= budget {
-			flush(v + 1)
+		for x := r.Lo; x < r.Hi; x++ {
+			d := degree(he, r.Lo, cutJ, s.j, x)
+			if d > opt.TileThreshold {
+				flush(x)
+				rangeStart = x + 1
+				for k := 0; k < p; k++ {
+					lo := uint32(float64(d) * sqrtF[k])
+					hi := uint32(float64(d) * sqrtF[k+1])
+					if k == p-1 {
+						hi = uint32(d)
+					}
+					if hi > lo {
+						tiles = append(tiles, tile{s: uint32(si), vStart: x, lo: lo, hi: hi})
+					}
+				}
+				continue
+			}
+			rangeWork += uint64(d) * uint64(d-1) / 2
+			if rangeWork >= budget {
+				flush(x + 1)
+			}
 		}
+		flush(r.Hi)
 	}
-	flush(n)
 	return tiles
 }
 
@@ -244,13 +407,8 @@ func (lg *LotusGraph) phase1Tiles(opt CountOptions, workers int) []tile {
 // core count of the host. A worker count below 1 is taken as 1.
 func (lg *LotusGraph) Phase1TileWork(opt CountOptions, workers int) []uint64 {
 	workers = max(workers, 1)
-	if opt.TileThreshold <= 0 {
-		opt.TileThreshold = DefaultTileThreshold
-	}
-	if opt.TilesPerVertex <= 0 {
-		opt.TilesPerVertex = 2 * workers
-	}
-	tiles := lg.phase1Tiles(opt, workers)
+	p1, _, _ := resolve(lg.rows(), []Block{{}})
+	tiles := phase1Tiles(p1, opt.withDefaults(workers), workers)
 	work := make([]uint64, len(tiles))
 	for i, t := range tiles {
 		if t.vEnd > 0 {
@@ -270,12 +428,11 @@ func (lg *LotusGraph) Phase1TileWork(opt CountOptions, workers int) []uint64 {
 }
 
 // countPhase1 counts HHH and HHN triangles (Alg 3 lines 2-6): for
-// every vertex, every pair (h1, h2) of its hub neighbours is probed
-// in the H2H bit array by CountHubPairs. Random accesses touch only
-// H2H (§4.5).
-func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap], res *Result) sched.LoadReport {
-	tiles := lg.phase1Tiles(opt, pool.Workers())
-	rows := lg.H2H.Rows()
+// every apex, every pair (h1, h2) of a middle hub h1 and a closing hub
+// h2 < h1 among its hub neighbours is probed in the H2H rows of J by
+// CountHubPairs. Random accesses touch only H2H (§4.5).
+func countPhase1(pool *sched.Pool, spans []span, opt CountOptions, bms *sched.WorkerLocal[intersect.HubBitmap], res *Result) sched.LoadReport {
+	tiles := phase1Tiles(spans, opt, pool.Workers())
 	hhh := sched.NewAccumulator(pool.Workers())
 	hhn := sched.NewAccumulator(pool.Workers())
 	// Observability counters, accumulated worker-locally like the
@@ -289,36 +446,53 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched
 
 	report := pool.RunTasks(len(tiles), func(worker, ti int) {
 		t := tiles[ti]
+		s := &spans[t.s]
 		bm := bms.Get(worker)
+		// With one list for z and y (I == J), its lowest hub has no h2
+		// below it, so the probe starts at the second.
+		first := 0
+		if s.i == s.j {
+			first = 1
+		}
 		var localHHH, localHHN, localPolls uint64
 		var localStats Phase1Stats
-		// count probes the pairs of v's hub-neighbour indices [lo, hi).
-		count := func(v uint32, lo, hi int) {
-			nv := lg.HE.Neighbors(v)
-			found, st := CountHubPairs(opt.Phase1Kernel, pool, rows, bm, nv, nv, lo, hi)
+		// count probes the pairs of x's middle-hub indices [lo, hi),
+		// hi capped at the middle hubs.
+		count := func(x uint32, lo, hi int) {
+			hv := s.apex.HENeighbors(x)
+			zs, ys := hv, hv
+			if s.hubCut.any() {
+				zs, ys = cutRow(s, s.hubCut, hv)
+			}
+			if hi = min(hi, len(ys)); hi <= lo || len(zs) == 0 {
+				return
+			}
+			found, st := CountHubPairs(opt.Phase1Kernel, pool, s.mid.H2H, bm, zs, ys, lo, hi)
 			localStats.Pairs += st.Pairs
 			localStats.WordOps += st.WordOps
 			localStats.WordRows += st.WordRows
 			localStats.ScalarRows += st.ScalarRows
 			localPolls += st.Rows
-			if v < lg.HubCount {
+			if x < s.apex.HubCount {
 				localHHH += found
 			} else {
 				localHHN += found
 			}
 		}
-		if t.vEnd > 0 { // vertex-range tile
-			for v := t.vStart; v < t.vEnd; v++ {
+		if t.vEnd > 0 { // apex-range tile
+			he, base := s.apex.HE, s.apex.Range.Lo
+			for x := t.vStart; x < t.vEnd; x++ {
 				localPolls++
 				if pool.Cancelled() {
 					break
 				}
-				if d := lg.HE.Degree(v); d >= 2 {
-					count(v, 1, d)
+				// A row of first hubs or fewer has no pair to probe.
+				if he.Degree(x-base) > first {
+					count(x, first, math.MaxInt)
 				}
 			}
-		} else { // pair tile of a single high-degree vertex
-			count(t.vStart, max(int(t.lo), 1), int(t.hi))
+		} else { // pair tile of a single high-degree apex
+			count(t.vStart, max(int(t.lo), first), int(t.hi))
 		}
 		hhh.Add(worker, localHHH)
 		hhn.Add(worker, localHHN)
@@ -339,41 +513,71 @@ func (lg *LotusGraph) countPhase1(pool *sched.Pool, opt CountOptions, bms *sched
 	return report
 }
 
+// sweep runs fn over the apex rows of every span as one ForTimed index
+// space: the spans' apex ranges laid end to end and cut into chunks,
+// which may run from one span into the next. fn sees one span's apex
+// sub-range [lo, hi) at a time.
+func sweep(pool *sched.Pool, spans []span, fn func(worker int, s *span, lo, hi uint32)) sched.LoadReport {
+	ends := make([]int, len(spans)) // ends[b]: the apex rows of spans[:b+1]
+	total := 0
+	for b := range spans {
+		total += spans[b].apex.Range.Len()
+		ends[b] = total
+	}
+	return pool.ForTimed(total, 0, func(worker, start, end int) {
+		b, _ := slices.BinarySearch(ends, start+1) // the span holding start
+		for ; start < end; b++ {
+			s := &spans[b]
+			base := ends[b] - s.apex.Range.Len()
+			stop := min(end, ends[b])
+			fn(worker, s, s.apex.Range.Lo+uint32(start-base), s.apex.Range.Lo+uint32(stop-base))
+			start = stop
+		}
+	})
+}
+
 // countHNN counts HNN triangles (Alg 3 lines 7-9): for every non-hub
-// v and non-hub neighbour u, the common hub neighbours |HE.N_v ∩
-// HE.N_u| each close a triangle. Random accesses touch only HE rows,
-// 2 bytes per edge (§4.5, Table 2). HE.N_v is marked once in the
-// worker's hub bitmap, every HE.N_u is probed against it (probeHE),
-// and the marks are cleared before the next v. Cancellation is polled
-// before the mark, so the bitmap is all-zero on every exit. It
-// publishes its counters and returns its triangle total.
-func (lg *LotusGraph) countHNN(pool *sched.Pool, opt CountOptions, sc *CountScratch) (uint64, sched.LoadReport) {
+// apex x and non-hub neighbour u in J, the common hub neighbours in I,
+// |HE.N_x ∩ HE.N_u|, each close a triangle. Random accesses touch only
+// HE rows, 2 bytes per edge (§4.5, Table 2). x's hubs in I are marked
+// once in the worker's hub bitmap, every HE.N_u is probed against it
+// (probeHE), and the marks are cleared before the next x.
+// Cancellation is polled before the mark, so the bitmap is all-zero on
+// every exit. It publishes its counters and returns its triangle
+// total.
+func countHNN(pool *sched.Pool, spans []span, opt CountOptions, sc *CountScratch) (uint64, sched.LoadReport) {
 	m := opt.Metrics
-	n := lg.numVertices
 	acc := sched.NewAccumulator(pool.Workers())
 	inter := sched.NewAccumulator(pool.Workers())
 	wordRows := sched.NewAccumulator(pool.Workers())
 	polls := sched.NewAccumulator(pool.Workers())
-	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
+	rep := sweep(pool, spans, func(worker int, s *span, lo, hi uint32) {
 		bm := sc.hubs.Get(worker)
+		apex := s.apex
 		var local, localInter, localWords, localPolls uint64
-		for v := start; v < end; v++ {
+		for x := lo; x < hi; x++ {
 			localPolls++
 			if pool.Cancelled() {
 				break
 			}
-			hv := lg.HE.Neighbors(uint32(v))
-			if len(hv) == 0 {
+			zs := apex.HENeighbors(x)
+			if s.hubCut.i {
+				zs = restrict(zs, s.i)
+			}
+			if len(zs) == 0 {
 				continue
 			}
-			nhe := lg.NHE.Neighbors(uint32(v))
-			if len(nhe) == 0 {
+			us := apex.NHENeighbors(x)
+			if s.nonHubCut.j {
+				us = restrict(us, s.j)
+			}
+			if len(us) == 0 {
 				continue
 			}
-			localInter += uint64(len(nhe))
-			bm.Mark(hv)
-			found, words := lg.probeHE(bm, &sc.dense, nhe)
-			bm.Clear(hv)
+			localInter += uint64(len(us))
+			bm.Mark(zs)
+			found, words := probeHE(bm, &sc.dense, s.mid, us)
+			bm.Clear(zs)
 			local += found
 			localWords += words
 		}
@@ -389,17 +593,19 @@ func (lg *LotusGraph) countHNN(pool *sched.Pool, opt CountOptions, sc *CountScra
 	return acc.Sum(), rep
 }
 
-// probeHE counts, over every u in nhe, the hubs of HE.N_u marked in
-// bm. A dense HE.N_u is probed as Σ popcount(bm[j] & row_u[j]) over
-// its dense-index bitset; every other row element by element,
-// branch-free. words counts the rows probed word-wise.
-func (lg *LotusGraph) probeHE(bm *intersect.HubBitmap, dense *denseRows, nhe []uint32) (found, words uint64) {
-	for _, u := range nhe {
+// probeHE counts, over every u in us, the hubs of HE.N_u (a row of
+// mid) marked in bm. A dense HE.N_u is probed as
+// Σ popcount(bm[j] & row_u[j]) over its dense-index bitset; every
+// other row element by element, branch-free. words counts the rows
+// probed word-wise.
+func probeHE(bm *intersect.HubBitmap, dense *denseRows, mid *LotusShard, us []uint32) (found, words uint64) {
+	he, base := mid.HE, mid.Range.Lo
+	for _, u := range us {
 		if row := dense.row(u); row != nil {
 			found += bm.CountWords(row)
 			words++
 		} else {
-			found += bm.Count(lg.HE.Neighbors(u))
+			found += bm.Count(he.Neighbors(u - base))
 		}
 	}
 	return found, words
@@ -407,33 +613,44 @@ func (lg *LotusGraph) probeHE(bm *intersect.HubBitmap, dense *denseRows, nhe []u
 
 // countNNN counts NNN triangles (Alg 3 lines 10-12): the Forward
 // algorithm restricted to the NHE sub-graph. Hub edges are never
-// touched — the §3.3 pruning. Each row NHE.N_v is marked once in the
-// worker's vertex bitmap and every NHE.N_u, u ∈ NHE.N_v, is probed
-// against it (opt.Intersect; merge join under the ablation baseline).
-// Rows with fewer than two entries close no triangle and are skipped.
-// Cancellation is polled before the mark, so the bitmap is all-zero
-// on every exit.
-func (lg *LotusGraph) countNNN(pool *sched.Pool, res *Result, opt CountOptions, vbs *sched.WorkerLocal[intersect.VertexBitmap]) sched.LoadReport {
+// touched — the §3.3 pruning. Apex x's non-hub neighbours in I are
+// marked once in the worker's vertex bitmap and every NHE.N_u, u one
+// of its non-hub neighbours in J, is probed against it (opt.Intersect;
+// merge join under the ablation baseline). Apexes that cannot close a
+// triangle are skipped. Cancellation is polled before the mark, so
+// the bitmap is all-zero on every exit.
+func countNNN(pool *sched.Pool, spans []span, res *Result, opt CountOptions, vbs *sched.WorkerLocal[intersect.VertexBitmap]) sched.LoadReport {
 	m := opt.Metrics
-	n := lg.numVertices
 	k := opt.Intersect
 	acc := sched.NewAccumulator(pool.Workers())
 	inter := sched.NewAccumulator(pool.Workers())
 	polls := sched.NewAccumulator(pool.Workers())
-	rep := pool.ForTimed(n, 0, func(worker, start, end int) {
-		bm := vertexBitmap(vbs, worker, n)
+	rep := sweep(pool, spans, func(worker int, s *span, lo, hi uint32) {
+		bm := vertexBitmap(vbs, worker, s.apex.numVertices)
+		// With one list for z and y (I == J), a row closes a triangle
+		// only from two entries up.
+		minLen := 1
+		if s.i == s.j {
+			minLen = 2
+		}
+		apex, restricted := s.apex, s.nonHubCut.any()
+		rows, base := s.mid.NHE, s.mid.Range.Lo
 		var local, localInter, localPolls uint64
-		for v := start; v < end; v++ {
+		for x := lo; x < hi; x++ {
 			localPolls++
 			if pool.Cancelled() {
 				break
 			}
-			nv := lg.NHE.Neighbors(uint32(v))
-			if len(nv) < 2 {
+			nv := apex.NHENeighbors(x)
+			zs, us := nv, nv
+			if restricted {
+				zs, us = cutRow(s, s.nonHubCut, nv)
+			}
+			if len(us) < minLen || len(zs) == 0 {
 				continue
 			}
-			localInter += uint64(len(nv))
-			local += k.CountRows(bm, nv, nv, lg.NHE, 0)
+			localInter += uint64(len(us))
+			local += k.CountRows(bm, zs, us, rows, base)
 		}
 		acc.Add(worker, local)
 		inter.Add(worker, localInter)

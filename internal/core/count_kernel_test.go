@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -83,16 +84,59 @@ func TestPhase1KernelEquivalence(t *testing.T) {
 // TestPhase1KernelEquivalenceTiled forces the pair-tiling path (tiny
 // TileThreshold splits every hub's row range across tiles) where the
 // word kernel's bitmap covers the whole neighbour list but each tile
-// only walks a sub-range of h1 indices.
+// only walks a sub-range of h1 indices. It runs the flat count and a
+// p-way grid of range shards at p = 1..4 (every block triple i <= j
+// <= k, through CountBlocks), whose pair tiles split an apex's hubs
+// of one block while the closing hubs come from another; every run
+// must match the flat scalar count, and tiling must add tiles.
 func TestPhase1KernelEquivalenceTiled(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 16, 3))
-	lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
-	base := lg.CountWithOptions(pool, CountOptions{Phase1Kernel: Phase1Scalar})
-	for _, k := range []Phase1Kernel{Phase1Word, Phase1Auto} {
-		got := lg.CountWithOptions(pool, CountOptions{Phase1Kernel: k, TileThreshold: 8, TilesPerVertex: 7})
-		if got.HHH != base.HHH || got.HHN != base.HHN || got.Total != base.Total {
-			t.Errorf("kernel=%s: HHH/HHN/Total = %d/%d/%d, want %d/%d/%d",
-				k, got.HHH, got.HHN, got.Total, base.HHH, base.HHN, base.Total)
+	// At 512 of 1024 hubs the grid's hubs span two blocks or more, so
+	// z and y of one apex come from different blocks.
+	for _, hubs := range []int{64, 512} {
+		lg := Preprocess(g, Options{HubCount: hubs, Pool: pool})
+		base := lg.CountWithOptions(pool, CountOptions{Phase1Kernel: Phase1Scalar})
+		counts := map[string]func(CountOptions) *Result{"flat": func(opt CountOptions) *Result {
+			return lg.CountWithOptions(pool, opt)
+		}}
+		n := uint32(lg.NumVertices())
+		for p := 1; p <= 4; p++ {
+			var rows []*LotusShard
+			var blocks []Block
+			for b := 0; b < p; b++ {
+				r := VertexRange{Lo: n * uint32(b) / uint32(p), Hi: n * uint32(b+1) / uint32(p)}
+				s, err := TryPreprocessRange(g, Options{HubCount: hubs, Pool: pool}, lg.Relabeling, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = append(rows, s)
+				for j := 0; j <= b; j++ {
+					for i := 0; i <= j; i++ {
+						blocks = append(blocks, Block{I: i, J: j, K: b})
+					}
+				}
+			}
+			counts[fmt.Sprintf("grid p=%d", p)] = func(opt CountOptions) *Result {
+				return CountBlocks(pool, rows, blocks, opt)
+			}
+		}
+		for name, count := range counts {
+			untiled, tiled := obs.New(), obs.New()
+			count(CountOptions{Phase1Kernel: Phase1Scalar, Metrics: untiled})
+			for _, k := range []Phase1Kernel{Phase1Scalar, Phase1Word, Phase1Auto} {
+				opt := CountOptions{Phase1Kernel: k, TileThreshold: 8, TilesPerVertex: 7}
+				if k == Phase1Scalar {
+					opt.Metrics = tiled
+				}
+				got := count(opt)
+				if got.HHH != base.HHH || got.HHN != base.HHN || got.Total != base.Total {
+					t.Errorf("hubs=%d %s kernel=%s: HHH/HHN/Total = %d/%d/%d, want %d/%d/%d",
+						hubs, name, k, got.HHH, got.HHN, got.Total, base.HHH, base.HHN, base.Total)
+				}
+			}
+			if a, b := untiled.Get("phase1.tiles"), tiled.Get("phase1.tiles"); b <= a {
+				t.Errorf("hubs=%d %s: %d phase-1 tiles at TileThreshold 8, %d untiled; want more", hubs, name, b, a)
+			}
 		}
 	}
 }
@@ -225,13 +269,14 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 	want := lg.Count(pool)
 	scratch := NewCountScratch()
 	opt := CountOptions{Scratch: scratch}
+	_, hnn, nnn := resolve(lg.rows(), []Block{{}})
 	for name, run := range map[string]func(p *sched.Pool, res *Result, sc *CountScratch){
 		"hnn": func(p *sched.Pool, res *Result, sc *CountScratch) {
-			sc.dense.build(p, lg)
-			res.HNN, _ = lg.countHNN(p, opt, sc)
+			sc.dense.build(p, lg.rows())
+			res.HNN, _ = countHNN(p, hnn, opt, sc)
 		},
 		"nnn": func(p *sched.Pool, res *Result, sc *CountScratch) {
-			lg.countNNN(p, res, opt, sc.verts)
+			countNNN(p, nnn, res, opt, sc.verts)
 		},
 	} {
 		sc := scratch.forWorkers(pool.Workers())

@@ -39,27 +39,30 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// build indexes the dense non-hub rows of lg.HE. Both passes run in
+// build indexes the dense non-hub HE rows of a row partition (see
+// CountBlocks), keyed by global vertex ID. Both passes run in
 // parallel over isDense words and poll cancellation per word; a
 // cancelled build leaves the index partial, which is safe because the
 // HNN loops poll before every vertex and probe nothing once the pool
 // is cancelled. Each slab row is cleared before it is filled.
-func (d *denseRows) build(pool *sched.Pool, lg *LotusGraph) {
-	n := lg.numVertices
-	hub := int(lg.HubCount)
-	minLen := denseRowMin(lg.HubCount)
+func (d *denseRows) build(pool *sched.Pool, rows []*LotusShard) {
+	hubCount := rows[0].HubCount
+	n := rows[0].numVertices
+	hub := int(hubCount)
+	minLen := denseRowMin(hubCount)
 	nw := (n + 63) / 64
-	d.words = hubWords(lg.HubCount)
+	d.words = hubWords(hubCount)
 	d.isDense = grow(d.isDense, nw)
 	d.rank = grow(d.rank, nw)
 	pool.For(nw, 0, func(_, start, end int) {
+		c := heCursor{rows: rows}
 		for w := start; w < end; w++ {
 			if pool.Cancelled() {
 				return
 			}
 			var set uint64
 			for v := max(w*64, hub); v < min(w*64+64, n); v++ {
-				if lg.HE.Degree(uint32(v)) >= minLen {
+				if len(c.row(uint32(v))) >= minLen {
 					set |= 1 << (v & 63)
 				}
 			}
@@ -73,6 +76,7 @@ func (d *denseRows) build(pool *sched.Pool, lg *LotusGraph) {
 	}
 	d.slab = grow(d.slab, d.count*d.words)
 	pool.For(nw, 0, func(_, start, end int) {
+		c := heCursor{rows: rows}
 		for w := start; w < end; w++ {
 			if pool.Cancelled() {
 				return
@@ -81,13 +85,28 @@ func (d *denseRows) build(pool *sched.Pool, lg *LotusGraph) {
 			for set := d.isDense[w]; set != 0; set &= set - 1 {
 				row := d.slab[i : i+d.words]
 				clear(row)
-				for _, h := range lg.HE.Neighbors(uint32(w*64 + bits.TrailingZeros64(set))) {
+				for _, h := range c.row(uint32(w*64 + bits.TrailingZeros64(set))) {
 					row[h>>6] |= 1 << (h & 63)
 				}
 				i += d.words
 			}
 		}
 	})
+}
+
+// heCursor reads the HE rows of ascending vertices across a row
+// partition, stepping from one row set to the next as it goes.
+type heCursor struct {
+	rows []*LotusShard
+	r    int
+}
+
+// row returns v's HE row; v must not be below the previous call's.
+func (c *heCursor) row(v uint32) []uint16 {
+	for v >= c.rows[c.r].Range.Hi {
+		c.r++
+	}
+	return c.rows[c.r].HENeighbors(v)
 }
 
 // row returns u's HE row as a ⌈H/64⌉-word bitset when it is dense,

@@ -89,11 +89,10 @@ func ParseIntersectKernel(s string) (IntersectKernel, error) {
 	return IntersectBitmap, fmt.Errorf("unknown intersect kernel %q (want bitmap or merge)", s)
 }
 
-// CountRows is the one NNN intersection kernel (Alg 3 lines 10-12)
-// that the flat and sharded counts share. For one apex row nv
-// it returns the sum of |nv ∩ N_u| over u in us, where rows holds N_u
-// at index u-base (base is 0 for the flat NHE, the shard's range start
-// for a shard's). Under IntersectBitmap nv is marked once in the
+// CountRows is the one NNN intersection kernel (Alg 3 lines 10-12).
+// For one apex row nv it returns the sum of |nv ∩ N_u| over u in us,
+// where rows holds N_u at index u-base (base is 0 for the flat NHE,
+// the shard's range start for a shard's). Under IntersectBitmap nv is marked once in the
 // worker's vertex bitmap bm, which must cover every ID of nv and of
 // the probed rows; each N_u then costs one load and a shift per
 // element, and the marks are cleared in O(|nv|) before returning, so
@@ -144,13 +143,13 @@ type Phase1Stats struct {
 	Pairs, Rows, WordOps, WordRows, ScalarRows uint64
 }
 
-// CountHubPairs is the phase-1 kernel (Alg 3 lines 4-6) that the flat
-// and the sharded count share. For one vertex it counts the hub pairs
-// (h1, h2) with h1 = h1s[i] for i in [lo, hi), h2 in h2s, h2 < h1 and
-// the H2H bit (h1, h2) set; rows must hold every such h1 row. Both
-// lists must be strictly ascending. The flat count passes the vertex's
-// whole HE row as both lists; the sharded count passes the row
-// restricted to the blocks that hold h2 and h1.
+// CountHubPairs is the phase-1 kernel (Alg 3 lines 4-6). For one
+// vertex it counts the hub pairs (h1, h2) with h1 = h1s[i] for i in
+// [lo, hi), h2 in h2s, h2 < h1 and the H2H bit (h1, h2) set; rows must
+// hold every such h1 row. Both lists must be strictly ascending.
+// CountBlocks passes a flat count's vertex its whole HE row as both
+// lists, and a grid block's apex its row restricted to the blocks that
+// hold h2 and h1.
 //
 // Two probes implement a row. The scalar probe tests each qualifying
 // h2 with one bit load: O(pairs) dependent loads. The word probe marks

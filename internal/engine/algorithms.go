@@ -5,6 +5,7 @@ import (
 
 	"lotustc/internal/baseline"
 	"lotustc/internal/core"
+	"lotustc/internal/sched"
 )
 
 // The built-in registrations: flat and sharded LOTUS, the §5.1.4
@@ -85,6 +86,14 @@ func lotusKernel(t *Task) (uint64, error) {
 	if err := t.Err(); err != nil {
 		return 0, err
 	}
+	return countLotus(t, lg.CountWithOptions)
+}
+
+// countLotus is the counting tail of both LOTUS kernels: it runs
+// Algorithm 3 through count (a LotusGraph's or a shard grid's) with
+// the task's kernels, metrics and scratch, and reports the phase 1,
+// HNN and NNN times and the class split.
+func countLotus(t *Task, count func(*sched.Pool, core.CountOptions) *core.Result) (uint64, error) {
 	copt := core.CountOptions{
 		Metrics: t.Metrics(),
 		Scratch: t.Params.Scratch,
@@ -96,7 +105,7 @@ func lotusKernel(t *Task) (uint64, error) {
 	if copt.Intersect, err = core.ParseIntersectKernel(t.Params.IntersectKernel); err != nil {
 		return 0, fmt.Errorf("engine: %w", err)
 	}
-	cr := lg.CountWithOptions(t.Pool, copt)
+	cr := count(t.Pool, copt)
 	t.Report.AddPhase(PhaseHub, cr.Phase1Time)
 	t.Report.AddPhase(PhaseHNN, cr.HNNTime)
 	t.Report.AddPhase(PhaseNNN, cr.NNNTime)

@@ -41,8 +41,7 @@ const (
 	PhaseHNN        = "hnn"
 	PhaseNNN        = "nnn"
 	// PhaseCount is the single counting phase of kernels that do not
-	// split their sweep into the three monolithic phases (the sharded
-	// kernel interleaves all classes per block triple).
+	// split their sweep into the three LOTUS phases (cover-edge).
 	PhaseCount = "count"
 	// PhaseProbe is the auto kernel's structural probe.
 	PhaseProbe = "probe"
@@ -107,10 +106,11 @@ type Params struct {
 	// lets the tune policy choose. Other kernels ignore it.
 	TuneAlgorithm string
 	// Scratch supplies reusable per-worker kernel scratch to the
-	// "lotus" kernel (see core.CountOptions.Scratch); a resident
-	// service pools these across requests so warm counts reuse their
-	// phase-1 bitmaps. Never share one instance between concurrent
-	// runs. Other kernels ignore it.
+	// "lotus" and "lotus-sharded" kernels (see
+	// core.CountOptions.Scratch); a resident service pools these
+	// across requests so warm counts reuse their bitmaps and dense-row
+	// slab. Never share one instance between concurrent runs. Other
+	// kernels ignore it.
 	Scratch *core.CountScratch
 }
 

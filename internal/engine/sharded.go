@@ -3,17 +3,18 @@ package engine
 import (
 	"fmt"
 
-	"lotustc/internal/core"
 	"lotustc/internal/shard"
 )
 
 // lotusShardedKernel runs the sharded 2D LOTUS path: the relabeled ID
 // space is partitioned into a Params.Shards-way grid, one LOTUS
 // structure is built per block, and triangles are counted by block
-// triple. A Params.PreparedGrid (a serving cache hit) skips the build
-// entirely. Totals and the per-class split are bit-identical to the
-// "lotus" kernel's by construction — the grid shares the monolithic
-// relabeling and hub set, so every triangle keeps its apex and class.
+// triple through the same three phases and counting tail as "lotus"
+// (countLotus). A Params.PreparedGrid (a serving cache hit) skips the
+// build entirely. Totals and the per-class split are bit-identical to
+// the "lotus" kernel's by construction — the grid shares the
+// monolithic relabeling and hub set, so every triangle keeps its apex
+// and class.
 func lotusShardedKernel(t *Task) (uint64, error) {
 	p := t.Params.Shards
 	if p == 0 {
@@ -51,16 +52,5 @@ func lotusShardedKernel(t *Task) (uint64, error) {
 	if err := t.Err(); err != nil {
 		return 0, err
 	}
-	copt := shard.CountOptions{Metrics: t.Metrics()}
-	var err error
-	if copt.Phase1Kernel, err = core.ParsePhase1Kernel(t.Params.Phase1Kernel); err != nil {
-		return 0, fmt.Errorf("engine: %w", err)
-	}
-	if copt.Intersect, err = core.ParseIntersectKernel(t.Params.IntersectKernel); err != nil {
-		return 0, fmt.Errorf("engine: %w", err)
-	}
-	res := gr.Count(t.Pool, copt)
-	t.Report.AddPhase(PhaseCount, res.CountTime)
-	t.Report.HHH, t.Report.HHN, t.Report.HNN, t.Report.NNN = res.HHH, res.HHN, res.HNN, res.NNN
-	return res.Total, nil
+	return countLotus(t, gr.Count)
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // TestShardedMatchesLotus: the sharded kernel must report the exact
-// totals and class split of the flat kernel for every grid size.
+// totals and class split of the flat kernel for every grid size, and
+// the same preprocess, phase 1, HNN and NNN phases.
 func TestShardedMatchesLotus(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 16, 5))
 	want, err := Run(context.Background(), g, Spec{Algorithm: "lotus"})
@@ -31,8 +32,13 @@ func TestShardedMatchesLotus(t *testing.T) {
 			got.HNN != want.HNN || got.NNN != want.NNN {
 			t.Fatalf("p=%d: sharded report %+v disagrees with lotus %+v", p, got, want)
 		}
-		if got.Phase(PhasePreprocess) <= 0 || got.Phase(PhaseCount) <= 0 {
-			t.Fatalf("p=%d: sharded run missing phase times: %v", p, got.Phases)
+		for _, ph := range []string{PhasePreprocess, PhaseHub, PhaseHNN, PhaseNNN} {
+			if got.Phase(ph) <= 0 {
+				t.Fatalf("p=%d: sharded run missing the %s phase time: %v", p, ph, got.Phases)
+			}
+		}
+		if got.Phase(PhaseCount) != 0 {
+			t.Fatalf("p=%d: sharded run still reports a single count phase: %v", p, got.Phases)
 		}
 	}
 }

@@ -135,12 +135,8 @@ const (
 	// ShardPreprocessNS is the wall time of the grid build (plan +
 	// every per-block structure).
 	ShardPreprocessNS = "shard.preprocess.ns"
-	// ShardTriples / ShardTiles count the live block triples and the
-	// scheduled apex sub-range tasks of one sharded count.
+	// ShardTriples counts the live block triples of one sharded
+	// count; its phases publish the phase1.*, hnn.* and nnn.* counters
+	// of a flat count.
 	ShardTriples = "shard.triples"
-	ShardTiles   = "shard.tiles"
-	// ShardPolls counts cancellation polls in the sharded sweep.
-	ShardPolls = "shard.polls"
-	// ShardCountNS is the wall time of the sharded counting sweep.
-	ShardCountNS = "shard.count.ns"
 )

@@ -189,9 +189,9 @@ type Server struct {
 	resMu   sync.Mutex
 	results *lru // result memoization: key -> *cachedResult
 
-	// scratch recycles per-worker kernel scratch across lotus counts
-	// so the warm-structure path reuses its phase-1 bitmaps instead of
-	// allocating them per request.
+	// scratch recycles per-worker kernel scratch across lotus and
+	// lotus-sharded counts so warm-structure counts reuse their
+	// bitmaps instead of allocating them per request.
 	scratch sync.Pool // *core.CountScratch
 
 	sem      chan struct{}
@@ -992,11 +992,11 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Reusable per-worker kernel scratch: the warm-structure lotus
-	// path runs with bitmaps from a previous count instead of
+	// Reusable per-worker kernel scratch: the LOTUS counts, flat and
+	// sharded, run with bitmaps from a previous count instead of
 	// allocating fresh ones per request.
 	var scratch *core.CountScratch
-	if algo == "lotus" {
+	if algo == "lotus" || algo == "lotus-sharded" {
 		scratch = s.scratch.Get().(*core.CountScratch)
 		defer s.scratch.Put(scratch)
 	}

@@ -155,8 +155,24 @@ func TestExplicitShardedRequest(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", status, raw)
 	}
-	if warm := decodeCount(t, raw); !warm.Cache.Lotus {
+	warm := decodeCount(t, raw)
+	if !warm.Cache.Lotus {
 		t.Fatal("warm explicit-sharded request did not hit the shard structure cache")
+	}
+	// Sharded counts run on pooled kernel scratch, like flat ones: two
+	// more uncached counts on the same server, each on bitmaps a
+	// previous count left behind, must agree in every class.
+	for i := 0; i < 2; i++ {
+		status, raw = postJSON(t, ts.URL+"/v1/count",
+			`{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 4}, "algorithm": "lotus-sharded", "shards": 3, "no_cache": true}`)
+		if status != http.StatusOK {
+			t.Fatalf("no_cache count %d: status %d: %s", i, status, raw)
+		}
+		again := decodeCount(t, raw)
+		if again.Triangles != warm.Triangles || again.Classes == nil || warm.Classes == nil || *again.Classes != *warm.Classes {
+			t.Fatalf("no_cache count %d: %d triangles, classes %+v; want %d, %+v",
+				i, again.Triangles, again.Classes, warm.Triangles, warm.Classes)
+		}
 	}
 }
 

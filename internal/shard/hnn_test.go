@@ -72,11 +72,12 @@ func bruteForceClasses(g *graph.Graph, relabel []uint32, hubCount uint32) (class
 // straddling hub-bitmap word boundaries up to the 2^16 cap (clamped
 // to |V|), and 1, 2 and 4 workers. The flat counts share one
 // CountScratch per worker count, so a bitmap left dirty by any count
-// (of any graph or hub count) would corrupt a later one. The flat
-// count must index dense HE rows (hnn.dense_rows) on R-MAT at 63 to
-// 65 hubs, where rows of two or four hubs are dense, and none on a
-// ring, whose rows hold at most two hubs and never two below a
-// non-hub. `make check` runs it with -race.
+// (of any graph or hub count) would corrupt a later one; the sharded
+// counts share it too. Flat and sharded counts alike must index dense
+// HE rows (hnn.dense_rows) on R-MAT at 63 to 65 hubs, where rows of
+// two or four hubs are dense, and none on a ring, whose rows hold at
+// most two hubs and never two below a non-hub. `make check` runs it
+// with -race.
 func TestHNNBitmapEquivalence(t *testing.T) {
 	scratch := map[int]*core.CountScratch{}
 	for _, w := range []int{1, 2, 4} {
@@ -120,31 +121,41 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 							name, eff, workers, path, got, want)
 					}
 				}
+				// checkDense holds a count's dense-row counters to the
+				// graph: R-MAT at 63 to 65 hubs has dense rows, a ring
+				// none, and no count probes more rows word-wise than it
+				// probes in all.
+				checkDense := func(path string, m *obs.Metrics) {
+					t.Helper()
+					dense, words := m.Get(obs.HNNDenseRows), m.Get(obs.HNNDispatchWords)
+					switch {
+					case strings.HasPrefix(name, "rmat") && eff >= 63 && eff <= 65 && dense == 0:
+						t.Errorf("%s hubs=%d %s: no dense HE rows indexed", name, eff, path)
+					case strings.HasPrefix(name, "ring") && dense != 0:
+						t.Errorf("%s hubs=%d %s: %d dense HE rows on a ring", name, eff, path, dense)
+					case words > m.Get(obs.HNNDispatchBitmap) || (words > 0 && dense == 0):
+						t.Errorf("%s hubs=%d %s: %d rows probed word-wise of %d, with %d dense rows",
+							name, eff, path, words, m.Get(obs.HNNDispatchBitmap), dense)
+					}
+				}
 				for _, k := range kernels {
 					m := obs.New()
 					r := lg.CountWithOptions(pool, core.CountOptions{Scratch: scratch[workers], Intersect: k, Metrics: m})
 					check("flat "+k.String(), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
-					dense, words := m.Get(obs.HNNDenseRows), m.Get(obs.HNNDispatchWords)
-					switch {
-					case strings.HasPrefix(name, "rmat") && eff >= 63 && eff <= 65 && dense == 0:
-						t.Errorf("%s hubs=%d %s: no dense HE rows indexed", name, eff, k)
-					case strings.HasPrefix(name, "ring") && dense != 0:
-						t.Errorf("%s hubs=%d %s: %d dense HE rows on a ring", name, eff, k, dense)
-					case words > m.Get(obs.HNNDispatchBitmap) || (words > 0 && dense == 0):
-						t.Errorf("%s hubs=%d %s: %d rows probed word-wise of %d, with %d dense rows",
-							name, eff, k, words, m.Get(obs.HNNDispatchBitmap), dense)
-					}
+					checkDense("flat "+k.String(), m)
 					for p := 1; p <= 4; p++ {
 						m := obs.New()
-						r := grids[p].Count(pool, CountOptions{Intersect: k, Metrics: m})
-						check(fmt.Sprintf("sharded p=%d %s", p, k), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
+						path := fmt.Sprintf("sharded p=%d %s", p, k)
+						r := grids[p].Count(pool, core.CountOptions{Scratch: scratch[workers], Intersect: k, Metrics: m})
+						check(path, classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
+						checkDense(path, m)
 						for _, c := range []struct {
 							counter   string
 							triangles uint64
 						}{{obs.HNNDispatchBitmap, want.hnn}, {k.DispatchCounter(), want.nnn}} {
 							if rows := m.Get(c.counter); c.triangles > 0 && rows == 0 {
-								t.Errorf("%s hubs=%d p=%d %s: triangles counted but %s = 0",
-									name, eff, p, k, c.counter)
+								t.Errorf("%s hubs=%d %s: triangles counted but %s = 0",
+									name, eff, path, c.counter)
 							}
 						}
 					}

@@ -16,8 +16,6 @@
 // whole grid is simply a row-partition of the monolithic structure.
 package shard
 
-import "lotustc/internal/intersect"
-
 // PartitionByWeight cuts the ID space [0, len(w)) into p contiguous
 // ranges of near-equal total weight: cut t is the smallest index
 // whose weight prefix reaches t/p of the total. Ranges may be empty
@@ -48,29 +46,4 @@ func PartitionByWeight(w []uint64, p int) []VertexRange {
 		ranges[t] = VertexRange{Lo: uint32(lo), Hi: uint32(cut)}
 	}
 	return ranges
-}
-
-// restrict32 returns the sub-slice of the ascending list s whose
-// values fall in [lo, hi).
-func restrict32(s []uint32, lo, hi uint32) []uint32 {
-	a := intersect.LowerBound(s, lo)
-	b := a + intersect.LowerBound(s[a:], hi)
-	return s[a:b]
-}
-
-// restrict16 is restrict32 over 16-bit hub lists; the bounds are
-// 32-bit relabeled IDs, which may exceed the 16-bit hub ID space, so
-// they are clamped before narrowing.
-func restrict16(s []uint16, lo, hi uint32) []uint16 {
-	a := cut16(s, lo)
-	return s[a : a+cut16(s[a:], hi)]
-}
-
-// cut16 returns the count of values in the ascending 16-bit list s
-// below bound.
-func cut16(s []uint16, bound uint32) int {
-	if bound >= 1<<16 {
-		return len(s)
-	}
-	return intersect.LowerBound16(s, uint16(bound))
 }

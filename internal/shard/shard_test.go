@@ -28,7 +28,7 @@ func monolithic(t *testing.T, g *graph.Graph, hubCount int) *core.Result {
 
 // assertSameCounts compares a sharded result against the monolithic
 // reference, class by class.
-func assertSameCounts(t *testing.T, label string, want *core.Result, got *Result) {
+func assertSameCounts(t *testing.T, label string, want, got *core.Result) {
 	t.Helper()
 	if got.Total != want.Total || got.HHH != want.HHH || got.HHN != want.HHN ||
 		got.HNN != want.HNN || got.NNN != want.NNN {
@@ -75,14 +75,14 @@ func TestShardEquivalence(t *testing.T) {
 					t.Fatalf("%s hubs=%d p=%d: Build: %v", name, hubs, p, err)
 				}
 				label := fmt.Sprintf("%s hubs=%d p=%d", name, hubs, p)
-				assertSameCounts(t, label, want, gr.Count(pool, CountOptions{}))
+				assertSameCounts(t, label, want, gr.Count(pool, core.CountOptions{}))
 				// The forced kernels must agree too (auto is covered
 				// above; word and scalar exercise both probe paths on
 				// every row).
 				assertSameCounts(t, label+" word", want,
-					gr.Count(pool, CountOptions{Phase1Kernel: core.Phase1Word, Intersect: core.IntersectMerge}))
+					gr.Count(pool, core.CountOptions{Phase1Kernel: core.Phase1Word, Intersect: core.IntersectMerge}))
 				assertSameCounts(t, label+" scalar", want,
-					gr.Count(pool, CountOptions{Phase1Kernel: core.Phase1Scalar}))
+					gr.Count(pool, core.CountOptions{Phase1Kernel: core.Phase1Scalar}))
 			}
 		}
 	}
@@ -106,7 +106,7 @@ func TestShardEquivalenceAtScale(t *testing.T) {
 			if err != nil {
 				t.Fatalf("scale %d p=%d: Build: %v", scale, p, err)
 			}
-			got := gr.Count(pool, CountOptions{})
+			got := gr.Count(pool, core.CountOptions{})
 			assertSameCounts(t, fmt.Sprintf("scale %d p=%d", scale, p), want, got)
 		}
 	}
@@ -159,13 +159,14 @@ func TestShardRowsMatchMonolithic(t *testing.T) {
 	}
 }
 
-// TestEveryTriangleExactlyOneTriple is the PR's property test: on
+// TestEveryTriangleExactlyOneTriple is the grid's property test: on
 // random degree-skewed graphs, for p in {1,2,3,4}, every triangle is
 // counted by exactly one block triple. Triangles are enumerated brute
 // force in relabeled ID space, each is assigned to the unique triple
 // (block(z), block(y), block(x)), and the per-triple expectation must
-// match the counter's per-triple totals exactly — a double-count or a
-// drop shifts at least one triple's total.
+// match exactly what core.CountBlocks counts over each listed triple
+// alone — a double-count or a drop shifts at least one triple's
+// total.
 func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 8; round++ {
@@ -182,7 +183,8 @@ func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Build: %v", err)
 				}
-				res := gr.Count(sched.NewPool(0), CountOptions{TrackTriples: true})
+				pool := sched.NewPool(0)
+				res := gr.Count(pool, core.CountOptions{})
 
 				// Brute-force: adjacency in relabeled IDs, each
 				// triangle z < y < x assigned to its unique triple.
@@ -227,10 +229,11 @@ func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 				if res.Total != total {
 					t.Fatalf("p=%d hubs=%d: sharded total %d != brute force %d", p, hubs, res.Total, total)
 				}
+				// Each listed triple counted on its own.
 				got := map[[3]int]uint64{}
-				for _, tc := range res.PerTriple {
-					if tc.Total > 0 {
-						got[[3]int{tc.I, tc.J, tc.K}] = tc.Total
+				for _, b := range gr.blocks() {
+					if n := core.CountBlocks(pool, gr.Shards, []core.Block{b}, core.CountOptions{}).Total; n > 0 {
+						got[[3]int{b.I, b.J, b.K}] = n
 					}
 				}
 				if len(got) != len(want) {
@@ -316,7 +319,7 @@ func TestShardCancellation(t *testing.T) {
 	defer pool.Release()
 	cancel()
 	start := time.Now()
-	gr.Count(pool, CountOptions{})
+	gr.Count(pool, core.CountOptions{})
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("cancelled count took %v", d)
 	}

@@ -59,7 +59,9 @@ const (
 	AlgoLotus Algorithm = "lotus"
 	// AlgoLotusSharded partitions the relabeled ID space into a
 	// Shards-way grid, builds one LOTUS structure per block, and counts
-	// by block triple; totals and classes match AlgoLotus exactly.
+	// by block triple through AlgoLotus's three phases; totals,
+	// classes and the Phase1/HNNPhase/NNNPhase fields come out as for
+	// AlgoLotus.
 	AlgoLotusSharded  Algorithm = "lotus-sharded"
 	AlgoForward       Algorithm = "forward"        // GAP-style, merge join
 	AlgoForwardBinary Algorithm = "forward-binary" // binary-search intersection
@@ -128,7 +130,8 @@ type Options struct {
 }
 
 // Result reports one count. The phase fields are populated for the
-// LOTUS algorithms only.
+// LOTUS algorithms (Preprocess, Phase1, HNNPhase, NNNPhase) and for
+// cover-edge (Preprocess, CountPhase) only.
 type Result struct {
 	Algorithm Algorithm
 	Triangles uint64
@@ -139,9 +142,9 @@ type Result struct {
 	Preprocess time.Duration
 	// Phase wall times (Fig 6).
 	Phase1, HNNPhase, NNNPhase time.Duration
-	// CountPhase is the unified counting wall time reported by
-	// AlgoLotusSharded, whose block-triple sweep does not split into
-	// the three flat phases.
+	// CountPhase is the single counting wall time of an algorithm
+	// whose count does not split into the three LOTUS phases: the
+	// cover-edge count (AlgoCoverEdge, or AlgoAuto routed there).
 	CountPhase time.Duration
 	// Triangle classes (Fig 7).
 	HHH, HHN, HNN, NNN uint64
