@@ -27,15 +27,15 @@ check:
 	$(GO) test -race ./internal/serve/
 	$(GO) test -race ./internal/faults/
 	$(GO) test -race ./internal/approx/
-	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestStreaming' ./internal/core/
+	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestLotusGraphFileCompat|TestStreaming' ./internal/core/
 	# The randomized cross-check battery: every algorithm against brute
 	# force, and lotus-sharded at a random grid size and shuffled
 	# streams (with a third of the edges removed and re-added) against
 	# LOTUS's class split over the same random hubs.
 	$(GO) run ./cmd/lotus-verify -rounds 50
-	# The one Algorithm 3 count (core.CountBlocks), which flat and
-	# sharded counts both run: every HNN and NNN path (flat, sharded
-	# p=1..4 on one shared CountScratch, per-vertex; both NNN kernels)
+	# The one Algorithm 3 count (core.CountBlocks) over a LOTUS grid,
+	# the flat structure being its p=1 case: every HNN and NNN path
+	# (p=1..4 on one shared CountScratch, per-vertex; both NNN kernels)
 	# against a brute-force oracle, racing the per-worker hub and
 	# vertex bitmaps and the dense-row index each path must build; the
 	# bitmap-vs-merge NNN equivalence with its dispatch counters;
@@ -43,10 +43,11 @@ check:
 	# CountScratch reused across graph sizes and hub counts (so the
 	# dense-row slab is laid out again); the Algorithm 2 walk
 	# (concurrent H2H Sets, dense HE rows sorted through per-worker hub
-	# bitmaps) held to the test-local relabel-and-split oracle and the
-	# monolithic rows; the phase-1 hub-pair kernel held to the scalar
-	# probe, flat and over grid blocks with pair tiles; the walk's
-	# timed passes; and the phase-1 tile work at worker counts below 1.
+	# bitmaps) held to the test-local relabel-and-split oracle, and each
+	# shard's rows held to the p=1 rows; the phase-1 hub-pair kernel
+	# held to the scalar probe, over one block and over grid blocks
+	# with pair tiles; the walk's timed passes; and the phase-1 tile
+	# work at worker counts below 1.
 	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence|TestShardRowsMatchMonolithic' ./internal/shard/
 	$(GO) test -race -run 'TestIntersectKernelEquivalence|TestHNNCancellationLeavesBitmapsClear|TestCountScratchReuseAcrossGraphs|TestPreprocessBitIdentical|TestPreprocessPhaseSplit|TestPhase1KernelEquivalence|TestPhase1TileWorkClampsWorkers' ./internal/core/
 	# Auto-tuner surface: the probe's parallel reductions, the policy,

@@ -12,74 +12,63 @@ import (
 	"sync/atomic"
 )
 
-// Tri is a triangular bit array over n hub IDs. It supports lock-free
-// concurrent Set during parallel preprocessing and wait-free IsSet
-// during counting.
-type Tri struct {
-	n     uint32
-	words []uint64
+// TriRows holds the rows h1 in [lo, hi) of a triangular bit array,
+// stored contiguously in the h1-major packing but rebased so it
+// allocates only its own rows' hi*(hi-1)/2 - lo*(lo-1)/2 bits. The
+// whole array is the slice [0, h): the flat LOTUS structure's H2H,
+// Alg 2 line 3. A shard of a row partition holds exactly the H2H rows
+// of its vertex range, and the slices of a grid together cover the
+// same bits as [0, h).
+//
+// It supports lock-free concurrent Set during preprocessing and
+// wait-free probes during counting, and hands out RowProbe cursors
+// that the phase-1 kernels (scalar and word-parallel) run against.
+type TriRows struct {
+	lo, hi uint32
+	words  []uint64
 }
 
-// NewTri allocates a zeroed triangular array for n hubs, occupying
-// n*(n-1)/2 bits as in Alg 2 line 3.
-func NewTri(n uint32) *Tri {
-	bits := uint64(n) * uint64(n-1) / 2
-	if n == 0 {
-		bits = 0
+// rowBase returns the triangular bit index where row r starts. r == 0
+// multiplies by zero, so the wrapped r-1 is harmless.
+func rowBase(r uint32) uint64 {
+	return uint64(r) * uint64(r-1) / 2
+}
+
+// NewTriRows allocates a zeroed slice holding rows [lo, hi) of a
+// triangular array. lo > hi is treated as an empty slice.
+func NewTriRows(lo, hi uint32) *TriRows {
+	if hi < lo {
+		hi = lo
 	}
-	return &Tri{n: n, words: make([]uint64, (bits+63)/64)}
+	nbits := rowBase(hi) - rowBase(lo)
+	return &TriRows{lo: lo, hi: hi, words: make([]uint64, (nbits+63)/64)}
 }
 
-// N returns the number of hub IDs covered.
-func (t *Tri) N() uint32 { return t.n }
+// Lo returns the first row held.
+func (t *TriRows) Lo() uint32 { return t.lo }
 
-// Bits returns the bit capacity n*(n-1)/2.
-func (t *Tri) Bits() uint64 {
-	if t.n == 0 {
-		return 0
-	}
-	return uint64(t.n) * uint64(t.n-1) / 2
-}
+// Hi returns one past the last row held.
+func (t *TriRows) Hi() uint32 { return t.hi }
 
-// SizeBytes returns the allocated backing size in bytes. For the
-// paper's 64K hubs this is 256 MB (§4.2); scaled-down hub counts
+// Bits returns the bit capacity of the slice.
+func (t *TriRows) Bits() uint64 { return rowBase(t.hi) - rowBase(t.lo) }
+
+// SizeBytes returns the allocated backing size in bytes. The paper's
+// 64K hubs make the whole array 256 MB (§4.2); scaled-down hub counts
 // shrink it quadratically.
-func (t *Tri) SizeBytes() int64 { return int64(len(t.words)) * 8 }
+func (t *TriRows) SizeBytes() int64 { return int64(len(t.words)) * 8 }
 
-// Words exposes the backing word array for serialization. The slice
-// aliases the array's storage.
-func (t *Tri) Words() []uint64 { return t.words }
-
-// Rows returns the whole array as the row slice [0, n), aliasing its
-// storage: a TriRows starting at row 0 has the same packing as Tri, so
-// code written against row slices (the preprocessing walk, the
-// phase-1 hub-pair kernel) serves the monolithic array unchanged.
-func (t *Tri) Rows() *TriRows { return &TriRows{lo: 0, hi: t.n, words: t.words} }
-
-// index returns the bit index of the pair (h1, h2), h1 > h2.
-func index(h1, h2 uint32) uint64 {
-	return uint64(h1)*uint64(h1-1)/2 + uint64(h2)
+// index returns the slice-local bit index of the pair (h1, h2),
+// h1 > h2, lo <= h1 < hi.
+func (t *TriRows) index(h1, h2 uint32) uint64 {
+	return rowBase(h1) - rowBase(t.lo) + uint64(h2)
 }
 
-// BitIndex exposes the h1-major bit index, used by the access
-// profiler (Fig 9) to map probes onto cachelines.
-func BitIndex(h1, h2 uint32) uint64 {
-	if h1 < h2 {
-		h1, h2 = h2, h1
-	}
-	return index(h1, h2)
-}
-
-// Set records the edge (h1, h2). Arguments may come in either order;
-// h1 == h2 (a self pair) is ignored. Safe for concurrent use.
-func (t *Tri) Set(h1, h2 uint32) {
-	if h1 == h2 {
-		return
-	}
-	if h1 < h2 {
-		h1, h2 = h2, h1
-	}
-	i := index(h1, h2)
+// Set records the edge (h1, h2) with h1 the row (lo <= h1 < hi) and
+// h2 < h1 the column; the arguments are not order-normalized. Safe
+// for concurrent use.
+func (t *TriRows) Set(h1, h2 uint32) {
+	i := t.index(h1, h2)
 	w := &t.words[i>>6]
 	mask := uint64(1) << (i & 63)
 	for {
@@ -90,31 +79,87 @@ func (t *Tri) Set(h1, h2 uint32) {
 	}
 }
 
-// IsSet reports whether the edge (h1, h2) is present; the two-hub
-// connectivity test of Alg 3 line 5. It is a plain load: counting
-// never runs concurrently with preprocessing.
-func (t *Tri) IsSet(h1, h2 uint32) bool {
-	if h1 == h2 {
-		return false
-	}
-	if h1 < h2 {
-		h1, h2 = h2, h1
-	}
-	i := index(h1, h2)
+// IsSet probes the edge (h1, h2), h1 the row, h2 < h1.
+func (t *TriRows) IsSet(h1, h2 uint32) bool {
+	i := t.index(h1, h2)
 	return t.words[i>>6]&(uint64(1)<<(i&63)) != 0
 }
 
-// Row returns, for a fixed h1, a RowProbe positioned at the start of
-// h1's bit row, letting the inner loop of Alg 3 probe consecutive h2
-// bits without recomputing the triangular base.
-func (t *Tri) Row(h1 uint32) RowProbe {
-	return RowProbe{words: t.words, base: uint64(h1) * uint64(h1-1) / 2, h1: h1}
+// Row returns a RowProbe over row h1 (lo <= h1 < hi). The probe is
+// the same whatever rows the slice holds: Word and AndCount mask bits
+// at h2 >= h1 to zero as in the whole array, because the slice keeps
+// rows back-to-back with the same triangular row lengths.
+func (t *TriRows) Row(h1 uint32) RowProbe {
+	return RowProbe{words: t.words, base: rowBase(h1) - rowBase(t.lo), h1: h1}
+}
+
+// PopCount returns the number of set bits (this slice's hub-to-hub
+// edges). The final backing word may carry no row bits, but unset
+// padding is always zero.
+func (t *TriRows) PopCount() uint64 {
+	var n uint64
+	for _, w := range t.words {
+		n += uint64(bits.OnesCount64(w))
+	}
+	return n
+}
+
+// Words exposes the backing word array for serialization. The slice
+// aliases the array's storage.
+func (t *TriRows) Words() []uint64 { return t.words }
+
+// Density returns the fraction of set bits, Table 8 column 1.
+func (t *TriRows) Density() float64 {
+	b := t.Bits()
+	if b == 0 {
+		return 0
+	}
+	return float64(t.PopCount()) / float64(b)
+}
+
+// ZeroCachelineFraction returns the fraction of 64-byte-aligned blocks
+// of the array containing 512 zero bits, Table 8 column 2. Web graphs
+// in the paper show 75-95% zero blocks (hubs cluster); social networks
+// 5-62%.
+func (t *TriRows) ZeroCachelineFraction() float64 {
+	const wordsPerLine = 8 // 64 bytes
+	if len(t.words) == 0 {
+		return 0
+	}
+	lines := (len(t.words) + wordsPerLine - 1) / wordsPerLine
+	zero := 0
+	for l := 0; l < lines; l++ {
+		allZero := true
+		for w := l * wordsPerLine; w < len(t.words) && w < (l+1)*wordsPerLine; w++ {
+			if t.words[w] != 0 {
+				allZero = false
+				break
+			}
+		}
+		if allZero {
+			zero++
+		}
+	}
+	return float64(zero) / float64(lines)
+}
+
+// NumCachelines returns the number of 64-byte lines backing the array.
+func (t *TriRows) NumCachelines() int {
+	return (len(t.words) + 7) / 8
+}
+
+// BitIndex exposes the h1-major bit index, used by the access
+// profiler (Fig 9) to map probes onto cachelines.
+func BitIndex(h1, h2 uint32) uint64 {
+	if h1 < h2 {
+		h1, h2 = h2, h1
+	}
+	return rowBase(h1) + uint64(h2)
 }
 
 // RowProbe is a cursor over one h1 row of a triangular array. It holds
-// the backing words directly (not the array), so both the full Tri and
-// the TriRows row-slice hand out the same probe type and the counting
-// kernels stay agnostic about which storage a row came from.
+// the backing words directly, so the counting kernels need not know
+// which rows the TriRows it came from holds.
 type RowProbe struct {
 	words []uint64
 	base  uint64
@@ -205,57 +250,8 @@ func (r RowProbe) AndCount(bm []uint64) uint64 {
 	return uint64(total)
 }
 
-// PopCount returns the number of set bits (hub-to-hub edges).
-func (t *Tri) PopCount() uint64 {
-	var n uint64
-	for _, w := range t.words {
-		n += uint64(bits.OnesCount64(w))
-	}
-	return n
-}
-
-// Density returns the fraction of set bits, Table 8 column 1.
-func (t *Tri) Density() float64 {
-	b := t.Bits()
-	if b == 0 {
-		return 0
-	}
-	return float64(t.PopCount()) / float64(b)
-}
-
-// ZeroCachelineFraction returns the fraction of 64-byte-aligned blocks
-// of the array containing 512 zero bits, Table 8 column 2. Web graphs
-// in the paper show 75-95% zero blocks (hubs cluster); social networks
-// 5-62%.
-func (t *Tri) ZeroCachelineFraction() float64 {
-	const wordsPerLine = 8 // 64 bytes
-	if len(t.words) == 0 {
-		return 0
-	}
-	lines := (len(t.words) + wordsPerLine - 1) / wordsPerLine
-	zero := 0
-	for l := 0; l < lines; l++ {
-		allZero := true
-		for w := l * wordsPerLine; w < len(t.words) && w < (l+1)*wordsPerLine; w++ {
-			if t.words[w] != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			zero++
-		}
-	}
-	return float64(zero) / float64(lines)
-}
-
 // Cacheline returns the 64-byte cacheline index holding bit (h1,h2),
 // used by the Fig 9 H2H access profiler.
 func Cacheline(h1, h2 uint32) uint64 {
 	return BitIndex(h1, h2) / 512 // 512 bits per 64-byte line
-}
-
-// NumCachelines returns the number of 64-byte lines backing the array.
-func (t *Tri) NumCachelines() int {
-	return (len(t.words) + 7) / 8
 }

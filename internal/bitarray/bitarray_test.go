@@ -9,22 +9,22 @@ import (
 )
 
 func TestTriBasic(t *testing.T) {
-	tr := NewTri(8)
+	tr := NewTriRows(0, 8)
 	if tr.Bits() != 28 {
 		t.Fatalf("Bits = %d, want 28", tr.Bits())
 	}
 	tr.Set(5, 2)
-	if !tr.IsSet(5, 2) || !tr.IsSet(2, 5) {
-		t.Fatal("Set(5,2) not visible in both argument orders")
+	if !tr.IsSet(5, 2) {
+		t.Fatal("Set(5,2) not visible")
 	}
-	if tr.IsSet(5, 3) || tr.IsSet(2, 2) {
+	if tr.IsSet(5, 3) {
 		t.Fatal("spurious bits set")
 	}
 	tr.Set(1, 0)
 	if BitIndex(1, 0) != 0 {
 		t.Fatalf("BitIndex(1,0) = %d, want 0", BitIndex(1, 0))
 	}
-	if !tr.IsSet(0, 1) {
+	if !tr.IsSet(1, 0) {
 		t.Fatal("bit 0 not set")
 	}
 }
@@ -47,7 +47,7 @@ func TestTriIndexFormula(t *testing.T) {
 func TestTriAllPairsDistinct(t *testing.T) {
 	// Every pair must map to a distinct bit and round-trip exactly.
 	const n = 40
-	tr := NewTri(n)
+	tr := NewTriRows(0, n)
 	for h1 := uint32(1); h1 < n; h1++ {
 		for h2 := uint32(0); h2 < h1; h2++ {
 			if tr.IsSet(h1, h2) {
@@ -67,23 +67,12 @@ func TestTriAllPairsDistinct(t *testing.T) {
 	}
 }
 
-func TestTriSelfPairIgnored(t *testing.T) {
-	tr := NewTri(4)
-	tr.Set(2, 2)
-	if tr.PopCount() != 0 {
-		t.Fatal("self pair set a bit")
-	}
-	if tr.IsSet(2, 2) {
-		t.Fatal("IsSet(2,2) = true")
-	}
-}
-
 func TestTriZeroAndOneHub(t *testing.T) {
-	tr := NewTri(0)
+	tr := NewTriRows(0, 0)
 	if tr.Bits() != 0 || tr.SizeBytes() != 0 {
 		t.Fatal("empty array not empty")
 	}
-	tr1 := NewTri(1)
+	tr1 := NewTriRows(0, 1)
 	if tr1.Bits() != 0 {
 		t.Fatalf("one hub should have 0 bits, got %d", tr1.Bits())
 	}
@@ -92,9 +81,19 @@ func TestTriZeroAndOneHub(t *testing.T) {
 	}
 }
 
+// randomPair draws a hub pair (h1, h2), h1 > h2, from [0, n); equal
+// draws are rejected.
+func randomPair(rng *rand.Rand, n int) (h1, h2 uint32, ok bool) {
+	h1, h2 = uint32(rng.Intn(n)), uint32(rng.Intn(n))
+	if h1 < h2 {
+		h1, h2 = h2, h1
+	}
+	return h1, h2, h1 != h2
+}
+
 func TestTriConcurrentSet(t *testing.T) {
 	const n = 256
-	tr := NewTri(n)
+	tr := NewTriRows(0, n)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -102,21 +101,21 @@ func TestTriConcurrentSet(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 2000; i++ {
-				h1 := uint32(rng.Intn(n))
-				h2 := uint32(rng.Intn(n))
-				tr.Set(h1, h2)
+				if h1, h2, ok := randomPair(rng, n); ok {
+					tr.Set(h1, h2)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	// Replay sequentially and compare.
-	ref := NewTri(n)
+	ref := NewTriRows(0, n)
 	for w := 0; w < 8; w++ {
 		rng := rand.New(rand.NewSource(int64(w)))
 		for i := 0; i < 2000; i++ {
-			h1 := uint32(rng.Intn(n))
-			h2 := uint32(rng.Intn(n))
-			ref.Set(h1, h2)
+			if h1, h2, ok := randomPair(rng, n); ok {
+				ref.Set(h1, h2)
+			}
 		}
 	}
 	if tr.PopCount() != ref.PopCount() {
@@ -133,9 +132,11 @@ func TestRowProbeMatchesIsSet(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := uint32(2 + rng.Intn(100))
-		tr := NewTri(n)
+		tr := NewTriRows(0, n)
 		for i := 0; i < 50; i++ {
-			tr.Set(uint32(rng.Intn(int(n))), uint32(rng.Intn(int(n))))
+			if h1, h2, ok := randomPair(rng, int(n)); ok {
+				tr.Set(h1, h2)
+			}
 		}
 		for h1 := uint32(1); h1 < n; h1++ {
 			row := tr.Row(h1)
@@ -152,30 +153,38 @@ func TestRowProbeMatchesIsSet(t *testing.T) {
 	}
 }
 
-// TestTriRowsView checks that Tri.Rows aliases the array: bits set
-// through the view read back through the Tri, the view's row probes
-// agree with the Tri's, and the popcounts match.
+// TestTriRowsView checks that a slice [lo, hi) of rows agrees with the
+// whole array [0, n) set the same way: bits set through the slice read
+// back identically, its row probes agree with the whole array's, and
+// the popcounts match over the slice's rows.
 func TestTriRowsView(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := uint32(2 + rng.Intn(100))
-		tr := NewTri(n)
-		rows := tr.Rows()
-		if rows.Lo() != 0 || rows.Hi() != n || rows.Bits() != tr.Bits() {
+		lo := uint32(rng.Intn(int(n)))
+		hi := lo + uint32(rng.Intn(int(n-lo)+1))
+		whole, rows := NewTriRows(0, n), NewTriRows(lo, hi)
+		if rows.Lo() != lo || rows.Hi() != hi || rows.Bits() != whole.Bits()-rowBase(lo)-(rowBase(n)-rowBase(hi)) {
 			return false
 		}
+		var inSlice uint64
 		for i := 0; i < 50; i++ {
 			h1 := uint32(1 + rng.Intn(int(n)-1))
-			rows.Set(h1, uint32(rng.Intn(int(h1))))
+			h2 := uint32(rng.Intn(int(h1)))
+			if !whole.IsSet(h1, h2) && h1 >= lo && h1 < hi {
+				rows.Set(h1, h2)
+				inSlice++
+			}
+			whole.Set(h1, h2)
 		}
-		for h1 := uint32(1); h1 < n; h1++ {
+		for h1 := max(lo, 1); h1 < hi; h1++ {
 			for h2 := uint32(0); h2 < h1; h2++ {
-				if rows.IsSet(h1, h2) != tr.IsSet(h1, h2) || rows.Row(h1).IsSet(h2) != tr.Row(h1).IsSet(h2) {
+				if rows.IsSet(h1, h2) != whole.IsSet(h1, h2) || rows.Row(h1).IsSet(h2) != whole.Row(h1).IsSet(h2) {
 					return false
 				}
 			}
 		}
-		return rows.PopCount() == tr.PopCount()
+		return rows.PopCount() == inSlice
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -184,7 +193,7 @@ func TestTriRowsView(t *testing.T) {
 
 func TestZeroCachelineFraction(t *testing.T) {
 	// 64 hubs -> 2016 bits -> 32 words -> 4 cachelines.
-	tr := NewTri(64)
+	tr := NewTriRows(0, 64)
 	if tr.NumCachelines() != 4 {
 		t.Fatalf("NumCachelines = %d, want 4", tr.NumCachelines())
 	}
@@ -210,7 +219,7 @@ func TestCachelineMapping(t *testing.T) {
 
 func TestSizeBytesPaperScale(t *testing.T) {
 	// The paper's 64K hubs: 2^16 * (2^16 -1)/2 bits ≈ 2^31 bits = 256 MB.
-	tr := NewTri(1 << 16)
+	tr := NewTriRows(0, 1<<16)
 	gb := tr.SizeBytes()
 	if gb < 255<<20 || gb > 257<<20 {
 		t.Fatalf("64K-hub H2H = %d bytes, want ~256 MB", gb)
@@ -218,11 +227,13 @@ func TestSizeBytesPaperScale(t *testing.T) {
 }
 
 func BenchmarkTriSet(b *testing.B) {
-	tr := NewTri(1 << 12)
+	tr := NewTriRows(0, 1<<12)
 	rng := rand.New(rand.NewSource(1))
-	pairs := make([][2]uint32, 4096)
-	for i := range pairs {
-		pairs[i] = [2]uint32{uint32(rng.Intn(1 << 12)), uint32(rng.Intn(1 << 12))}
+	pairs := make([][2]uint32, 0, 4096)
+	for len(pairs) < cap(pairs) {
+		if h1, h2, ok := randomPair(rng, 1<<12); ok {
+			pairs = append(pairs, [2]uint32{h1, h2})
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -232,14 +243,18 @@ func BenchmarkTriSet(b *testing.B) {
 }
 
 func BenchmarkTriIsSet(b *testing.B) {
-	tr := NewTri(1 << 12)
+	tr := NewTriRows(0, 1<<12)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
-		tr.Set(uint32(rng.Intn(1<<12)), uint32(rng.Intn(1<<12)))
+		if h1, h2, ok := randomPair(rng, 1<<12); ok {
+			tr.Set(h1, h2)
+		}
 	}
-	pairs := make([][2]uint32, 4096)
-	for i := range pairs {
-		pairs[i] = [2]uint32{uint32(rng.Intn(1 << 12)), uint32(rng.Intn(1 << 12))}
+	pairs := make([][2]uint32, 0, 4096)
+	for len(pairs) < cap(pairs) {
+		if h1, h2, ok := randomPair(rng, 1<<12); ok {
+			pairs = append(pairs, [2]uint32{h1, h2})
+		}
 	}
 	b.ResetTimer()
 	var sink bool
@@ -257,10 +272,12 @@ func BenchmarkTriIsSet(b *testing.B) {
 // word of the last row).
 func TestRowWordMatchesIsSet(t *testing.T) {
 	for _, n := range []uint32{0, 1, 2, 3, 5, 63, 64, 65, 127, 128, 129, 200, 513} {
-		tr := NewTri(n)
+		tr := NewTriRows(0, n)
 		rng := rand.New(rand.NewSource(int64(n)))
 		for e := 0; e < int(n)*4; e++ {
-			tr.Set(uint32(rng.Intn(int(n))), uint32(rng.Intn(int(n))))
+			if h1, h2, ok := randomPair(rng, int(n)); ok {
+				tr.Set(h1, h2)
+			}
 		}
 		for h1 := uint32(0); h1 < n; h1++ {
 			row := tr.Row(h1)
@@ -286,10 +303,12 @@ func TestRowWordMatchesIsSet(t *testing.T) {
 }
 
 func BenchmarkTriRowWord(b *testing.B) {
-	tr := NewTri(1 << 12)
+	tr := NewTriRows(0, 1<<12)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100000; i++ {
-		tr.Set(uint32(rng.Intn(1<<12)), uint32(rng.Intn(1<<12)))
+		if h1, h2, ok := randomPair(rng, 1<<12); ok {
+			tr.Set(h1, h2)
+		}
 	}
 	row := tr.Row(1<<12 - 1)
 	b.ResetTimer()
@@ -306,7 +325,7 @@ func BenchmarkTriRowWord(b *testing.B) {
 func TestAndCountMatchesWordLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []uint32{1, 2, 3, 5, 63, 64, 65, 127, 128, 129, 200, 513} {
-		tri := NewTri(n)
+		tri := NewTriRows(0, n)
 		for k := 0; k < int(n)*2; k++ {
 			h1 := uint32(rng.Intn(int(n)))
 			if h1 == 0 {
@@ -333,7 +352,7 @@ func TestAndCountMatchesWordLoop(t *testing.T) {
 
 func BenchmarkTriAndCount(b *testing.B) {
 	const n = 512
-	tri := NewTri(n)
+	tri := NewTriRows(0, n)
 	rng := rand.New(rand.NewSource(7))
 	for k := 0; k < 4096; k++ {
 		h1 := uint32(1 + rng.Intn(n-1))

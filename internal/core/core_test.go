@@ -337,7 +337,7 @@ func relabelSplitOracle(g *graph.Graph, opt Options) *LotusGraph {
 	rg := g.Relabel(ra)
 	he := &HE16{offsets: make([]int64, 1, n+1), nbrs: []uint16{}}
 	nhe := &NHE32{offsets: make([]int64, 1, n+1), nbrs: []uint32{}}
-	h2h := bitarray.NewTri(hubCount)
+	h2h := bitarray.NewTriRows(0, hubCount)
 	for v := uint32(0); v < uint32(n); v++ {
 		for _, u := range rg.Neighbors(v) {
 			switch {
@@ -354,11 +354,12 @@ func relabelSplitOracle(g *graph.Graph, opt Options) *LotusGraph {
 		he.offsets = append(he.offsets, int64(len(he.nbrs)))
 		nhe.offsets = append(nhe.offsets, int64(len(nhe.nbrs)))
 	}
-	return &LotusGraph{HubCount: hubCount, H2H: h2h, HE: he, NHE: nhe, Relabeling: ra, numVertices: n}
+	rows := &LotusShard{Range: VertexRange{Hi: uint32(n)}, HubCount: hubCount, H2H: h2h, HE: he, NHE: nhe, numVertices: n}
+	return &LotusGraph{LotusShard: rows, Relabeling: ra}
 }
 
 // TestPreprocessBitIdentical holds TryPreprocess (the on-the-fly walk
-// the sharded build shares) to relabelSplitOracle: identical HE and
+// every grid shard runs) to relabelSplitOracle: identical HE and
 // NHE rows and the same H2H words, across shapes and hub counts. At 63
 // to 129 hubs the R-MAT, k20, k130 and hub-spokes rows reach the dense
 // length 2·⌈H/64⌉, so the walk sorts them through the hub bitmap over

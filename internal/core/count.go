@@ -117,22 +117,9 @@ func (lg *LotusGraph) Count(pool *sched.Pool) *Result {
 }
 
 // CountWithOptions runs Algorithm 3 over the whole graph: the single
-// block (0, 0, 0) of the one-row partition lg.rows (CountBlocks).
+// block (0, 0, 0) of the one-range row partition (CountBlocks).
 func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Result {
-	return CountBlocks(pool, lg.rows(), []Block{{}}, opt)
-}
-
-// rows returns lg as a one-row partition: a LotusShard over [0, |V|)
-// that views lg's own HE, NHE and H2H rows, with no copy.
-func (lg *LotusGraph) rows() []*LotusShard {
-	return []*LotusShard{{
-		Range:       VertexRange{Hi: uint32(lg.numVertices)},
-		HubCount:    lg.HubCount,
-		H2H:         lg.H2H.Rows(),
-		HE:          lg.HE,
-		NHE:         lg.NHE,
-		numVertices: lg.numVertices,
-	}}
+	return CountBlocks(pool, []*LotusShard{lg.LotusShard}, []Block{{}}, opt)
 }
 
 // withDefaults fills in the tiling defaults for a pool of the given
@@ -264,8 +251,8 @@ func lowerBound[T uint16 | uint32](row []T, bound uint32) int {
 
 // CountBlocks runs Algorithm 3 over blocks of a row partition. rows
 // must be non-empty, built with one relabeling and hub count, with
-// ranges that ascend and cover every vertex: a LotusGraph's own rows
-// or a shard grid's. Phase 1 counts HHH and HHN triangles against the H2H
+// ranges that ascend and cover every vertex: a grid's shards, of which
+// a LotusGraph is the one-shard case. Phase 1 counts HHH and HHN triangles against the H2H
 // rows of J, phase 2 HNN triangles by probing the HE rows of J against
 // the apex's hubs in I, and phase 3 (unless SkipNNN) NNN triangles by
 // probing the NHE rows of J against the apex's non-hub neighbours in
@@ -407,7 +394,7 @@ func phase1Tiles(spans []span, opt CountOptions, workers int) []tile {
 // core count of the host. A worker count below 1 is taken as 1.
 func (lg *LotusGraph) Phase1TileWork(opt CountOptions, workers int) []uint64 {
 	workers = max(workers, 1)
-	p1, _, _ := resolve(lg.rows(), []Block{{}})
+	p1, _, _ := resolve([]*LotusShard{lg.LotusShard}, []Block{{}})
 	tiles := phase1Tiles(p1, opt.withDefaults(workers), workers)
 	work := make([]uint64, len(tiles))
 	for i, t := range tiles {

@@ -269,10 +269,11 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 	want := lg.Count(pool)
 	scratch := NewCountScratch()
 	opt := CountOptions{Scratch: scratch}
-	_, hnn, nnn := resolve(lg.rows(), []Block{{}})
+	rows := []*LotusShard{lg.LotusShard}
+	_, hnn, nnn := resolve(rows, []Block{{}})
 	for name, run := range map[string]func(p *sched.Pool, res *Result, sc *CountScratch){
 		"hnn": func(p *sched.Pool, res *Result, sc *CountScratch) {
-			sc.dense.build(p, lg.rows())
+			sc.dense.build(p, rows)
 			res.HNN, _ = countHNN(p, hnn, opt, sc)
 		},
 		"nnn": func(p *sched.Pool, res *Result, sc *CountScratch) {

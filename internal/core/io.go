@@ -110,7 +110,11 @@ func ReadLotusGraph(r io.Reader) (*LotusGraph, error) {
 	if hubCount > DefaultHubCount {
 		return nil, fmt.Errorf("core: hub count %d exceeds the 16-bit hub ID space (%d)", hubCount, DefaultHubCount)
 	}
-	lg := &LotusGraph{HubCount: hubCount, numVertices: int(nv)}
+	lg := &LotusGraph{LotusShard: &LotusShard{
+		Range:       VertexRange{Hi: uint32(nv)},
+		HubCount:    hubCount,
+		numVertices: int(nv),
+	}}
 	// Arrays are read in bounded chunks so a corrupt header cannot
 	// force a huge up-front allocation (memory grows only as data
 	// actually arrives), and each offsets array is validated against
@@ -152,7 +156,7 @@ func ReadLotusGraph(r io.Reader) (*LotusGraph, error) {
 	if nWords != (expectBits+63)/64 {
 		return nil, fmt.Errorf("core: H2H word count %d != expected %d", nWords, (expectBits+63)/64)
 	}
-	h2h := bitarray.NewTri(hubCount)
+	h2h := bitarray.NewTriRows(0, hubCount)
 	words := h2h.Words()
 	if err := binary.Read(br, binary.LittleEndian, words); err != nil {
 		return nil, fmt.Errorf("core: reading H2H: %w", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -54,6 +55,39 @@ func TestLotusGraphFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadLotusFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestLotusGraphFileCompat loads a LOTS file written by an earlier
+// build (testdata/rmat8-hubs24.lots: R-MAT scale 8, edge factor 8,
+// seed 11, 24 hubs) and holds it to a fresh Preprocess of the same
+// graph: it validates, counts the same totals and class split, and the
+// fresh structure serializes to the file's exact bytes, so the on-disk
+// format has not moved.
+func TestLotusGraphFileCompat(t *testing.T) {
+	path := filepath.Join("testdata", "rmat8-hubs24.lots")
+	old, err := LoadLotusFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := Preprocess(gen.RMAT(gen.DefaultRMAT(8, 8, 11)), Options{HubCount: 24, Pool: pool})
+	a, b := old.Count(pool), fresh.Count(pool)
+	if a.Total != b.Total || a.HHH != b.HHH || a.HHN != b.HHN || a.HNN != b.HNN || a.NNN != b.NNN {
+		t.Fatalf("file counts %+v, fresh preprocess %+v", a, b)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fresh.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("fresh structure serializes to %d bytes that differ from the %d-byte file", buf.Len(), len(want))
 	}
 }
 

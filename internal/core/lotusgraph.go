@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"lotustc/internal/bitarray"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
 	"lotustc/internal/reorder"
@@ -122,31 +121,14 @@ func (s *NHE32) Offsets() []int64 { return s.offsets }
 // Raw exposes the flat neighbour array.
 func (s *NHE32) Raw() []uint32 { return s.nbrs }
 
-// LotusGraph is the LOTUS graph structure of §4.2. Vertex IDs are the
-// relabeled IDs; Relabeling maps original -> new.
+// LotusGraph is the LOTUS graph structure of §4.2: the one-range row
+// partition — a LotusShard over every vertex [0, |V|), whose H2H,
+// HE and NHE rows, hub count and build time it promotes — plus the
+// relabeling. Vertex IDs are the relabeled IDs.
 type LotusGraph struct {
-	HubCount uint32
-	H2H      *bitarray.Tri
-	HE       *HE16
-	NHE      *NHE32
+	*LotusShard
 	// Relabeling is the §4.3.1 relabeling array (old ID -> new ID).
 	Relabeling []uint32
-	// PreprocessTime is the wall time of Preprocess, part of the
-	// end-to-end accounting of Table 5 / Fig 6.
-	PreprocessTime time.Duration
-
-	numVertices int
-}
-
-// NumVertices returns |V|.
-func (lg *LotusGraph) NumVertices() int { return lg.numVertices }
-
-// TopologyBytes returns the LOTUS topology footprint per the Table 7
-// accounting: two 8-byte index arrays, the H2H backing store, 2 bytes
-// per HE edge and 4 bytes per NHE edge.
-func (lg *LotusGraph) TopologyBytes() int64 {
-	idx := 2 * 8 * int64(lg.numVertices+1)
-	return idx + lg.H2H.SizeBytes() + 2*lg.HE.NumEdges() + 4*lg.NHE.NumEdges()
 }
 
 // NonHubSubgraph extracts the symmetric sub-graph induced by the
@@ -199,12 +181,13 @@ func mustLotusGraph(lg *LotusGraph, err error) *LotusGraph {
 }
 
 // TryPreprocess builds the LotusGraph from a symmetric simple graph,
-// implementing Algorithm 2: relabel, split each vertex's N^< into hub
-// and non-hub neighbours, and populate the H2H bit array. It runs the
-// walk the sharded build shares (buildRows) over [0, |V|), mapping IDs
-// through the relabeling on the fly rather than materializing the
-// relabeled graph first (measured 1.5-2.4x faster; EXPERIMENTS.md,
-// "Preprocessing strategies").
+// implementing Algorithm 2: relabel (reorder.Lotus), then split each
+// vertex's N^< into hub and non-hub neighbours and populate the H2H
+// bit array — TryPreprocessRange over [0, |V|), the walk every shard
+// of a grid runs over its own range. IDs are mapped through the
+// relabeling on the fly rather than materializing the relabeled graph
+// first (measured 1.5-2.4x faster; EXPERIMENTS.md, "Preprocessing
+// strategies"). PreprocessTime covers both steps.
 //
 // Invalid inputs (nil or oriented graphs) are rejected with an error;
 // the serving path depends on this never panicking.
@@ -214,22 +197,15 @@ func TryPreprocess(g *graph.Graph, opt Options) (*LotusGraph, error) {
 	}
 	t0 := time.Now()
 	n := g.NumVertices()
-	hubCount := uint32(opt.EffectiveHubCount(n))
-	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
-	relabel := time.Since(t0)
-	h2h := bitarray.NewTri(hubCount)
-	he, nhe := buildRows(g, opt.pool(), ra, hubCount, VertexRange{Hi: uint32(n)}, h2h.Rows(), opt.Metrics)
-	lg := &LotusGraph{
-		HubCount:       hubCount,
-		H2H:            h2h,
-		HE:             he,
-		NHE:            nhe,
-		Relabeling:     ra,
-		PreprocessTime: time.Since(t0),
-		numVertices:    n,
+	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: opt.EffectiveHubCount(n), FrontFraction: opt.FrontFraction})
+	opt.Metrics.AddDuration(obs.PreprocessRelabelNS, time.Since(t0))
+	s, err := TryPreprocessRange(g, opt, ra, VertexRange{Hi: uint32(n)})
+	if err != nil {
+		return nil, err
 	}
-	lg.recordPreprocessMetrics(opt.Metrics, relabel)
-	return lg, nil
+	s.PreprocessTime = time.Since(t0)
+	opt.Metrics.AddDuration(obs.PreprocessNS, s.PreprocessTime)
+	return &LotusGraph{LotusShard: s, Relabeling: ra}, nil
 }
 
 // Preprocess is the thin panicking wrapper over TryPreprocess, kept
@@ -239,27 +215,16 @@ func Preprocess(g *graph.Graph, opt Options) *LotusGraph {
 	return mustLotusGraph(TryPreprocess(g, opt))
 }
 
-// recordPreprocessMetrics publishes the preprocessing time, its
-// relabel part and the structure-size counters; nil-safe.
-func (lg *LotusGraph) recordPreprocessMetrics(m *obs.Metrics, relabel time.Duration) {
-	if m == nil {
-		return
-	}
-	m.AddDuration("preprocess.ns", lg.PreprocessTime)
-	m.AddDuration(obs.PreprocessRelabelNS, relabel)
-	m.Set("lotus.hubs", int64(lg.HubCount))
-	m.Set("lotus.he_edges", lg.HE.NumEdges())
-	m.Set("lotus.nhe_edges", lg.NHE.NumEdges())
-	m.Set("lotus.h2h_bits", int64(lg.H2H.PopCount()))
-}
-
-// Validate checks the structural invariants of the LotusGraph: the
-// row invariants it shares with LotusShard (validateRows) and a
+// Validate checks the structural invariants of the LotusGraph: a
+// shard over every vertex that passes LotusShard.Validate, and a
 // relabeling that is a permutation of [0, |V|). Intended for tests
 // and for ReadLotusGraph.
 func (lg *LotusGraph) Validate() error {
 	n := uint32(lg.numVertices)
-	if err := validateRows(VertexRange{Hi: n}, lg.HubCount, lg.HE, lg.NHE, lg.H2H.Rows()); err != nil {
+	if lg.Range != (VertexRange{Hi: n}) {
+		return fmt.Errorf("rows cover [%d, %d), not every vertex [0, %d)", lg.Range.Lo, lg.Range.Hi, n)
+	}
+	if err := lg.LotusShard.Validate(); err != nil {
 		return err
 	}
 	// Relabeling must be a permutation of [0, n): anything else makes

@@ -30,10 +30,11 @@ func (r VertexRange) Contains(v uint32) bool { return v >= r.Lo && v < r.Hi }
 // LotusShard is the LOTUS structure restricted to one vertex range of
 // the relabeled ID space: the HE and NHE rows of every v in Range
 // (indexed locally by v - Range.Lo) and the H2H rows of the range's
-// hubs. Neighbour IDs inside rows stay global relabeled IDs — the
-// same IDs the monolithic structure uses — which is what makes the
-// sharded count bit-identical per class: hubness is still "ID <
-// HubCount" and every triangle is attributed to the same apex row.
+// hubs. The flat structure (LotusGraph) is the shard over [0, |V|).
+// Neighbour IDs inside rows stay global relabeled IDs — the same IDs
+// the flat structure uses — which is what makes a grid's count
+// bit-identical per class: hubness is still "ID < HubCount" and every
+// triangle is attributed to the same apex row.
 type LotusShard struct {
 	// Range is the relabeled-ID range this shard holds rows for.
 	Range VertexRange
@@ -41,7 +42,7 @@ type LotusShard struct {
 	// grid; it is a property of the relabeling, not of the shard).
 	HubCount uint32
 	// H2H holds the hub-to-hub rows [Range.Lo, min(Range.Hi,
-	// HubCount)) — the shard's slice of the monolithic bit array. The
+	// HubCount)) — the shard's slice of the whole bit array. The
 	// per-shard hub budget: each shard pays only for its own hubs'
 	// rows, so a p-way grid splits the quadratic H2H footprint across
 	// p cache-sized slices.
@@ -50,7 +51,8 @@ type LotusShard struct {
 	// vertices, locally indexed (row v lives at v - Range.Lo).
 	HE  *HE16
 	NHE *NHE32
-	// PreprocessTime is the wall time of this shard's build.
+	// PreprocessTime is the wall time of this shard's build; a
+	// LotusGraph's also covers the relabeling.
 	PreprocessTime time.Duration
 
 	numVertices int // global |V|, for cross-checks
@@ -76,8 +78,8 @@ func (s *LotusShard) TopologyBytes() int64 {
 	return idx + s.H2H.SizeBytes() + 2*s.HE.NumEdges() + 4*s.NHE.NumEdges()
 }
 
-// buildRows is the Algorithm 2 walk (lines 10-23) that the flat and
-// the sharded build share. It fills the HE and NHE rows of every
+// buildRows is the Algorithm 2 walk (lines 10-23) of
+// TryPreprocessRange. It fills the HE and NHE rows of every
 // relabeled vertex in r, stored at v - r.Lo, and sets the H2H bit of
 // every hub-to-hub edge whose higher end lies in r; h2h must hold
 // those rows. Pass 1 counts each row's hub and non-hub neighbours;
@@ -175,12 +177,60 @@ func buildRows(g *graph.Graph, pool *sched.Pool, ra []uint32, hubCount uint32, r
 	return he, nhe
 }
 
-// validateRows checks the row invariants the flat and the sharded
-// structures share, over the rows of every v in r (stored at
-// v - r.Lo): sorted rows of neighbours below v, HE IDs below hubCount
-// and NHE IDs at or above it, empty NHE rows for hubs, and the H2H
-// rows agreeing with the HE rows of the hubs they hold.
-func validateRows(r VertexRange, hubCount uint32, he *HE16, nhe *NHE32, h2h *bitarray.TriRows) error {
+// TryPreprocessRange builds the LOTUS structure restricted to the
+// vertex range r, given the global relabeling ra (as produced by
+// reorder.Lotus with the same Options — the caller owns computing it
+// once and sharing it across a grid's shards). It is the one
+// Algorithm 2 build: TryPreprocess runs it over [0, |V|), and each
+// shard of a grid over its own range, so a shard row is byte-identical
+// to the flat structure's row. opt.Metrics receives the walk's timed
+// passes and the structure counters: lotus.hubs, and lotus.he_edges,
+// lotus.nhe_edges and lotus.h2h_bits added per range, so a grid
+// publishes its shards' sums.
+func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange) (*LotusShard, error) {
+	if err := checkPreprocessInput(g); err != nil {
+		return nil, err
+	}
+	n := g.NumVertices()
+	if len(ra) != n {
+		return nil, fmt.Errorf("core: relabeling has %d entries for %d vertices", len(ra), n)
+	}
+	if r.Lo > r.Hi || int(r.Hi) > n {
+		return nil, fmt.Errorf("core: vertex range [%d, %d) out of bounds for %d vertices", r.Lo, r.Hi, n)
+	}
+	t0 := time.Now()
+	hubCount := uint32(opt.EffectiveHubCount(n))
+	hubHi := min(r.Hi, hubCount)
+	h2h := bitarray.NewTriRows(min(r.Lo, hubHi), hubHi)
+	he, nhe := buildRows(g, opt.pool(), ra, hubCount, r, h2h, opt.Metrics)
+	s := &LotusShard{
+		Range:          r,
+		HubCount:       hubCount,
+		H2H:            h2h,
+		HE:             he,
+		NHE:            nhe,
+		PreprocessTime: time.Since(t0),
+		numVertices:    n,
+	}
+	if m := opt.Metrics; m != nil {
+		m.Set("lotus.hubs", int64(hubCount))
+		m.Add("lotus.he_edges", he.NumEdges())
+		m.Add("lotus.nhe_edges", nhe.NumEdges())
+		m.Add("lotus.h2h_bits", int64(h2h.PopCount()))
+	}
+	return s, nil
+}
+
+// Validate checks the shard's structural invariants over the rows of
+// every v in its range (stored at v - Range.Lo): sorted rows of
+// neighbours below v, HE IDs below HubCount and NHE IDs at or above
+// it, empty NHE rows for hubs, and the H2H rows agreeing with the HE
+// rows of the hubs they hold. Intended for tests.
+func (s *LotusShard) Validate() error {
+	r, hubCount, he, nhe, h2h := s.Range, s.HubCount, s.HE, s.NHE, s.H2H
+	if r.Lo > r.Hi {
+		return fmt.Errorf("shard range [%d, %d) inverted", r.Lo, r.Hi)
+	}
 	for v := r.Lo; v < r.Hi; v++ {
 		henb := he.Neighbors(v - r.Lo)
 		for i, h := range henb {
@@ -215,46 +265,4 @@ func validateRows(r VertexRange, hubCount uint32, he *HE16, nhe *NHE32, h2h *bit
 		return fmt.Errorf("H2H popcount %d != hub-to-hub edge count %d", got, hubEdges)
 	}
 	return nil
-}
-
-// TryPreprocessRange builds the LOTUS structure restricted to the
-// vertex range r, given the global relabeling ra (as produced by
-// reorder.Lotus with the same Options — the caller owns computing it
-// once and sharing it across a grid's shards). It runs the flat
-// build's walk over r, so each shard row is byte-identical to the
-// corresponding monolithic row.
-func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange) (*LotusShard, error) {
-	if err := checkPreprocessInput(g); err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	if len(ra) != n {
-		return nil, fmt.Errorf("core: relabeling has %d entries for %d vertices", len(ra), n)
-	}
-	if r.Lo > r.Hi || int(r.Hi) > n {
-		return nil, fmt.Errorf("core: vertex range [%d, %d) out of bounds for %d vertices", r.Lo, r.Hi, n)
-	}
-	t0 := time.Now()
-	hubCount := uint32(opt.EffectiveHubCount(n))
-	hubHi := min(r.Hi, hubCount)
-	h2h := bitarray.NewTriRows(min(r.Lo, hubHi), hubHi)
-	he, nhe := buildRows(g, opt.pool(), ra, hubCount, r, h2h, opt.Metrics)
-	return &LotusShard{
-		Range:          r,
-		HubCount:       hubCount,
-		H2H:            h2h,
-		HE:             he,
-		NHE:            nhe,
-		PreprocessTime: time.Since(t0),
-		numVertices:    n,
-	}, nil
-}
-
-// Validate checks the shard's structural invariants (validateRows)
-// over its range. Intended for tests.
-func (s *LotusShard) Validate() error {
-	if s.Range.Lo > s.Range.Hi {
-		return fmt.Errorf("shard range [%d, %d) inverted", s.Range.Lo, s.Range.Hi)
-	}
-	return validateRows(s.Range, s.HubCount, s.HE, s.NHE, s.H2H)
 }

@@ -5,7 +5,7 @@ import (
 
 	"lotustc/internal/baseline"
 	"lotustc/internal/core"
-	"lotustc/internal/sched"
+	"lotustc/internal/shard"
 )
 
 // The built-in registrations: flat and sharded LOTUS, the §5.1.4
@@ -24,8 +24,8 @@ func init() {
 	sharded := lotus
 	sharded.Shardable = true
 
-	MustRegister("lotus", streaming, lotusKernel)
-	MustRegister("lotus-sharded", sharded, lotusShardedKernel)
+	MustRegister("lotus", streaming, func(t *Task) (uint64, error) { return lotusKernel(t, 1) })
+	MustRegister("lotus-sharded", sharded, func(t *Task) (uint64, error) { return lotusKernel(t, t.Params.Shards) })
 	MustRegister("cover-edge", phased, coverEdgeKernel)
 	MustRegister("auto", phased, autoKernel)
 	MustRegister("forward", parallel, forwardKernel(baseline.KernelMerge))
@@ -57,19 +57,36 @@ func init() {
 	})
 }
 
-// lotusKernel runs flat LOTUS: Algorithm 2 preprocessing followed by
-// the three counting phases, all on the task's bound pool. A
-// Params.Prepared structure (a serving cache hit) skips preprocessing
-// entirely; the preprocess phase is then reported as zero.
-func lotusKernel(t *Task) (uint64, error) {
-	lg := t.Params.Prepared
-	if lg != nil && lg.NumVertices() != t.Graph.NumVertices() {
-		return 0, fmt.Errorf("engine: prepared LOTUS structure has %d vertices, graph has %d: %w",
-			lg.NumVertices(), t.Graph.NumVertices(), ErrPreparedMismatch)
+// lotusKernel runs LOTUS over a p-way shard grid: "lotus" is p = 1,
+// the flat structure, and "lotus-sharded" p = Params.Shards (0 =
+// shard.DefaultGrid, or the dimension of a prepared grid). It builds
+// the grid (Algorithm 2 per shard over one shared relabeling) and
+// counts its live block triples through the three phases of
+// Algorithm 3 (core.CountBlocks); totals and the class split are the
+// same at every p, because every triangle keeps its apex and class. A
+// Params.Prepared grid (a serving cache hit) skips the build, and the
+// preprocess phase is then reported as zero; a grid of another graph
+// or another dimension wraps ErrPreparedMismatch.
+func lotusKernel(t *Task, p int) (uint64, error) {
+	if p < 0 || p > shard.MaxGrid {
+		return 0, fmt.Errorf("engine: shard grid %d out of range [1, %d]", p, shard.MaxGrid)
 	}
-	if lg == nil {
+	gr := t.Params.Prepared
+	if gr != nil {
+		if gr.NumVertices() != t.Graph.NumVertices() {
+			return 0, fmt.Errorf("engine: prepared LOTUS grid has %d vertices, graph has %d: %w",
+				gr.NumVertices(), t.Graph.NumVertices(), ErrPreparedMismatch)
+		}
+		if p > 0 && gr.P != p {
+			return 0, fmt.Errorf("engine: prepared LOTUS grid is %d-way, run asked for %d: %w",
+				gr.P, p, ErrPreparedMismatch)
+		}
+		t.Report.AddPhase(PhasePreprocess, 0)
+		t.Metrics().Set("preprocess.cached", 1)
+	} else {
 		var err error
-		lg, err = core.TryPreprocess(t.Graph, core.Options{
+		gr, err = shard.Build(t.Graph, shard.Options{
+			Grid:          p,
 			HubCount:      t.Params.HubCount,
 			FrontFraction: t.Params.FrontFraction,
 			Pool:          t.Pool,
@@ -78,22 +95,11 @@ func lotusKernel(t *Task) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		t.Report.AddPhase(PhasePreprocess, lg.PreprocessTime)
-	} else {
-		t.Report.AddPhase(PhasePreprocess, 0)
-		t.Metrics().Set("preprocess.cached", 1)
+		t.Report.AddPhase(PhasePreprocess, gr.PreprocessTime)
 	}
 	if err := t.Err(); err != nil {
 		return 0, err
 	}
-	return countLotus(t, lg.CountWithOptions)
-}
-
-// countLotus is the counting tail of both LOTUS kernels: it runs
-// Algorithm 3 through count (a LotusGraph's or a shard grid's) with
-// the task's kernels, metrics and scratch, and reports the phase 1,
-// HNN and NNN times and the class split.
-func countLotus(t *Task, count func(*sched.Pool, core.CountOptions) *core.Result) (uint64, error) {
 	copt := core.CountOptions{
 		Metrics: t.Metrics(),
 		Scratch: t.Params.Scratch,
@@ -105,7 +111,7 @@ func countLotus(t *Task, count func(*sched.Pool, core.CountOptions) *core.Result
 	if copt.Intersect, err = core.ParseIntersectKernel(t.Params.IntersectKernel); err != nil {
 		return 0, fmt.Errorf("engine: %w", err)
 	}
-	cr := count(t.Pool, copt)
+	cr := gr.Count(t.Pool, copt)
 	t.Report.AddPhase(PhaseHub, cr.Phase1Time)
 	t.Report.AddPhase(PhaseHNN, cr.HNNTime)
 	t.Report.AddPhase(PhaseNNN, cr.NNNTime)

@@ -14,9 +14,9 @@ import (
 // coverEdgeKernel counts by the cover-edge method (Bader et al.,
 // arXiv:2403.02997): BFS levels partition the edges, and only the
 // horizontal ("cover") edges are intersected. No LOTUS structures are
-// built, so Prepared/PreparedGrid and the phase-1 kernel knob are
-// ignored; the intersection strategy is fixed by the kernel itself
-// (adaptive merge/galloping dispatch).
+// built, so Prepared and the phase-1 kernel knob are ignored; the
+// intersection strategy is fixed by the kernel itself (adaptive
+// merge/galloping dispatch).
 func coverEdgeKernel(t *Task) (uint64, error) {
 	res := coveredge.Count(t.Graph, t.Pool, t.Metrics())
 	if err := t.Err(); err != nil {

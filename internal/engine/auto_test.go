@@ -72,8 +72,8 @@ func TestAutoDecisionRecorded(t *testing.T) {
 	if d.Reason == "" || d.Overridden {
 		t.Fatalf("decision provenance: %+v", d)
 	}
-	if len(d.Stats) != 11 {
-		t.Fatalf("decision carries %d stats, want 11", len(d.Stats))
+	if len(d.Stats) != 10 {
+		t.Fatalf("decision carries %d stats, want 10", len(d.Stats))
 	}
 	if d.ProbeNS <= 0 {
 		t.Fatalf("decision probe cost %d, want > 0", d.ProbeNS)

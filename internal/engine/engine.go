@@ -27,8 +27,8 @@ var ErrNilGraph = errors.New("engine: nil graph")
 var ErrNeedsSymmetric = errors.New("requires a symmetric graph")
 
 // ErrPreparedMismatch is wrapped into the error a kernel returns when
-// a Params.Prepared structure or Params.PreparedGrid does not match
-// the run's graph. A serving layer matches it with errors.Is to tell
+// a Params.Prepared grid does not match the run's graph or grid
+// dimension. A serving layer matches it with errors.Is to tell
 // cache corruption (evict the entry and rebuild) apart from a caller
 // mistake.
 var ErrPreparedMismatch = errors.New("prepared structure does not match the graph")
@@ -83,24 +83,19 @@ type Params struct {
 	// of NHE.N_v), or "merge" (the paper's merge join). HNN always
 	// probes the per-worker hub bitmap.
 	IntersectKernel string
-	// Prepared supplies an already-built LOTUS structure for the same
-	// graph, letting a resident service amortize preprocessing across
-	// queries: the "lotus" kernel skips Algorithm 2 and records a
-	// zero-length preprocess phase. The structure must have been built
-	// from the run's graph — the kernel cross-checks the vertex count
-	// and returns an error wrapping ErrPreparedMismatch otherwise; the
-	// other kernels ignore it.
-	Prepared *core.LotusGraph
 	// Shards is the grid dimension p for the "lotus-sharded" kernel
-	// (0 = shard.DefaultGrid; 1 = a single block). Other kernels
-	// ignore it.
+	// (0 = shard.DefaultGrid; 1 = a single block, the flat structure).
+	// "lotus" always runs p = 1; other kernels ignore it.
 	Shards int
-	// PreparedGrid supplies an already-built shard grid for the same
-	// graph, the sharded counterpart of Prepared: "lotus-sharded"
-	// skips the grid build and records a zero-length preprocess
-	// phase. Mismatches (vertex count, or a grid dimension that
-	// contradicts a nonzero Shards) wrap ErrPreparedMismatch.
-	PreparedGrid *shard.Grid
+	// Prepared supplies an already-built LOTUS grid for the same
+	// graph, letting a resident service amortize preprocessing across
+	// queries: "lotus" (which needs a 1-way grid) and "lotus-sharded"
+	// skip the build and record a zero-length preprocess phase. A grid
+	// of another vertex count, or of a dimension that contradicts the
+	// run's (1 for "lotus", a nonzero Shards for "lotus-sharded"),
+	// fails the run with an error wrapping ErrPreparedMismatch. Other
+	// kernels ignore it.
+	Prepared *shard.Grid
 	// TuneAlgorithm pins the "auto" kernel's routed algorithm for
 	// ablation runs (the decision is recorded as overridden); empty
 	// lets the tune policy choose. Other kernels ignore it.

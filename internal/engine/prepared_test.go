@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"lotustc/internal/core"
 	"lotustc/internal/gen"
+	"lotustc/internal/shard"
 )
 
 // TestRunWithPreparedStructure covers the serving-cache injection
-// path: a preprocessed LotusGraph handed through Params.Prepared must
+// path: a preprocessed p = 1 grid handed through Params.Prepared must
 // produce the same count as a cold run, report a zero-length
 // preprocess phase, and flag the skip in the metrics snapshot.
 func TestRunWithPreparedStructure(t *testing.T) {
@@ -19,14 +19,14 @@ func TestRunWithPreparedStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := core.TryPreprocess(g, core.Options{})
+	gr, err := shard.Build(g, shard.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm, err := Run(context.Background(), g, Spec{
 		Algorithm:      "lotus",
 		CollectMetrics: true,
-		Params:         Params{Prepared: lg},
+		Params:         Params{Prepared: gr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,14 +46,14 @@ func TestRunWithPreparedStructure(t *testing.T) {
 // different graph must be an error, not a silent wrong answer.
 func TestRunPreparedVertexMismatch(t *testing.T) {
 	small := gen.Complete(8)
-	lg, err := core.TryPreprocess(small, core.Options{})
+	gr, err := shard.Build(small, shard.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := gen.Complete(16)
 	_, err = Run(context.Background(), big, Spec{
 		Algorithm: "lotus",
-		Params:    Params{Prepared: lg},
+		Params:    Params{Prepared: gr},
 	})
 	if err == nil {
 		t.Fatal("vertex-count mismatch accepted")

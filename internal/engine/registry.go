@@ -50,8 +50,7 @@ type Capabilities struct {
 	// built-ins do).
 	Cancellable bool
 	// Shardable marks kernels that count over a block-partitioned
-	// grid of per-shard structures and honor Params.Shards /
-	// Params.PreparedGrid.
+	// grid of per-shard structures and honor Params.Shards.
 	Shardable bool
 	// Streaming marks kernels whose structure family backs the
 	// incremental /v1/stream sessions (streaming hub TC builds on the

@@ -3,21 +3,45 @@ package engine
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 
-	"lotustc/internal/core"
 	"lotustc/internal/gen"
 	"lotustc/internal/shard"
 )
 
 // TestShardedMatchesLotus: the sharded kernel must report the exact
 // totals and class split of the flat kernel for every grid size, and
-// the same preprocess, phase 1, HNN and NNN phases.
+// the same preprocess, phase 1, HNN and NNN phases. At Shards: 1 the
+// two names run one kernel over one structure, so the phase names,
+// the totals, the classes and the metric names must all be identical.
 func TestShardedMatchesLotus(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 16, 5))
-	want, err := Run(context.Background(), g, Spec{Algorithm: "lotus"})
+	want, err := Run(context.Background(), g, Spec{Algorithm: "lotus", CollectMetrics: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	one, err := Run(context.Background(), g, Spec{Algorithm: "lotus-sharded", CollectMetrics: true, Params: Params{Shards: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phaseNames := func(r *Report) []string {
+		var names []string
+		for _, p := range r.Phases {
+			names = append(names, p.Name)
+		}
+		return names
+	}
+	if !slices.Equal(phaseNames(one), phaseNames(want)) {
+		t.Fatalf("p=1 phases %v, lotus phases %v", phaseNames(one), phaseNames(want))
+	}
+	if one.Triangles != want.Triangles || one.HHH != want.HHH || one.HHN != want.HHN ||
+		one.HNN != want.HNN || one.NNN != want.NNN {
+		t.Fatalf("p=1 report %+v disagrees with lotus %+v", one, want)
+	}
+	if a, b := slices.Sorted(maps.Keys(one.Metrics)), slices.Sorted(maps.Keys(want.Metrics)); !slices.Equal(a, b) {
+		t.Fatalf("p=1 metric names %v, lotus metric names %v", a, b)
 	}
 	for _, p := range []int{1, 2, 3, 4} {
 		got, err := Run(context.Background(), g, Spec{
@@ -60,7 +84,7 @@ func TestShardedPreparedGrid(t *testing.T) {
 	rep, err := Run(context.Background(), g, Spec{
 		Algorithm:      "lotus-sharded",
 		CollectMetrics: true,
-		Params:         Params{PreparedGrid: gr},
+		Params:         Params{Prepared: gr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +103,7 @@ func TestShardedPreparedGrid(t *testing.T) {
 	other := gen.Complete(12)
 	_, err = Run(context.Background(), other, Spec{
 		Algorithm: "lotus-sharded",
-		Params:    Params{PreparedGrid: gr},
+		Params:    Params{Prepared: gr},
 	})
 	if !errors.Is(err, ErrPreparedMismatch) {
 		t.Fatalf("foreign grid: got %v, want ErrPreparedMismatch", err)
@@ -88,23 +112,31 @@ func TestShardedPreparedGrid(t *testing.T) {
 	// Right graph, contradictory grid dimension.
 	_, err = Run(context.Background(), g, Spec{
 		Algorithm: "lotus-sharded",
-		Params:    Params{PreparedGrid: gr, Shards: 2},
+		Params:    Params{Prepared: gr, Shards: 2},
 	})
 	if !errors.Is(err, ErrPreparedMismatch) {
 		t.Fatalf("wrong dimension: got %v, want ErrPreparedMismatch", err)
+	}
+	// "lotus" counts over a 1-way grid only.
+	_, err = Run(context.Background(), g, Spec{
+		Algorithm: "lotus",
+		Params:    Params{Prepared: gr},
+	})
+	if !errors.Is(err, ErrPreparedMismatch) {
+		t.Fatalf("3-way grid under lotus: got %v, want ErrPreparedMismatch", err)
 	}
 }
 
 // TestPreparedStructureMismatchTyped: the flat kernel's long-standing
 // vertex-count cross-check is now a typed error serve can match on.
 func TestPreparedStructureMismatchTyped(t *testing.T) {
-	lg, err := core.TryPreprocess(gen.Complete(10), core.Options{})
+	gr, err := shard.Build(gen.Complete(10), shard.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = Run(context.Background(), gen.Complete(12), Spec{
 		Algorithm: "lotus",
-		Params:    Params{Prepared: lg},
+		Params:    Params{Prepared: gr},
 	})
 	if !errors.Is(err, ErrPreparedMismatch) {
 		t.Fatalf("got %v, want ErrPreparedMismatch", err)

@@ -59,13 +59,12 @@ func phase1WithHash(lg *core.LotusGraph, h hashH2H) uint64 {
 // run vertex by vertex on one worker.
 func phase1WithBits(lg *core.LotusGraph) uint64 {
 	pool := sched.NewPool(1)
-	rows := lg.H2H.Rows()
 	var bm intersect.HubBitmap
 	var triangles uint64
 	n := lg.NumVertices()
 	for v := 0; v < n; v++ {
 		if nv := lg.HE.Neighbors(uint32(v)); len(nv) >= 2 {
-			found, _ := core.CountHubPairs(core.Phase1Scalar, pool, rows, &bm, nv, nv, 1, len(nv))
+			found, _ := core.CountHubPairs(core.Phase1Scalar, pool, lg.H2H, &bm, nv, nv, 1, len(nv))
 			triangles += found
 		}
 	}

@@ -89,7 +89,6 @@ const (
 	TuneStatGiniPermille        = "tune.stat.gini_permille"
 	TuneStatHubCoveragePermille = "tune.stat.hub_coverage_permille"
 	TuneStatH2HDensityPermille  = "tune.stat.h2h_density_permille"
-	TuneStatAssortPermille      = "tune.stat.assortativity_permille"
 )
 
 // Counter names of the cover-edge kernel (PR 10).
@@ -107,9 +106,11 @@ const (
 
 // Counter names of the preprocessing phase split.
 const (
+	// PreprocessNS is the wall time of a LOTUS build: the relabeling
+	// plus the Algorithm 2 walk of every shard (one for a flat build).
+	PreprocessNS = "preprocess.ns"
 	// PreprocessRelabelNS is the wall time of the §4.3.1 relabeling
-	// (degree ranking plus front block): part of preprocess.ns on the
-	// flat LOTUS build and of shard.preprocess.ns on a sharded one.
+	// (degree ranking plus front block), part of preprocess.ns.
 	PreprocessRelabelNS = "preprocess.relabel.ns"
 	// PreprocessWalkCountNS and PreprocessWalkFillNS are the wall
 	// times of the Algorithm 2 walk's two passes: counting each row's
@@ -130,13 +131,11 @@ const (
 
 // Counter names of the sharded execution path (PR 6).
 const (
-	// ShardBlocks is the grid dimension p of a sharded build.
+	// ShardBlocks is the grid dimension p of a grid build (1 for the
+	// flat structure).
 	ShardBlocks = "shard.blocks"
-	// ShardPreprocessNS is the wall time of the grid build (plan +
-	// every per-block structure).
-	ShardPreprocessNS = "shard.preprocess.ns"
-	// ShardTriples counts the live block triples of one sharded
-	// count; its phases publish the phase1.*, hnn.* and nnn.* counters
-	// of a flat count.
+	// ShardTriples counts the live block triples of one grid count;
+	// its phases publish the phase1.*, hnn.* and nnn.* counters of a
+	// flat count.
 	ShardTriples = "shard.triples"
 )

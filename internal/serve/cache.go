@@ -209,7 +209,7 @@ const defaultDemoteWatermark = 0.5
 // compressed twin moves to the compressed tier, charged at
 // SizeBytes(). A later miss on the decoded tier rehydrates from the
 // compressed tier, decoding into a pooled arena rather than fresh
-// arrays. Preprocessed LOTUS structures ("lotus:"/"shard*:") are not
+// arrays. Preprocessed LOTUS structures ("shardplan:"/"shard:") are not
 // compressible and evict outright, exactly as before.
 type buildCache struct {
 	name  string // metric prefix: "<name>.hits", "<name>.misses", ...

@@ -19,10 +19,10 @@ import (
 	"sync"
 	"testing"
 
-	"lotustc/internal/core"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
+	"lotustc/internal/shard"
 )
 
 // TestLRUAddStaleEntryEvicted is the regression test for the stale
@@ -94,7 +94,8 @@ func TestCacheCountersSurfacedInMetrics(t *testing.T) {
 }
 
 // TestEstimateLotusBytesUpperBound: the sharded-routing estimate must
-// never fall below what getLotus actually charges — an under-estimate
+// never fall below what the flat structure's cache entries — the
+// p = 1 plan plus its one shard — actually charge; an under-estimate
 // would admit a structure that cannot be resident, so routing would
 // under-shard. Checked across the 12-graph corpus and a sweep of hub
 // counts.
@@ -115,11 +116,15 @@ func TestEstimateLotusBytesUpperBound(t *testing.T) {
 	}
 	for name, g := range corpus {
 		for _, hubs := range []int{0, 1, 4, 16, 64, 1000} {
-			lg, err := core.TryPreprocess(g, core.Options{HubCount: hubs})
+			pl, err := shard.NewPlan(g, shard.Options{Grid: 1, HubCount: hubs})
+			if err != nil {
+				t.Fatalf("%s hubs=%d: plan: %v", name, hubs, err)
+			}
+			sh, err := pl.BuildShard(g, 0, nil, nil)
 			if err != nil {
 				t.Fatalf("%s hubs=%d: preprocess: %v", name, hubs, err)
 			}
-			actual := lg.TopologyBytes() + 4*int64(lg.NumVertices())
+			actual := pl.SizeBytes() + sh.TopologyBytes()
 			est := estimateLotusBytes(g, hubs)
 			if est < actual {
 				t.Errorf("%s hubs=%d: estimate %d under-charges actual %d", name, hubs, est, actual)

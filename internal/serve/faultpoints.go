@@ -20,7 +20,7 @@ const (
 	// is published to the herd.
 	FaultBuild = "serve.build"
 	// FaultPreprocess fires at the head of LOTUS preprocessing (both
-	// the monolithic and the per-shard structure builds).
+	// the grid plan and each per-shard structure build).
 	FaultPreprocess = "serve.preprocess"
 	// FaultIngestApply fires at the head of a stream-ingest request,
 	// before the batch touches the session.

@@ -3,8 +3,9 @@
 // is amortization — LOTUS preprocessing averages ~20% of end-to-end
 // time (Fig 6) and graph generation/loading dwarfs even that — so the
 // server keeps a size-bounded LRU of built graphs and preprocessed
-// LotusGraph structures keyed by (graph spec, hub count, relabeling
-// options), deduplicates concurrent cold builds with single-flight,
+// LOTUS grids — a plan entry plus one entry per shard, the flat
+// structure being the one-shard grid — keyed by (graph spec, hub
+// count, relabeling options, grid dimension), deduplicates concurrent cold builds with single-flight,
 // and memoizes exact count reports.
 //
 // Robustness is the other half of the design: every request is
@@ -61,11 +62,11 @@ type Config struct {
 	// MaxStructureBytes caps the estimated size of a single resident
 	// LOTUS structure (default CacheBytes; with CompressCache on, the
 	// decoded tier's budget, since only that tier can hold a decoded
-	// structure). A "lotus" count whose
-	// monolithic structure would exceed it is routed through the
-	// sharded path instead: per-shard structures are cached as
-	// independent LRU entries, so graphs too big for one cacheable
-	// structure are still served warm.
+	// structure). A "lotus" count whose flat structure (the p = 1
+	// grid) would exceed it is routed through a wider grid instead:
+	// per-shard structures are cached as independent LRU entries, so
+	// graphs too big for one cacheable structure are still served
+	// warm.
 	MaxStructureBytes int64
 	// ResultEntries budgets the memoized exact-count reports (default
 	// 512).
@@ -184,7 +185,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	met   *obs.Metrics
-	cache *buildCache // "graph:" and "lotus:" entries share one budget
+	cache *buildCache // "graph:", "tune:" and LOTUS grid entries share one budget
 
 	resMu   sync.Mutex
 	results *lru // result memoization: key -> *cachedResult
@@ -259,7 +260,7 @@ func New(cfg Config) *Server {
 	for _, name := range []string{
 		obs.TuneProbes, obs.TuneProbeNS, obs.TuneOverridden, obs.TuneCacheHits,
 		obs.TuneStatGiniPermille, obs.TuneStatHubCoveragePermille,
-		obs.TuneStatH2HDensityPermille, obs.TuneStatAssortPermille,
+		obs.TuneStatH2HDensityPermille,
 		obs.CoverBFSNS, obs.CoverLevels, obs.CoverEdges, obs.CoverCountNS,
 		obs.ServeGraphBuildNS, obs.ServeGraphBuilds,
 	} {
@@ -506,60 +507,6 @@ func (s *Server) getGraph(ctx context.Context, spec *GraphSpec) (*graph.Graph, b
 	return nil, false, nil, fmt.Errorf("serve: unexpected cache value %T for %q", v, spec.Key())
 }
 
-// lotusKey is the preprocessed-structure cache key: graph spec plus
-// every option that changes the built structure (hub count and the
-// relabeling front fraction).
-func lotusKey(spec *GraphSpec, hubCount int, frontFraction float64) string {
-	return fmt.Sprintf("lotus:%s|hubs=%d|ff=%g", spec.Key(), hubCount, frontFraction)
-}
-
-// getLotus returns the preprocessed LOTUS structure for (spec, hubs,
-// front fraction) through the cache, building the graph first (also
-// cached) on a miss. Builds run on a scheduler detached from the
-// request so a herd of deadline-bound callers still produces one
-// complete structure.
-func (s *Server) getLotus(ctx context.Context, spec *GraphSpec, hubCount int, frontFraction float64) (*core.LotusGraph, bool, error) {
-	bspec := copySpec(spec)
-	v, hit, rel, err := s.cache.getOrBuild(ctx, lotusKey(spec, hubCount, frontFraction), func(bctx context.Context) (any, int64, error) {
-		if err := faults.Inject(FaultPreprocess); err != nil {
-			return nil, 0, err
-		}
-		// Re-acquire the graph under the build's own pin: the caller's
-		// pin dies with its request, and an arena-backed graph whose
-		// last pin drops mid-build would have its slabs recycled under
-		// the preprocessor. Resident graphs make this a plain LRU hit.
-		g, _, relG, err := s.getGraph(bctx, &bspec)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer relG()
-		pool := sched.NewPool(s.cfg.Workers).Bind(bctx)
-		lg, err := core.TryPreprocess(g, core.Options{
-			HubCount:      hubCount,
-			FrontFraction: frontFraction,
-			Pool:          pool,
-		})
-		pool.Release()
-		if err != nil {
-			return nil, 0, err
-		}
-		// A cancelled pool yields a partial structure with a nil error;
-		// the context check keeps it out of the cache.
-		if err := bctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		// Relabeling rides along for per-vertex queries: 4 bytes per
-		// vertex on top of the Table 7 topology accounting.
-		return lg, lg.TopologyBytes() + 4*int64(lg.NumVertices()), nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	// LOTUS structures are not arena-backed; the pin is a no-op.
-	rel()
-	return v.(*core.LotusGraph), hit, nil
-}
-
 // tuneKey is the memoized routing-decision cache key: graph spec
 // plus the hub count — the only count option that changes the probe.
 func tuneKey(spec *GraphSpec, hubCount int) string {
@@ -567,7 +514,7 @@ func tuneKey(spec *GraphSpec, hubCount int) string {
 }
 
 // tuneDecisionBytes is the flat LRU charge for one memoized decision:
-// the struct plus its 11-entry stats map, far below any structure.
+// the struct plus its 10-entry stats map, far below any structure.
 const tuneDecisionBytes = 512
 
 // getTuneDecision resolves the auto route for (spec, hubs) through
@@ -578,7 +525,7 @@ const tuneDecisionBytes = 512
 func (s *Server) getTuneDecision(ctx context.Context, spec *GraphSpec, hubCount int) (*tune.Decision, bool, error) {
 	bspec := copySpec(spec)
 	v, hit, rel, err := s.cache.getOrBuild(ctx, tuneKey(spec, hubCount), func(bctx context.Context) (any, int64, error) {
-		// Own graph pin for the detached build; see getLotus.
+		// Own graph pin for the detached build; see tryShardGrid.
 		g, _, relG, err := s.getGraph(bctx, &bspec)
 		if err != nil {
 			return nil, 0, err
@@ -600,21 +547,22 @@ func (s *Server) getTuneDecision(ctx context.Context, spec *GraphSpec, hubCount 
 	return v.(*tune.Decision), hit, nil
 }
 
-// estimateLotusBytes upper-bounds what getLotus would charge the
-// decoded tier for the monolithic LOTUS structure, without building
-// it. It must stay an upper bound — sharded routing compares it to
-// MaxStructureBytes (the decoded tier's budget once the compressed
-// tier exists), and an under-estimate would admit a structure that
-// can never be resident, so it would under-shard. Accounting, matched
-// against the actual charge in TestEstimateLotusBytesUpperBound:
-// H2H holds at most h(h-1)/2 bits plus one 8-byte word of rounding;
-// HE (2 B) and NHE (4 B) entries total at most 4 bytes per oriented
-// edge; the two offset arrays and the relabeling ride at 20 bytes per
-// vertex plus fixed slack for the array headers.
+// estimateLotusBytes upper-bounds what the p = 1 grid's plan and
+// shard entries (tryShardGrid) together charge the decoded tier for
+// the flat LOTUS structure, without building it. It must stay an
+// upper bound — sharded routing compares it to MaxStructureBytes (the
+// decoded tier's budget once the compressed tier exists), and an
+// under-estimate would admit a structure that can never be resident,
+// so it would under-shard. Accounting, matched against the actual
+// charge in TestEstimateLotusBytesUpperBound: H2H holds at most
+// h(h-1)/2 bits plus one 8-byte word of rounding; HE (2 B) and NHE
+// (4 B) entries total at most 4 bytes per oriented edge; the two
+// offset arrays and the relabeling ride at 20 bytes per vertex, plus
+// fixed slack for the array headers and the plan's one range.
 func estimateLotusBytes(g *graph.Graph, hubCount int) int64 {
 	n := g.NumVertices()
 	h := int64(core.Options{HubCount: hubCount}.EffectiveHubCount(n))
-	return h*(h-1)/16 + 4*g.NumEdges() + 20*int64(n) + 32
+	return h*(h-1)/16 + 4*g.NumEdges() + 20*int64(n) + 96
 }
 
 // autoGrid picks the smallest grid dimension whose per-shard
@@ -632,10 +580,11 @@ func autoGrid(estBytes, maxBytes int64) (p int, clamped bool) {
 	return p, false
 }
 
-// shardPlanKey / shardKey are the sharded structure cache keys: the
-// plan (relabeling + ranges) and each block's structure are separate
-// LRU entries, so a graph whose monolithic structure cannot be cached
-// still gets fully warm serving from p smaller entries.
+// shardPlanKey / shardKey are the LOTUS structure cache keys: the plan
+// (relabeling + ranges) and each block's structure are separate LRU
+// entries. The flat structure is the p = 1 grid, one plan and one
+// shard entry; a graph whose flat structure cannot be cached still
+// gets fully warm serving from the p smaller entries of a wider grid.
 func shardPlanKey(spec *GraphSpec, hubCount int, frontFraction float64, p int) string {
 	return fmt.Sprintf("shardplan:%s|hubs=%d|ff=%g|p=%d", spec.Key(), hubCount, frontFraction, p)
 }
@@ -646,7 +595,8 @@ func shardKey(spec *GraphSpec, hubCount int, frontFraction float64, p, b int) st
 
 // getShardGrid assembles the p-way shard grid for (spec, hubs, front
 // fraction) through the cache, one entry per block plus one for the
-// plan. hit reports that every piece was already resident. Assembly
+// plan; "lotus" counts and /v1/topk use p = 1, "lotus-sharded" counts
+// their grid's p. hit reports that every piece was already resident. Assembly
 // cross-checks each shard against the plan; a mismatch (a corrupt or
 // stale entry) purges the keys and rebuilds once before giving up.
 func (s *Server) getShardGrid(ctx context.Context, spec *GraphSpec, hubCount int, frontFraction float64, p int) (*shard.Grid, bool, error) {
@@ -667,7 +617,10 @@ func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 		if err := faults.Inject(FaultPreprocess); err != nil {
 			return nil, 0, err
 		}
-		// Own graph pin for the detached build; see getLotus.
+		// Re-acquire the graph under the build's own pin: the caller's
+		// pin dies with its request, and an arena-backed graph whose
+		// last pin drops mid-build would have its slabs recycled under
+		// the preprocessor. Resident graphs make this a plain LRU hit.
 		g, _, relG, err := s.getGraph(bctx, &bspec)
 		if err != nil {
 			return nil, 0, err
@@ -684,6 +637,8 @@ func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 		if err != nil {
 			return nil, 0, err
 		}
+		// A cancelled pool yields a partial plan with a nil error; the
+		// context check keeps it out of the cache.
 		if err := bctx.Err(); err != nil {
 			return nil, 0, err
 		}
@@ -692,6 +647,7 @@ func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 	if err != nil {
 		return nil, false, err
 	}
+	// LOTUS structures are not arena-backed; the pins are no-ops.
 	rel()
 	pl := v.(*shard.Plan)
 	shards := make([]*core.LotusShard, p)
@@ -707,7 +663,7 @@ func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 			}
 			defer relG()
 			pool := sched.NewPool(s.cfg.Workers).Bind(bctx)
-			sh, err := pl.BuildShard(g, b, pool)
+			sh, err := pl.BuildShard(g, b, pool, nil)
 			pool.Release()
 			if err != nil {
 				return nil, 0, err
@@ -940,14 +896,12 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			s.met.Add(obs.TuneCacheHits, 1)
 		}
 	}
-	var prepared *core.LotusGraph
-	var preparedGrid *shard.Grid
+	var prepared *shard.Grid
 	var lotusHit bool
 	shards := req.Shards
 	// Route oversized "lotus" requests through the sharded kernel: a
-	// monolithic structure bigger than the single-structure budget can
-	// never be cached, but p per-shard structures each 1/p the size
-	// can.
+	// flat structure bigger than the single-structure budget can never
+	// be cached, but p per-shard structures each 1/p the size can.
 	var cacheWarning string
 	if algo == "lotus" && !g.Oriented {
 		if est := estimateLotusBytes(g, req.HubCount); est > s.cfg.MaxStructureBytes {
@@ -976,18 +930,23 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			s.met.Add("serve.sharded_routed", 1)
 		}
 	}
+	// Both LOTUS kernels count over a grid: "lotus" over the p = 1
+	// grid, the flat structure, "lotus-sharded" over its p-way one.
+	gridP := 0
 	if !g.Oriented {
 		switch algo {
 		case "lotus":
-			prepared, lotusHit, err = s.getLotus(ctx, &req.Graph, req.HubCount, req.FrontFraction)
+			gridP = 1
 		case "lotus-sharded":
 			if shards == 0 {
 				shards = shard.DefaultGrid
 			}
-			preparedGrid, lotusHit, err = s.getShardGrid(ctx, &req.Graph, req.HubCount, req.FrontFraction, shards)
+			gridP = shards
 			s.met.Add("serve.sharded_counts", 1)
 		}
-		if err != nil {
+	}
+	if gridP > 0 {
+		if prepared, lotusHit, err = s.getShardGrid(ctx, &req.Graph, req.HubCount, req.FrontFraction, gridP); err != nil {
 			s.countError(w, req, algo, start, err)
 			return
 		}
@@ -1012,7 +971,6 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 				Phase1Kernel:    tunePhase1,
 				IntersectKernel: tuneIntersect,
 				Prepared:        prepared,
-				PreparedGrid:    preparedGrid,
 				Scratch:         scratch,
 			},
 		})
@@ -1021,15 +979,8 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if err != nil && errors.Is(err, engine.ErrPreparedMismatch) {
 		// The injected structure contradicts the graph: purge the
 		// corrupt entries and count again from scratch.
-		if prepared != nil {
-			if s.cache.remove(lotusKey(&req.Graph, req.HubCount, req.FrontFraction)) {
-				s.met.Add("cache.corrupt_evictions", 1)
-			}
-		}
-		if preparedGrid != nil {
-			s.evictShardGrid(&req.Graph, req.HubCount, req.FrontFraction, shards)
-		}
-		prepared, preparedGrid = nil, nil
+		s.evictShardGrid(&req.Graph, req.HubCount, req.FrontFraction, gridP)
+		prepared = nil
 		rep, err = runOnce()
 	}
 	if err != nil {
@@ -1159,14 +1110,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer relG()
-	lg, lotusHit, err := s.getLotus(ctx, &req.Graph, req.HubCount, req.FrontFraction)
+	// The p = 1 grid's one shard holds every vertex's rows: the same
+	// cache entries a "lotus" count of this spec uses.
+	gr, lotusHit, err := s.getShardGrid(ctx, &req.Graph, req.HubCount, req.FrontFraction, 1)
 	if err != nil {
 		status, code := errStatus(err)
 		writeErr(w, status, code, err.Error())
 		return
 	}
 	pool := sched.NewPool(firstPositive(req.Workers, s.cfg.Workers)).Bind(ctx)
-	per := lg.CountPerVertex(pool)
+	per := gr.Shards[0].CountPerVertex(pool)
 	pool.Release()
 	if err := ctx.Err(); err != nil {
 		status, code := errStatus(err)
@@ -1175,7 +1128,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// per is indexed by relabeled IDs; report original ones.
-	top := topKVertices(per, lg.Relabeling, req.K)
+	top := topKVertices(per, gr.Relabeling, req.K)
 	writeJSON(w, http.StatusOK, &TopKResponse{K: len(top), Vertices: top,
 		Cache: CacheInfo{Graph: graphHit, Lotus: lotusHit}})
 }

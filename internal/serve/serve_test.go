@@ -78,8 +78,8 @@ func TestCountColdThenCacheHit(t *testing.T) {
 	if cold.Cache.Graph || cold.Cache.Lotus || cold.Cache.Result {
 		t.Fatalf("cold count claims cache hits: %+v", cold.Cache)
 	}
-	if got := s.Metrics().Get("cache.misses"); got != 3 { // graph + tune decision + lotus
-		t.Fatalf("cache.misses = %d after cold count, want 3", got)
+	if got := s.Metrics().Get("cache.misses"); got != 4 { // graph + tune decision + the p = 1 grid's plan and shard
+		t.Fatalf("cache.misses = %d after cold count, want 4", got)
 	}
 
 	status, raw = postJSON(t, ts.URL+"/v1/count", rmatBody)
@@ -163,9 +163,10 @@ func TestSingleFlightCollapsesHerd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// However the herd interleaved, each structure was built at most
-	// once: one graph build + one tune decision + one LOTUS build.
-	if got := s.Metrics().Get("cache.builds"); got != 3 {
-		t.Fatalf("cache.builds = %d for %d identical requests, want 3", got, herd)
+	// once: one graph build + one tune decision + the LOTUS p = 1
+	// grid's plan and shard.
+	if got := s.Metrics().Get("cache.builds"); got != 4 {
+		t.Fatalf("cache.builds = %d for %d identical requests, want 4", got, herd)
 	}
 }
 

@@ -5,9 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
 
-	"lotustc/internal/core"
 	"lotustc/internal/engine"
 	"lotustc/internal/gen"
 	"lotustc/internal/shard"
@@ -108,8 +109,8 @@ func TestShardedRoutingServesOversizedGraph(t *testing.T) {
 	if resident == 0 {
 		t.Fatalf("no shard entry resident after the cold count (p=%d)", p)
 	}
-	if srv.cache.peek(lotusKey(&spec, 0, 0)) {
-		t.Fatal("monolithic structure cached despite exceeding the budget")
+	if srv.cache.peek(shardKey(&spec, 0, 0, 1, 0)) {
+		t.Fatal("flat structure cached despite exceeding the budget")
 	}
 
 	// Warm request: still exact, still served through the shard path,
@@ -176,6 +177,71 @@ func TestExplicitShardedRequest(t *testing.T) {
 	}
 }
 
+// TestOneStructurePerSpec: "lotus", "lotus-sharded" at shards 1 and
+// /v1/topk on one spec share one LOTUS structure, the p = 1 grid. The
+// first count builds its plan and its one shard; the other two are
+// served from them, and no other structure entry is ever resident.
+func TestOneStructurePerSpec(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	spec := GraphSpec{Type: "rmat", Scale: 10, EdgeFactor: 8, Seed: 6}
+	graphJSON := `{"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 6}`
+	// structureKeys lists the resident keys other than the graph's.
+	structureKeys := func() []string {
+		srv.cache.mu.Lock()
+		defer srv.cache.mu.Unlock()
+		var keys []string
+		for k := range srv.cache.lru.items {
+			if !strings.HasPrefix(k, "graph:") {
+				keys = append(keys, k)
+			}
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	want := []string{shardKey(&spec, 0, 0, 1, 0), shardPlanKey(&spec, 0, 0, 1)}
+
+	status, raw := postJSON(t, ts.URL+"/v1/count", `{"graph": `+graphJSON+`, "algorithm": "lotus"}`)
+	if status != http.StatusOK {
+		t.Fatalf("lotus: status %d: %s", status, raw)
+	}
+	flat := decodeCount(t, raw)
+	builds := srv.Metrics().Get("cache.builds")
+	if got := structureKeys(); !slices.Equal(got, want) {
+		t.Fatalf("after lotus: structure entries %v, want %v", got, want)
+	}
+
+	status, raw = postJSON(t, ts.URL+"/v1/count", `{"graph": `+graphJSON+`, "algorithm": "lotus-sharded", "shards": 1}`)
+	if status != http.StatusOK {
+		t.Fatalf("lotus-sharded: status %d: %s", status, raw)
+	}
+	one := decodeCount(t, raw)
+	if !one.Cache.Lotus {
+		t.Fatal("lotus-sharded at shards 1 did not hit the lotus count's structure")
+	}
+	if one.Triangles != flat.Triangles || one.Classes == nil || flat.Classes == nil || *one.Classes != *flat.Classes {
+		t.Fatalf("shards 1: %d triangles, classes %+v; lotus %d, %+v", one.Triangles, one.Classes, flat.Triangles, flat.Classes)
+	}
+
+	status, raw = postJSON(t, ts.URL+"/v1/topk", `{"graph": `+graphJSON+`, "k": 5}`)
+	if status != http.StatusOK {
+		t.Fatalf("topk: status %d: %s", status, raw)
+	}
+	var top TopKResponse
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatalf("topk body: %v\n%s", err, raw)
+	}
+	if !top.Cache.Lotus || len(top.Vertices) != 5 {
+		t.Fatalf("topk: cache %+v, %d vertices", top.Cache, len(top.Vertices))
+	}
+
+	if got := srv.Metrics().Get("cache.builds"); got != builds {
+		t.Fatalf("cache.builds went from %d to %d after the first count", builds, got)
+	}
+	if got := structureKeys(); !slices.Equal(got, want) {
+		t.Fatalf("after all three: structure entries %v, want %v", got, want)
+	}
+}
+
 // TestCorruptPreparedEntriesEvictedAndRetried: a cached structure that
 // contradicts the request's graph (simulated corruption) must not fail
 // the request — the server matches on engine.ErrPreparedMismatch,
@@ -184,14 +250,19 @@ func TestCorruptPreparedEntriesEvictedAndRetried(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	spec := GraphSpec{Type: "complete", N: 64}
 
-	// Poison the monolithic structure slot with a foreign graph's
-	// structure: right key, wrong vertex count.
-	foreign, err := core.TryPreprocess(gen.Complete(16), core.Options{})
+	// Poison the flat structure's slots (the p = 1 plan and shard)
+	// with a foreign graph's structure: right keys, wrong vertex count.
+	foreign, err := shard.Build(gen.Complete(16), shard.Options{Grid: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreignPlan, err := shard.NewPlan(gen.Complete(16), shard.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.cache.mu.Lock()
-	srv.cache.lru.add(lotusKey(&spec, 0, 0), foreign, 1)
+	srv.cache.lru.add(shardPlanKey(&spec, 0, 0, 1), foreignPlan, 1)
+	srv.cache.lru.add(shardKey(&spec, 0, 0, 1, 0), foreign.Shards[0], 1)
 	srv.cache.mu.Unlock()
 
 	body := `{"graph": {"type": "complete", "n": 64}}`

@@ -6,9 +6,10 @@ import (
 	"lotustc/internal/sched"
 )
 
-// Count runs the sharded triangle count: it lists every live block
+// Count runs the grid's triangle count: it lists every live block
 // triple (i <= j <= k) and hands them to core.CountBlocks, which runs
-// the flat count's three phases over them. For a triple, apexes x
+// the three phases of Algorithm 3 over them; at P = 1 the one triple
+// (0, 0, 0) is the flat count. For a triple, apexes x
 // stream from shard k's rows; phase 1 probes shard j's H2H rows with
 // the apex's hub pairs (h1 in R_j, h2 in R_i), HNN probes shard j's HE
 // rows against the apex's R_i hubs, and NNN shard j's NHE rows

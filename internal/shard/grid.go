@@ -27,20 +27,21 @@ const MaxGrid = 64
 // Options configure a grid build.
 type Options struct {
 	// Grid is the dimension p of the p×p block grid (0 = DefaultGrid;
-	// 1 is valid and yields a single block, the monolithic layout in
-	// shard clothing).
+	// 1 yields a single block: the flat LOTUS structure).
 	Grid int
 	// HubCount and FrontFraction are the LOTUS preprocessing knobs,
 	// with the same meaning and defaults as core.Options: the grid's
-	// shared relabeling is computed exactly as the monolithic path
-	// would.
+	// shared relabeling is computed exactly as core.TryPreprocess
+	// computes it.
 	HubCount      int
 	FrontFraction float64
 	// Pool supplies workers for parallel preprocessing; nil uses a
 	// GOMAXPROCS pool.
 	Pool *sched.Pool
-	// Metrics, when non-nil, receives the build counters
-	// (shard.blocks, shard.preprocess.ns, preprocess.relabel.ns).
+	// Metrics, when non-nil, receives the build counters of
+	// core.TryPreprocess (preprocess.ns, preprocess.relabel.ns, the
+	// walk timings and the lotus.* structure counters, summed over
+	// shards) and shard.blocks.
 	Metrics *obs.Metrics
 }
 
@@ -77,7 +78,8 @@ func (pl *Plan) SizeBytes() int64 { return 4*int64(pl.numVertices) + 8*int64(pl.
 // partition for a p-way grid over g. Blocks are balanced by oriented
 // degree (each vertex weighted by its count of lower-relabeled-ID
 // neighbours, plus one so empty tails still spread), which is the
-// per-row work both preprocessing and counting pay.
+// per-row work both preprocessing and counting pay. At p = 1 the one
+// range is [0, |V|) whatever the weights, so they are not computed.
 func NewPlan(g *graph.Graph, opt Options) (*Plan, error) {
 	if g == nil {
 		return nil, core.ErrNilGraph
@@ -102,11 +104,27 @@ func NewPlan(g *graph.Graph, opt Options) (*Plan, error) {
 	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
 	opt.Metrics.AddDuration(obs.PreprocessRelabelNS, time.Since(t0))
 
-	// Weight each relabeled ID by its oriented degree |N^<_v| + 1: the
-	// number of HE+NHE entries its row will hold, which is what both
-	// the per-shard build and the per-apex counting walk.
-	w := make([]uint64, n)
-	pool.For(n, 0, func(_, start, end int) {
+	ranges := []VertexRange{{Hi: uint32(n)}}
+	if p > 1 {
+		ranges = PartitionByWeight(orientedWeights(g, ra, pool), p)
+	}
+	return &Plan{
+		P:           p,
+		Ranges:      ranges,
+		Relabeling:  ra,
+		HubCount:    hubCount,
+		hubOpt:      opt.HubCount,
+		frontFrac:   opt.FrontFraction,
+		numVertices: n,
+	}, nil
+}
+
+// orientedWeights weights each relabeled ID by its oriented degree
+// |N^<_v| + 1: the number of HE+NHE entries its row will hold, which
+// is what both the per-shard build and the per-apex counting walk.
+func orientedWeights(g *graph.Graph, ra []uint32, pool *sched.Pool) []uint64 {
+	w := make([]uint64, len(ra))
+	pool.For(len(ra), 0, func(_, start, end int) {
 		for vOld := start; vOld < end; vOld++ {
 			if pool.Cancelled() {
 				return
@@ -121,22 +139,14 @@ func NewPlan(g *graph.Graph, opt Options) (*Plan, error) {
 			w[vNew] = d + 1
 		}
 	})
-
-	return &Plan{
-		P:           p,
-		Ranges:      PartitionByWeight(w, p),
-		Relabeling:  ra,
-		HubCount:    hubCount,
-		hubOpt:      opt.HubCount,
-		frontFrac:   opt.FrontFraction,
-		numVertices: n,
-	}, nil
+	return w
 }
 
 // BuildShard builds block b's LOTUS structure. Shards are independent
 // of each other, so a caller may build them concurrently, lazily, or
 // on cache miss only.
-func (pl *Plan) BuildShard(g *graph.Graph, b int, pool *sched.Pool) (*core.LotusShard, error) {
+// m, when non-nil, receives core.TryPreprocessRange's counters.
+func (pl *Plan) BuildShard(g *graph.Graph, b int, pool *sched.Pool, m *obs.Metrics) (*core.LotusShard, error) {
 	if b < 0 || b >= pl.P {
 		return nil, fmt.Errorf("shard: block %d out of range [0, %d)", b, pl.P)
 	}
@@ -144,12 +154,14 @@ func (pl *Plan) BuildShard(g *graph.Graph, b int, pool *sched.Pool) (*core.Lotus
 		HubCount:      pl.hubOpt,
 		FrontFraction: pl.frontFrac,
 		Pool:          pool,
+		Metrics:       m,
 	}, pl.Relabeling, pl.Ranges[b])
 }
 
-// Grid is a complete sharded LOTUS structure: the plan's partition
-// plus one built shard per block. It is the sharded counterpart of
-// core.LotusGraph and the value engine.Params.PreparedGrid carries.
+// Grid is a complete LOTUS structure over a row partition: the plan's
+// ranges plus one built shard per block. At P = 1 its one shard is the
+// flat structure (core.LotusGraph's rows). It is the value
+// engine.Params.Prepared carries for both LOTUS kernels.
 type Grid struct {
 	// P is the grid dimension.
 	P int
@@ -233,7 +245,7 @@ func Build(g *graph.Graph, opt Options) (*Grid, error) {
 		if pool.Cancelled() {
 			break
 		}
-		if shards[b], err = pl.BuildShard(g, b, pool); err != nil {
+		if shards[b], err = pl.BuildShard(g, b, pool, opt.Metrics); err != nil {
 			return nil, err
 		}
 	}
@@ -247,9 +259,7 @@ func Build(g *graph.Graph, opt Options) (*Grid, error) {
 		return nil, err
 	}
 	gr.PreprocessTime = time.Since(t0)
-	if m := opt.Metrics; m != nil {
-		m.Set(obs.ShardBlocks, int64(gr.P))
-		m.AddDuration(obs.ShardPreprocessNS, gr.PreprocessTime)
-	}
+	opt.Metrics.Set(obs.ShardBlocks, int64(gr.P))
+	opt.Metrics.AddDuration(obs.PreprocessNS, gr.PreprocessTime)
 	return gr, nil
 }

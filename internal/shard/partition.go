@@ -8,12 +8,14 @@
 // Uhl, arXiv:2302.11443).
 //
 // The crucial design decision is that all shards share ONE global
-// LOTUS relabeling, computed exactly as the monolithic path computes
+// LOTUS relabeling, computed exactly as core.TryPreprocess computes
 // it. Shard rows keep global relabeled IDs, so the hub set, the apex
 // of every triangle, and therefore the class of every triangle
-// (HHH/HHN/HNN/NNN) are identical to the monolithic structure's — the
+// (HHH/HHN/HNN/NNN) are identical to the flat structure's — the
 // per-class counts come out bit-identical by construction, and the
-// whole grid is simply a row-partition of the monolithic structure.
+// whole grid is simply a row-partition of the flat structure, which
+// is itself the p = 1 grid: the engine's "lotus" and "lotus-sharded"
+// kernels both build and count a Grid.
 package shard
 
 // PartitionByWeight cuts the ID space [0, len(w)) into p contiguous

@@ -274,7 +274,7 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPlan: %v", err)
 	}
-	s0, err := pl.BuildShard(g, 0, nil)
+	s0, err := pl.BuildShard(g, 0, nil, nil)
 	if err != nil {
 		t.Fatalf("BuildShard: %v", err)
 	}
@@ -284,23 +284,36 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Assemble(pl, []*core.LotusShard{s0, s0}); err == nil {
 		t.Fatal("Assemble accepted a shard under the wrong block")
 	}
-	if _, err := pl.BuildShard(g, 2, nil); err == nil {
+	if _, err := pl.BuildShard(g, 2, nil, nil); err == nil {
 		t.Fatal("BuildShard accepted an out-of-range block")
 	}
 }
 
 // TestBuildPublishesRelabelTime: a grid build reports the relabel part
 // of the build under preprocess.relabel.ns, bounded by the whole grid
-// build's shard.preprocess.ns.
+// build's preprocess.ns, times both walk passes, and publishes the
+// flat build's lotus.* structure counters summed over its shards.
 func TestBuildPublishesRelabelTime(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
 	m := obs.New()
 	if _, err := Build(g, Options{Grid: 2, Metrics: m}); err != nil {
 		t.Fatal(err)
 	}
-	rl, pre := m.Get(obs.PreprocessRelabelNS), m.Get(obs.ShardPreprocessNS)
+	rl, pre := m.Get(obs.PreprocessRelabelNS), m.Get(obs.PreprocessNS)
 	if rl <= 0 || rl > pre {
-		t.Fatalf("%s = %d, want in (0, %s = %d]", obs.PreprocessRelabelNS, rl, obs.ShardPreprocessNS, pre)
+		t.Fatalf("%s = %d, want in (0, %s = %d]", obs.PreprocessRelabelNS, rl, obs.PreprocessNS, pre)
+	}
+	for _, name := range []string{obs.PreprocessWalkCountNS, obs.PreprocessWalkFillNS} {
+		if m.Get(name) <= 0 {
+			t.Errorf("%s = %d, want > 0", name, m.Get(name))
+		}
+	}
+	flat := obs.New()
+	core.Preprocess(g, core.Options{Metrics: flat})
+	for _, name := range []string{"lotus.hubs", "lotus.he_edges", "lotus.nhe_edges", "lotus.h2h_bits"} {
+		if got, want := m.Get(name), flat.Get(name); got != want || want <= 0 {
+			t.Errorf("%s = %d over the grid, %d flat", name, got, want)
+		}
 	}
 }
 

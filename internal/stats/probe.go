@@ -12,9 +12,8 @@ import (
 // routing policy reads. The budget rule: the probe must stay well
 // under the cheapest counting kernel on every graph, so nothing here
 // scans all edges — the degree statistics come from an O(|V| +
-// max-degree) histogram, the hub coverage from the histogram plus one
-// pass over the hub rows only, and assortativity from a deterministic
-// stride sample of rows.
+// max-degree) histogram and the hub coverage from the histogram plus
+// one pass over the hub rows only.
 type Probe struct {
 	Vertices int64
 	Edges    int64 // undirected edge count
@@ -24,10 +23,6 @@ type Probe struct {
 	// DegreeGini is the Gini coefficient of the degree sequence: ~0
 	// for flat (lattice/Erdős–Rényi) graphs, >0.5 for power-law ones.
 	DegreeGini float64
-	// Assortativity is Newman's degree correlation r, estimated over a
-	// deterministic stride sample of rows on large graphs (exact when
-	// the graph is small).
-	Assortativity float64
 	// HubCount is the effective LOTUS hub count for this graph and
 	// HubDegreeMin the smallest degree in that hub set — the same
 	// top-degree set (degree desc, ID asc ties) the LOTUS relabeling
@@ -57,7 +52,6 @@ func (p Probe) StatsMap() map[string]float64 {
 		"avg_degree":            round(p.AvgDegree),
 		"max_degree":            float64(p.MaxDegree),
 		"degree_gini":           round(p.DegreeGini),
-		"assortativity":         round(p.Assortativity),
 		"hub_count":             float64(p.HubCount),
 		"hub_degree_min":        float64(p.HubDegreeMin),
 		"hub_edge_coverage_pct": round(p.HubEdgeCoveragePct),
@@ -65,11 +59,6 @@ func (p Probe) StatsMap() map[string]float64 {
 		"h2h_density_pct":       round(p.H2HDensityPct),
 	}
 }
-
-// assortSampleTarget bounds the ordered endpoint pairs the
-// assortativity estimate reads; below 2x the target the scan is
-// exact.
-const assortSampleTarget = 1 << 18
 
 // probeChunks cuts [0, n) into near-equal ranges aligned to 64-vertex
 // boundaries (so per-chunk bitset writers never share a word), one
@@ -258,60 +247,5 @@ func ComputeProbe(g *graph.Graph, hubCount int, pool *sched.Pool) Probe {
 		p.H2HDensityPct = 100 * 2 * float64(h2h) / (float64(h) * float64(h-1))
 	}
 
-	// Assortativity: Newman's r over the ordered endpoint pairs of
-	// rows v with v % stride == 0. Exact (stride 1) while the full
-	// scan stays under 2x the sample target; beyond that the stride
-	// caps the scanned pairs so the probe never pays a full edge scan
-	// on a big graph. Partials merge in chunk order.
-	stride := int64(1)
-	if 2*m > 2*assortSampleTarget {
-		stride = (2*m + assortSampleTarget - 1) / assortSampleTarget
-	}
-	type partial struct {
-		sx, sy, sxy, sxx, syy, cnt float64
-		_                          [2]float64 // avoid false sharing between chunks
-	}
-	parts := make([]partial, nc)
-	pool.For(nc, 1, func(_, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			pt := &parts[c]
-			// First sampled vertex at or after the chunk start: chunk
-			// bounds are not stride-aligned, the sample positions are.
-			first := (int64(chunks[c][0]) + stride - 1) / stride * stride
-			for v64 := first; v64 < int64(chunks[c][1]); v64 += stride {
-				v := int(v64)
-				if pool.Cancelled() {
-					return
-				}
-				dv := float64(g.Degree(uint32(v)))
-				for _, u := range g.Neighbors(uint32(v)) {
-					du := float64(g.Degree(u))
-					pt.sx += dv
-					pt.sy += du
-					pt.sxy += dv * du
-					pt.sxx += dv * dv
-					pt.syy += du * du
-					pt.cnt++
-				}
-			}
-		}
-	})
-	var sx, sy, sxy, sxx, syy, cnt float64
-	for i := range parts {
-		sx += parts[i].sx
-		sy += parts[i].sy
-		sxy += parts[i].sxy
-		sxx += parts[i].sxx
-		syy += parts[i].syy
-		cnt += parts[i].cnt
-	}
-	if cnt > 0 {
-		cov := sxy/cnt - (sx/cnt)*(sy/cnt)
-		vx := sxx/cnt - (sx/cnt)*(sx/cnt)
-		vy := syy/cnt - (sy/cnt)*(sy/cnt)
-		if vx > 0 && vy > 0 {
-			p.Assortativity = cov / math.Sqrt(vx*vy)
-		}
-	}
 	return p
 }

@@ -158,20 +158,6 @@ func TestProbeHubSetMatchesLotusStructure(t *testing.T) {
 	}
 }
 
-// TestAssortativityExactSmall: below the sample threshold the scan is
-// exact; a star is maximally disassortative (r = -1).
-func TestAssortativityExactSmall(t *testing.T) {
-	p := probe(t, gen.Star(500), 0)
-	if math.Abs(p.Assortativity-(-1)) > 1e-9 {
-		t.Fatalf("star assortativity %v, want -1", p.Assortativity)
-	}
-	// A regular graph has zero degree variance: r must stay 0, not NaN.
-	q := probe(t, gen.Ring(100), 0)
-	if q.Assortativity != 0 || math.IsNaN(q.Assortativity) {
-		t.Fatalf("ring assortativity %v, want 0", q.Assortativity)
-	}
-}
-
 // TestDeterminismAcrossWorkers: the probe must produce identical
 // floats regardless of pool width — per-chunk partials merge in chunk
 // order, not completion order.
@@ -201,13 +187,13 @@ func TestEmptyAndDegenerate(t *testing.T) {
 func TestStatsMapKeys(t *testing.T) {
 	m := probe(t, gen.Complete(20), 0).StatsMap()
 	for _, k := range []string{"vertices", "edges", "avg_degree", "max_degree",
-		"degree_gini", "assortativity", "hub_count", "hub_degree_min",
+		"degree_gini", "hub_count", "hub_degree_min",
 		"hub_edge_coverage_pct", "h2h_edge_pct", "h2h_density_pct"} {
 		if _, ok := m[k]; !ok {
 			t.Errorf("StatsMap missing %q", k)
 		}
 	}
-	if len(m) != 11 {
-		t.Errorf("StatsMap has %d keys, want 11", len(m))
+	if len(m) != 10 {
+		t.Errorf("StatsMap has %d keys, want 10", len(m))
 	}
 }

@@ -1,6 +1,6 @@
 // Package tune is the structural auto-tuner: it probes cheap stats
-// about a graph (degree skew, assortativity, hub edge coverage, H2H
-// density — see stats.ComputeProbe) and routes the count to the
+// about a graph (degree skew, hub edge coverage, H2H density — see
+// stats.ComputeProbe) and routes the count to the
 // registry algorithm and kernel knobs the structure favors. The
 // policy is a transparent, ordered decision list — every branch has a
 // one-line reason recorded in the run report's Decision block, and
@@ -179,5 +179,4 @@ func (d *Decision) Publish(m *obs.Metrics) {
 	m.Set(obs.TuneStatGiniPermille, int64(d.Probe.DegreeGini*1000))
 	m.Set(obs.TuneStatHubCoveragePermille, int64(d.Probe.HubEdgeCoveragePct*10))
 	m.Set(obs.TuneStatH2HDensityPermille, int64(d.Probe.H2HDensityPct*10))
-	m.Set(obs.TuneStatAssortPermille, int64(d.Probe.Assortativity*1000))
 }

@@ -126,7 +126,7 @@ func TestReportAndPublish(t *testing.T) {
 		t.Fatalf("report block: %+v", r)
 	}
 	for _, k := range []string{"vertices", "edges", "avg_degree", "degree_gini",
-		"hub_edge_coverage_pct", "h2h_density_pct", "assortativity"} {
+		"hub_edge_coverage_pct", "h2h_density_pct"} {
 		if _, ok := r.Stats[k]; !ok {
 			t.Errorf("report stats missing %q", k)
 		}

@@ -61,7 +61,7 @@ const (
 	// Shards-way grid, builds one LOTUS structure per block, and counts
 	// by block triple through AlgoLotus's three phases; totals,
 	// classes and the Phase1/HNNPhase/NNNPhase fields come out as for
-	// AlgoLotus.
+	// AlgoLotus, which is the same kernel over the one-block grid.
 	AlgoLotusSharded  Algorithm = "lotus-sharded"
 	AlgoForward       Algorithm = "forward"        // GAP-style, merge join
 	AlgoForwardBinary Algorithm = "forward-binary" // binary-search intersection
@@ -112,8 +112,8 @@ type Options struct {
 	// (0 = the paper's 10%).
 	FrontFraction float64
 	// Shards is the grid dimension p for AlgoLotusSharded
-	// (0 = the default 2; 1 = a single block). Other algorithms
-	// ignore it.
+	// (0 = the default 2; 1 = a single block, which counts exactly as
+	// AlgoLotus does). Other algorithms ignore it.
 	Shards int
 	// TuneAlgorithm pins the algorithm AlgoAuto routes to, for
 	// ablation (e.g. AlgoLotus to measure what the tuner saved).
