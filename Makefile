@@ -18,9 +18,11 @@ test:
 # graphs shrink under -short), and a full race-enabled pass over the
 # observability and I/O-hardening surface (concurrent counter
 # publication and the corrupt-input corpus are exactly where races and
-# panics would hide).
+# panics would hide). Every name in a -run pattern below must match a
+# test in its packages: a pattern that matches nothing passes silently.
 check:
 	test -z "$$(gofmt -l .)"
+	GO="$(GO)" scripts/check-run-patterns.sh
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/obs/
@@ -29,9 +31,9 @@ check:
 	$(GO) test -race ./internal/approx/
 	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestLotusGraphFileCompat|TestStreaming' ./internal/core/
 	# The randomized cross-check battery: every algorithm against brute
-	# force, and lotus-sharded at a random grid size and shuffled
-	# streams (with a third of the edges removed and re-added) against
-	# LOTUS's class split over the same random hubs.
+	# force, and lotus at a random grid size and shuffled streams
+	# (with a third of the edges removed and re-added) against LOTUS's
+	# class split over the same random hubs.
 	$(GO) run ./cmd/lotus-verify -rounds 50
 	# The one Algorithm 3 count (core.CountBlocks) over a LOTUS grid,
 	# the flat structure being its p=1 case: every HNN and NNN path

@@ -19,6 +19,7 @@ import (
 	"lotustc/internal/engine"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
+	"lotustc/internal/shard"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tuneAlgo  = fs.String("tune-algo", "", "pin the algorithm -algo auto routes to (ablation)")
 		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		hubs      = fs.Int("hubs", 0, "LOTUS hub count (0 = adaptive, paper default 65536)")
-		shards    = fs.Int("shards", 0, "shard grid dimension p for lotus-sharded; setting it with the default -algo selects lotus-sharded")
+		shards    = fs.Int("shards", 0, "LOTUS shard grid dimension p (0 or 1 = the flat structure); applies to lotus and to auto when it routes to lotus")
 		k         = fs.Int("k", 3, "clique size: 3 counts triangles; k > 3 counts k-cliques")
 		timeout   = fs.Duration("timeout", 0, "abort the count after this long (0 = no limit)")
 		verbose   = fs.Bool("v", false, "print breakdown and class split")
@@ -70,23 +71,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// -shards alone implies the sharded kernel; with an explicit
-	// non-sharded -algo it is rejected rather than silently ignored.
-	if *shards > 0 {
-		switch *algo {
-		case "lotus", "lotus-sharded":
-			*algo = "lotus-sharded"
-		default:
-			fmt.Fprintf(stderr, "lotus-tc: -shards applies to lotus-sharded, not %q\n", *algo)
-			return 2
-		}
-	}
-
 	// Reject an unknown -algo before the (possibly expensive) graph
 	// load or generation.
 	if _, err := engine.Lookup(*algo); err != nil {
 		fmt.Fprintf(stderr, "lotus-tc: %v\n", err)
 		return 1
+	}
+	// -shards is range-checked up front, and with a -algo that never
+	// counts over a LOTUS grid it is rejected rather than silently
+	// ignored.
+	if *shards < 0 || *shards > shard.MaxGrid {
+		fmt.Fprintf(stderr, "lotus-tc: -shards %d must be in [0, %d]\n", *shards, shard.MaxGrid)
+		return 2
+	}
+	if *shards > 0 && *algo != "lotus" && *algo != "auto" {
+		fmt.Fprintf(stderr, "lotus-tc: -shards applies to lotus and auto, not %q\n", *algo)
+		return 2
 	}
 	if *tuneAlgo != "" {
 		if *algo != "auto" {
@@ -183,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "triangles: %d\n", res.Triangles)
 	fmt.Fprintf(stdout, "end-to-end: %v (%.0f edges/s)\n", res.Elapsed, res.TCRate(g.NumEdges()))
-	if *verbose && (effective == lotustc.AlgoLotus || effective == lotustc.AlgoLotusSharded) {
+	if *verbose && effective == lotustc.AlgoLotus {
 		fmt.Fprintf(stdout, "breakdown: preprocess %v, HHH+HHN %v, HNN %v, NNN %v\n",
 			res.Preprocess, res.Phase1, res.HNNPhase, res.NNNPhase)
 		total := float64(res.Triangles)
@@ -214,7 +214,7 @@ func fillRunReport(rr *obs.RunReport, res *lotustc.Result) {
 	if res.Decision != nil {
 		effective = lotustc.Algorithm(res.Decision.Algorithm)
 	}
-	if effective == lotustc.AlgoLotus || effective == lotustc.AlgoLotusSharded {
+	if effective == lotustc.AlgoLotus {
 		rr.Phases = []obs.PhaseNS{
 			{Name: "preprocess", NS: res.Preprocess.Nanoseconds()},
 			{Name: "phase1", NS: res.Phase1.Nanoseconds()},

@@ -112,7 +112,7 @@ func TestAlgosListing(t *testing.T) {
 
 // TestRecursiveLotusRetired: the recursive NHE split is no longer a
 // registered algorithm, so naming it fails like any unknown name, and
-// the listing holds the 15 that remain.
+// the listing holds the 14 that remain.
 func TestRecursiveLotusRetired(t *testing.T) {
 	if code, out, _ := runTC(t, "-rmat", "6", "-algo", "lotus-recursive"); code != 1 || strings.Contains(out, "triangles:") {
 		t.Fatalf("-algo lotus-recursive: exit %d, output %q; want exit 1 and no count", code, out)
@@ -122,14 +122,53 @@ func TestRecursiveLotusRetired(t *testing.T) {
 		t.Fatalf("-algos: exit %d", code)
 	}
 	names := strings.Fields(out)
-	if len(names) != 15 {
-		t.Fatalf("-algos lists %d names, want 15: %v", len(names), names)
+	if len(names) != 14 {
+		t.Fatalf("-algos lists %d names, want 14: %v", len(names), names)
 	}
 	for _, name := range names {
-		if name == "lotus-recursive" {
-			t.Fatal("-algos still lists lotus-recursive")
+		if name == "lotus-recursive" || name == "lotus-sharded" {
+			t.Fatalf("-algos still lists %s", name)
 		}
 	}
+}
+
+// TestShardsFlag: the grid dimension is a parameter of lotus, not an
+// algorithm of its own. The retired lotus-sharded name fails like any
+// unknown name; -shards outside [0, MaxGrid], or with an algorithm
+// that never counts over a LOTUS grid, is a usage error.
+func TestShardsFlag(t *testing.T) {
+	if code, out, _ := runTC(t, "-rmat", "6", "-algo", "lotus-sharded", "-shards", "2"); code != 1 || strings.Contains(out, "triangles:") {
+		t.Fatalf("-algo lotus-sharded: exit %d, output %q; want exit 1 and no count", code, out)
+	}
+	for _, args := range [][]string{
+		{"-rmat", "6", "-shards", "-1"},
+		{"-rmat", "6", "-shards", "65"},
+		{"-rmat", "6", "-algo", "forward", "-shards", "2"},
+	} {
+		if code, out, _ := runTC(t, args...); code != 2 || strings.Contains(out, "triangles:") {
+			t.Fatalf("%v: exit %d, output %q; want exit 2 and no count", args, code, out)
+		}
+	}
+	_, flat, _ := runTC(t, "-rmat", "8", "-v")
+	for _, algo := range []string{"lotus", "auto"} {
+		code, out, errOut := runTC(t, "-rmat", "8", "-algo", algo, "-shards", "3", "-v")
+		if code != 0 {
+			t.Fatalf("-algo %s -shards 3: exit %d: %s", algo, code, errOut)
+		}
+		if line := classesLine(out); line == "" || line != classesLine(flat) {
+			t.Fatalf("-algo %s -shards 3 classes %q, flat lotus %q", algo, line, classesLine(flat))
+		}
+	}
+}
+
+// classesLine returns the "classes:" line of a -v run's output.
+func classesLine(out string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "classes:") {
+			return line
+		}
+	}
+	return ""
 }
 
 func TestErrors(t *testing.T) {
@@ -208,16 +247,16 @@ func TestJSONReportFlagValidation(t *testing.T) {
 	}
 }
 
-// TestShardedReportsLotusPhases: lotus-sharded runs the flat count's
-// three phases, so -v prints the same breakdown as lotus and the JSON
-// report carries preprocess, phase1, hnn and nnn rows (no single count
-// row) with the flat count's per-phase counters.
+// TestShardedReportsLotusPhases: lotus over a 2-way grid runs the flat
+// count's three phases, so -v prints the same breakdown as p = 1 and
+// the JSON report carries preprocess, phase1, hnn and nnn rows (no
+// single count row) with the flat count's per-phase counters.
 func TestShardedReportsLotusPhases(t *testing.T) {
 	code, out, errOut := runTC(t, "-rmat", "9", "-edgefactor", "8", "-shards", "2", "-v")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	if !strings.Contains(out, "algorithm: lotus-sharded") ||
+	if !strings.Contains(out, "algorithm: lotus\n") ||
 		!strings.Contains(out, "breakdown: preprocess ") || !strings.Contains(out, ", HHH+HHN ") ||
 		!strings.Contains(out, ", HNN ") || !strings.Contains(out, ", NNN ") || strings.Contains(out, ", count ") {
 		t.Fatalf("sharded -v output lacks the three-phase breakdown: %q", out)
@@ -249,5 +288,8 @@ func TestShardedReportsLotusPhases(t *testing.T) {
 		if _, ok := rr.Metrics[name]; !ok {
 			t.Errorf("metric %q missing from sharded JSON report", name)
 		}
+	}
+	if got := rr.Metrics["shard.blocks"]; got != 2 {
+		t.Errorf("shard.blocks = %d, want 2", got)
 	}
 }

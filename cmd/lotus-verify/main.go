@@ -3,11 +3,10 @@
 // randomized battery of graphs, plus the streaming and k-clique
 // extensions. The LOTUS-structured algorithms must also reproduce the
 // HHH/HHN/HNN/NNN split of a default-hub core.Preprocess count, and
-// lotus-sharded at a random grid size and the exact streaming counter
+// lotus at a random grid size and the exact streaming counter
 // (shuffled, then with a third of the edges re-added) the split of a
-// count over random hubs. It
-// exits non-zero on any disagreement — the release gate for the
-// library.
+// count over random hubs. It exits non-zero on any disagreement — the
+// release gate for the library.
 //
 // Usage:
 //
@@ -98,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if res.Triangles != want {
 				report(label+"/"+string(alg), g, res.Triangles, want)
 			}
-			if alg == lotustc.AlgoLotus || alg == lotustc.AlgoLotusSharded ||
+			if alg == lotustc.AlgoLotus ||
 				(alg == lotustc.AlgoAuto && res.Decision != nil && res.Decision.Algorithm == string(lotustc.AlgoLotus)) {
 				checkClasses(label+"/"+string(alg), g, [4]uint64{res.HHH, res.HHN, res.HNN, res.NNN}, wantClasses)
 			}
@@ -115,15 +114,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// The shard grid at a random p over the same hubs must
 			// reproduce that split too.
 			p := 1 + rng.Intn(4)
-			sh, err := lotustc.CountContext(ctx, g, lotustc.Options{Algorithm: lotustc.AlgoLotusSharded, HubCount: hubs, Shards: p})
+			sh, err := lotustc.CountContext(ctx, g, lotustc.Options{Algorithm: lotustc.AlgoLotus, HubCount: hubs, Shards: p})
 			if err == context.DeadlineExceeded || err == context.Canceled {
 				return
 			}
 			if err != nil {
-				fmt.Fprintf(stderr, "FAIL %s/lotus-sharded-p%d-hubs-%d: %v\n", label, p, hubs, err)
+				fmt.Fprintf(stderr, "FAIL %s/lotus-p%d-hubs-%d: %v\n", label, p, hubs, err)
 				failures++
 			} else {
-				checkClasses(fmt.Sprintf("%s/lotus-sharded-p%d-hubs-%d", label, p, hubs), g,
+				checkClasses(fmt.Sprintf("%s/lotus-p%d-hubs-%d", label, p, hubs), g,
 					[4]uint64{sh.HHH, sh.HHN, sh.HNN, sh.NNN}, [4]uint64{ref.HHH, ref.HHN, ref.HNN, ref.NNN})
 			}
 			// Streaming: a shuffled stream of the same graph over the

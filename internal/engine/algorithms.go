@@ -8,24 +8,19 @@ import (
 	"lotustc/internal/shard"
 )
 
-// The built-in registrations: flat and sharded LOTUS, the §5.1.4
-// comparators, and the §6.1 classics. Registration order is the
-// display order of every algorithm listing.
+// The built-in registrations: LOTUS, the §5.1.4 comparators, and the
+// §6.1 classics. Registration order is the display order of every
+// algorithm listing.
 func init() {
 	// Every built-in routes parallel work through the bound pool, so
 	// all observe cooperative cancellation.
 	phased := Capabilities{SupportsWorkers: true, ReportsPhases: true, NeedsSymmetric: true, Cancellable: true}
 	lotus := phased
-	lotus.ReportsClasses = true
+	lotus.ReportsClasses, lotus.Streaming, lotus.Shardable = true, true, true
 	parallel := Capabilities{SupportsWorkers: true, NeedsSymmetric: true, Cancellable: true}
 	sequential := Capabilities{NeedsSymmetric: true, Cancellable: true}
-	streaming := lotus
-	streaming.Streaming = true
-	sharded := lotus
-	sharded.Shardable = true
 
-	MustRegister("lotus", streaming, func(t *Task) (uint64, error) { return lotusKernel(t, 1) })
-	MustRegister("lotus-sharded", sharded, func(t *Task) (uint64, error) { return lotusKernel(t, t.Params.Shards) })
+	MustRegister("lotus", lotus, lotusKernel)
 	MustRegister("cover-edge", phased, coverEdgeKernel)
 	MustRegister("auto", phased, autoKernel)
 	MustRegister("forward", parallel, forwardKernel(baseline.KernelMerge))
@@ -57,27 +52,27 @@ func init() {
 	})
 }
 
-// lotusKernel runs LOTUS over a p-way shard grid: "lotus" is p = 1,
-// the flat structure, and "lotus-sharded" p = Params.Shards (0 =
-// shard.DefaultGrid, or the dimension of a prepared grid). It builds
-// the grid (Algorithm 2 per shard over one shared relabeling) and
+// lotusKernel runs LOTUS over a p-way shard grid, p =
+// max(Params.Shards, 1); p = 1 is the flat structure. It builds the
+// grid (Algorithm 2 per shard over one shared relabeling) and
 // counts its live block triples through the three phases of
 // Algorithm 3 (core.CountBlocks); totals and the class split are the
 // same at every p, because every triangle keeps its apex and class. A
 // Params.Prepared grid (a serving cache hit) skips the build, and the
 // preprocess phase is then reported as zero; a grid of another graph
 // or another dimension wraps ErrPreparedMismatch.
-func lotusKernel(t *Task, p int) (uint64, error) {
-	if p < 0 || p > shard.MaxGrid {
-		return 0, fmt.Errorf("engine: shard grid %d out of range [1, %d]", p, shard.MaxGrid)
+func lotusKernel(t *Task) (uint64, error) {
+	if t.Params.Shards < 0 || t.Params.Shards > shard.MaxGrid {
+		return 0, fmt.Errorf("engine: shard grid %d out of range [0, %d]", t.Params.Shards, shard.MaxGrid)
 	}
+	p := max(t.Params.Shards, 1)
 	gr := t.Params.Prepared
 	if gr != nil {
 		if gr.NumVertices() != t.Graph.NumVertices() {
 			return 0, fmt.Errorf("engine: prepared LOTUS grid has %d vertices, graph has %d: %w",
 				gr.NumVertices(), t.Graph.NumVertices(), ErrPreparedMismatch)
 		}
-		if p > 0 && gr.P != p {
+		if gr.P != p {
 			return 0, fmt.Errorf("engine: prepared LOTUS grid is %d-way, run asked for %d: %w",
 				gr.P, p, ErrPreparedMismatch)
 		}
@@ -86,11 +81,13 @@ func lotusKernel(t *Task, p int) (uint64, error) {
 	} else {
 		var err error
 		gr, err = shard.Build(t.Graph, shard.Options{
-			Grid:          p,
-			HubCount:      t.Params.HubCount,
-			FrontFraction: t.Params.FrontFraction,
-			Pool:          t.Pool,
-			Metrics:       t.Metrics(),
+			Options: core.Options{
+				HubCount:      t.Params.HubCount,
+				FrontFraction: t.Params.FrontFraction,
+				Pool:          t.Pool,
+				Metrics:       t.Metrics(),
+			},
+			Grid: p,
 		})
 		if err != nil {
 			return 0, err

@@ -2,12 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"lotustc/internal/coveredge"
-	"lotustc/internal/graph"
-	"lotustc/internal/obs"
 	"lotustc/internal/tune"
 )
 
@@ -29,66 +26,21 @@ func coverEdgeKernel(t *Task) (uint64, error) {
 	return res.Total, nil
 }
 
-// tuneCache memoizes decisions per (graph, hub count, overrides).
-// Graphs are immutable once built, so the pointer identifies the
-// structure; a resident service re-counting a cached graph pays the
-// probe once, exactly as it pays LOTUS preprocessing once via
-// Params.Prepared. Bounded small — entries are a few hundred bytes
-// and a stale key (a freed graph) just wastes its slot until evicted.
-var tuneCache = struct {
-	sync.Mutex
-	m map[tuneCacheKey]tune.Decision
-}{m: make(map[tuneCacheKey]tune.Decision)}
-
-type tuneCacheKey struct {
-	g        *graph.Graph
-	hubCount int
-	ov       tune.Overrides
-}
-
-const tuneCacheCap = 128
-
-// decideCached returns the tune decision for the task, probing only
-// on the first sight of a graph. probed reports a cold probe.
-func decideCached(t *Task) (dec tune.Decision, probed bool) {
-	key := tuneCacheKey{g: t.Graph, hubCount: t.Params.HubCount, ov: tune.Overrides{
+// autoKernel is the structural auto-tuner's engine face: probe the
+// graph, let the tune policy pick the algorithm and kernel knobs,
+// delegate to the chosen registration on the same task, and record
+// the full decision (reason, probe stats, probe cost) in the report.
+// Every run probes: a resident service that re-counts one graph keeps
+// its decisions in its own cache. Params.TuneAlgorithm pins the
+// routed algorithm for ablation, and a non-empty Params.Phase1Kernel
+// / IntersectKernel wins over the tuner's kernel choices.
+func autoKernel(t *Task) (uint64, error) {
+	probeStart := time.Now()
+	dec := tune.Analyze(t.Graph, t.Params.HubCount, t.Pool, tune.Overrides{
 		Algorithm:       t.Params.TuneAlgorithm,
 		Phase1Kernel:    t.Params.Phase1Kernel,
 		IntersectKernel: t.Params.IntersectKernel,
-	}}
-	tuneCache.Lock()
-	dec, ok := tuneCache.m[key]
-	tuneCache.Unlock()
-	if ok {
-		return dec, false
-	}
-	dec = tune.Analyze(t.Graph, key.hubCount, t.Pool, key.ov)
-	if t.Err() != nil {
-		// A cancelled probe yields unspecified stats; never cache it.
-		return dec, true
-	}
-	tuneCache.Lock()
-	if len(tuneCache.m) >= tuneCacheCap {
-		for k := range tuneCache.m {
-			delete(tuneCache.m, k)
-			break
-		}
-	}
-	tuneCache.m[key] = dec
-	tuneCache.Unlock()
-	return dec, true
-}
-
-// autoKernel is the structural auto-tuner's engine face: probe the
-// graph (memoized per graph), let the tune policy pick the algorithm
-// and kernel knobs, delegate to the chosen registration on the same
-// task, and record the full decision (reason, probe stats, probe
-// cost) in the report. Params.TuneAlgorithm pins the routed algorithm
-// for ablation, and a non-empty Params.Phase1Kernel /
-// IntersectKernel wins over the tuner's kernel choices.
-func autoKernel(t *Task) (uint64, error) {
-	probeStart := time.Now()
-	dec, probed := decideCached(t)
+	})
 	if err := t.Err(); err != nil {
 		return 0, err
 	}
@@ -99,14 +51,9 @@ func autoKernel(t *Task) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("engine: tuner routed to %w", err)
 	}
-	// The probe phase records what THIS run spent (near zero on a
-	// cache hit); the decision block keeps the original probe cost.
 	t.Report.AddPhase(PhaseProbe, time.Since(probeStart))
 	t.Report.Decision = dec.Report()
 	dec.Publish(t.Metrics())
-	if !probed {
-		t.Metrics().Add(obs.TuneCacheHits, 1)
-	}
 	// Delegate on a shallow task copy: same graph, pool, context and
 	// report (the delegate's phases and classes land in this run's
 	// report), with the tuner's kernel knobs substituted in.

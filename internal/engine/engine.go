@@ -83,29 +83,26 @@ type Params struct {
 	// of NHE.N_v), or "merge" (the paper's merge join). HNN always
 	// probes the per-worker hub bitmap.
 	IntersectKernel string
-	// Shards is the grid dimension p for the "lotus-sharded" kernel
-	// (0 = shard.DefaultGrid; 1 = a single block, the flat structure).
-	// "lotus" always runs p = 1; other kernels ignore it.
+	// Shards is the grid dimension p of the "lotus" kernel's shard
+	// grid (0 or 1 = a single block, the flat structure); "auto"
+	// passes it on when it routes to "lotus". Other kernels ignore it.
 	Shards int
 	// Prepared supplies an already-built LOTUS grid for the same
 	// graph, letting a resident service amortize preprocessing across
-	// queries: "lotus" (which needs a 1-way grid) and "lotus-sharded"
-	// skip the build and record a zero-length preprocess phase. A grid
-	// of another vertex count, or of a dimension that contradicts the
-	// run's (1 for "lotus", a nonzero Shards for "lotus-sharded"),
-	// fails the run with an error wrapping ErrPreparedMismatch. Other
-	// kernels ignore it.
+	// queries: "lotus" skips the build and records a zero-length
+	// preprocess phase. A grid of another vertex count, or whose
+	// dimension is not max(Shards, 1), fails the run with an error
+	// wrapping ErrPreparedMismatch. Other kernels ignore it.
 	Prepared *shard.Grid
 	// TuneAlgorithm pins the "auto" kernel's routed algorithm for
 	// ablation runs (the decision is recorded as overridden); empty
 	// lets the tune policy choose. Other kernels ignore it.
 	TuneAlgorithm string
 	// Scratch supplies reusable per-worker kernel scratch to the
-	// "lotus" and "lotus-sharded" kernels (see
-	// core.CountOptions.Scratch); a resident service pools these
-	// across requests so warm counts reuse their bitmaps and dense-row
-	// slab. Never share one instance between concurrent runs. Other
-	// kernels ignore it.
+	// "lotus" kernel (see core.CountOptions.Scratch); a resident
+	// service pools these across requests so warm counts reuse their
+	// bitmaps and dense-row slab. Never share one instance between
+	// concurrent runs. Other kernels ignore it.
 	Scratch *core.CountScratch
 }
 

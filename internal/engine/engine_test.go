@@ -28,8 +28,8 @@ func TestMain(m *testing.M) {
 const k12Triangles = 220
 
 func TestRegistryResolvesEveryBuiltin(t *testing.T) {
-	if len(builtins) != 15 {
-		t.Fatalf("expected 15 built-in algorithms, got %d: %v", len(builtins), builtins)
+	if len(builtins) != 14 {
+		t.Fatalf("expected 14 built-in algorithms, got %d: %v", len(builtins), builtins)
 	}
 	g := gen.Complete(12)
 	for _, name := range builtins {
@@ -176,8 +176,15 @@ func testGraph(t *testing.T) *graph.Graph {
 // graph must return context.Canceled within 500ms of the cancel call,
 // and no goroutine may outlive the run.
 func TestRunCancellationPromptAndLeakFree(t *testing.T) {
-	for _, algo := range []string{"lotus", "lotus-sharded", "forward"} {
-		t.Run(algo, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"lotus", Spec{Algorithm: "lotus"}},
+		{"lotus-p2", Spec{Algorithm: "lotus", Params: Params{Shards: 2}}},
+		{"forward", Spec{Algorithm: "forward"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			g := testGraph(t)
 			before := runtime.NumGoroutine()
 
@@ -189,7 +196,7 @@ func TestRunCancellationPromptAndLeakFree(t *testing.T) {
 			}
 			done := make(chan outcome, 1)
 			go func() {
-				rep, err := Run(ctx, g, Spec{Algorithm: algo})
+				rep, err := Run(ctx, g, tc.spec)
 				done <- outcome{rep, err}
 			}()
 

@@ -11,18 +11,18 @@ import (
 	"lotustc/internal/shard"
 )
 
-// TestShardedMatchesLotus: the sharded kernel must report the exact
-// totals and class split of the flat kernel for every grid size, and
-// the same preprocess, phase 1, HNN and NNN phases. At Shards: 1 the
-// two names run one kernel over one structure, so the phase names,
-// the totals, the classes and the metric names must all be identical.
+// TestShardedMatchesLotus: lotus over a p-way grid must report the
+// exact totals and class split of the flat count for every grid size,
+// and the same preprocess, phase 1, HNN and NNN phases. Shards 0 and 1
+// both mean the flat structure, so the phase names, the totals, the
+// classes and the metric names must all be identical.
 func TestShardedMatchesLotus(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 16, 5))
 	want, err := Run(context.Background(), g, Spec{Algorithm: "lotus", CollectMetrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Run(context.Background(), g, Spec{Algorithm: "lotus-sharded", CollectMetrics: true, Params: Params{Shards: 1}})
+	one, err := Run(context.Background(), g, Spec{Algorithm: "lotus", CollectMetrics: true, Params: Params{Shards: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,9 @@ func TestShardedMatchesLotus(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 3, 4} {
 		got, err := Run(context.Background(), g, Spec{
-			Algorithm: "lotus-sharded",
-			Params:    Params{Shards: p},
+			Algorithm:      "lotus",
+			CollectMetrics: true,
+			Params:         Params{Shards: p},
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
@@ -64,12 +65,41 @@ func TestShardedMatchesLotus(t *testing.T) {
 		if got.Phase(PhaseCount) != 0 {
 			t.Fatalf("p=%d: sharded run still reports a single count phase: %v", p, got.Phases)
 		}
+		if got.Metrics["shard.blocks"] != int64(p) {
+			t.Fatalf("p=%d: counted over a %d-block grid", p, got.Metrics["shard.blocks"])
+		}
+	}
+}
+
+// TestAutoPassesShardsToLotus: when auto routes to lotus, the grid
+// dimension rides along, and the count and class split stay the flat
+// count's.
+func TestAutoPassesShardsToLotus(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(9, 8, 2))
+	want, err := Run(context.Background(), g, Spec{Algorithm: "lotus"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), g, Spec{Algorithm: "auto", CollectMetrics: true, Params: Params{Shards: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Decision == nil || got.Decision.Algorithm != "lotus" {
+		t.Fatalf("auto did not route the small R-MAT graph to lotus: %+v", got.Decision)
+	}
+	if got.Metrics["shard.blocks"] != 3 {
+		t.Fatalf("auto-routed lotus counted over a %d-block grid, want 3", got.Metrics["shard.blocks"])
+	}
+	if got.Triangles != want.Triangles || got.HHH != want.HHH || got.HHN != want.HHN ||
+		got.HNN != want.HNN || got.NNN != want.NNN {
+		t.Fatalf("auto at Shards 3 %+v disagrees with flat lotus %+v", got, want)
 	}
 }
 
 // TestShardedPreparedGrid: a prepared grid skips the build (zero
-// preprocess phase) and still produces the right count; mismatched
-// grids are rejected with ErrPreparedMismatch.
+// preprocess phase) and still produces the right count; a grid of
+// another graph, or whose dimension is not max(Shards, 1), is rejected
+// with ErrPreparedMismatch.
 func TestShardedPreparedGrid(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 8, 3))
 	gr, err := shard.Build(g, shard.Options{Grid: 3})
@@ -82,9 +112,9 @@ func TestShardedPreparedGrid(t *testing.T) {
 	}
 
 	rep, err := Run(context.Background(), g, Spec{
-		Algorithm:      "lotus-sharded",
+		Algorithm:      "lotus",
 		CollectMetrics: true,
-		Params:         Params{Prepared: gr},
+		Params:         Params{Prepared: gr, Shards: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,28 +132,23 @@ func TestShardedPreparedGrid(t *testing.T) {
 	// Wrong graph: vertex-count cross-check fires.
 	other := gen.Complete(12)
 	_, err = Run(context.Background(), other, Spec{
-		Algorithm: "lotus-sharded",
-		Params:    Params{Prepared: gr},
+		Algorithm: "lotus",
+		Params:    Params{Prepared: gr, Shards: 3},
 	})
 	if !errors.Is(err, ErrPreparedMismatch) {
 		t.Fatalf("foreign grid: got %v, want ErrPreparedMismatch", err)
 	}
 
-	// Right graph, contradictory grid dimension.
-	_, err = Run(context.Background(), g, Spec{
-		Algorithm: "lotus-sharded",
-		Params:    Params{Prepared: gr, Shards: 2},
-	})
-	if !errors.Is(err, ErrPreparedMismatch) {
-		t.Fatalf("wrong dimension: got %v, want ErrPreparedMismatch", err)
-	}
-	// "lotus" counts over a 1-way grid only.
-	_, err = Run(context.Background(), g, Spec{
-		Algorithm: "lotus",
-		Params:    Params{Prepared: gr},
-	})
-	if !errors.Is(err, ErrPreparedMismatch) {
-		t.Fatalf("3-way grid under lotus: got %v, want ErrPreparedMismatch", err)
+	// Right graph, contradictory grid dimension: 0 and 1 both ask
+	// for the flat p = 1 grid.
+	for _, p := range []int{0, 1, 2} {
+		_, err = Run(context.Background(), g, Spec{
+			Algorithm: "lotus",
+			Params:    Params{Prepared: gr, Shards: p},
+		})
+		if !errors.Is(err, ErrPreparedMismatch) {
+			t.Fatalf("3-way grid at Shards %d: got %v, want ErrPreparedMismatch", p, err)
+		}
 	}
 }
 
@@ -148,7 +173,7 @@ func TestShardedOutOfRangeGrid(t *testing.T) {
 	g := gen.Complete(8)
 	for _, p := range []int{-1, shard.MaxGrid + 1} {
 		if _, err := Run(context.Background(), g, Spec{
-			Algorithm: "lotus-sharded",
+			Algorithm: "lotus",
 			Params:    Params{Shards: p},
 		}); err == nil {
 			t.Fatalf("Shards=%d accepted", p)
@@ -156,24 +181,24 @@ func TestShardedOutOfRangeGrid(t *testing.T) {
 	}
 }
 
-// TestShardedCapabilities: the registry entry carries the new tags.
+// TestShardedCapabilities: the grid dimension is a parameter of the
+// one LOTUS registration, which carries the shardable tag; the retired
+// "lotus-sharded" name is unknown.
 func TestShardedCapabilities(t *testing.T) {
-	reg, err := Lookup("lotus-sharded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reg.Caps.Shardable || !reg.Caps.Cancellable {
-		t.Fatalf("lotus-sharded capabilities = %+v, want Shardable and Cancellable", reg.Caps)
-	}
-	if reg.Caps.Streaming {
-		t.Fatalf("lotus-sharded must not claim Streaming: %+v", reg.Caps)
+	if _, err := Lookup("lotus-sharded"); err == nil {
+		t.Fatal("lotus-sharded is still registered")
 	}
 	lotusReg, err := Lookup("lotus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lotusReg.Caps.Streaming || !lotusReg.Caps.Cancellable {
-		t.Fatalf("lotus capabilities = %+v, want Streaming and Cancellable", lotusReg.Caps)
+	if !lotusReg.Caps.Shardable || !lotusReg.Caps.Streaming || !lotusReg.Caps.Cancellable {
+		t.Fatalf("lotus capabilities = %+v, want Shardable, Streaming and Cancellable", lotusReg.Caps)
+	}
+	for _, name := range builtins {
+		if reg, _ := Lookup(name); name != "lotus" && reg.Caps.Shardable {
+			t.Fatalf("%s claims Shardable: only lotus counts over a shard grid", name)
+		}
 	}
 	// Registrations preserves registry order and exposes every entry.
 	regs := Registrations()

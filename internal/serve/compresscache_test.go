@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"lotustc/internal/core"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
@@ -116,7 +117,7 @@ func TestEstimateLotusBytesUpperBound(t *testing.T) {
 	}
 	for name, g := range corpus {
 		for _, hubs := range []int{0, 1, 4, 16, 64, 1000} {
-			pl, err := shard.NewPlan(g, shard.Options{Grid: 1, HubCount: hubs})
+			pl, err := shard.NewPlan(g, shard.Options{Grid: 1, Options: core.Options{HubCount: hubs}})
 			if err != nil {
 				t.Fatalf("%s hubs=%d: plan: %v", name, hubs, err)
 			}

@@ -190,9 +190,9 @@ type Server struct {
 	resMu   sync.Mutex
 	results *lru // result memoization: key -> *cachedResult
 
-	// scratch recycles per-worker kernel scratch across lotus and
-	// lotus-sharded counts so warm-structure counts reuse their
-	// bitmaps instead of allocating them per request.
+	// scratch recycles per-worker kernel scratch across lotus counts
+	// so warm-structure counts reuse their bitmaps instead of
+	// allocating them per request.
 	scratch sync.Pool // *core.CountScratch
 
 	sem      chan struct{}
@@ -595,10 +595,11 @@ func shardKey(spec *GraphSpec, hubCount int, frontFraction float64, p, b int) st
 
 // getShardGrid assembles the p-way shard grid for (spec, hubs, front
 // fraction) through the cache, one entry per block plus one for the
-// plan; "lotus" counts and /v1/topk use p = 1, "lotus-sharded" counts
-// their grid's p. hit reports that every piece was already resident. Assembly
-// cross-checks each shard against the plan; a mismatch (a corrupt or
-// stale entry) purges the keys and rebuilds once before giving up.
+// plan; /v1/topk uses p = 1, "lotus" counts their request's grid
+// dimension. hit reports that every piece was already resident.
+// Assembly cross-checks each shard against the plan; a mismatch (a
+// corrupt or stale entry) purges the keys and rebuilds once before
+// giving up.
 func (s *Server) getShardGrid(ctx context.Context, spec *GraphSpec, hubCount int, frontFraction float64, p int) (*shard.Grid, bool, error) {
 	for attempt := 0; ; attempt++ {
 		gr, hit, err := s.tryShardGrid(ctx, spec, hubCount, frontFraction, p)
@@ -628,10 +629,8 @@ func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 		defer relG()
 		pool := sched.NewPool(s.cfg.Workers).Bind(bctx)
 		pl, err := shard.NewPlan(g, shard.Options{
-			Grid:          p,
-			HubCount:      hubCount,
-			FrontFraction: frontFraction,
-			Pool:          pool,
+			Options: core.Options{HubCount: hubCount, FrontFraction: frontFraction, Pool: pool},
+			Grid:    p,
 		})
 		pool.Release()
 		if err != nil {
@@ -710,9 +709,11 @@ type CountRequest struct {
 	// LOTUS tuning; both are part of the structure cache key.
 	HubCount      int     `json:"hub_count,omitempty"`
 	FrontFraction float64 `json:"front_fraction,omitempty"`
-	// Shards is the grid dimension for "lotus-sharded" (0 = the
-	// server's choice). Setting it with the default algorithm opts the
-	// request into the sharded path explicitly.
+	// Shards is the grid dimension of a "lotus" count, also when
+	// "auto" routes to it: 0 = the server's choice (1, or the size
+	// routing's grid when the flat structure would exceed the
+	// single-structure budget), otherwise 1..shard.MaxGrid. Other
+	// algorithms ignore it.
 	Shards int `json:"shards,omitempty"`
 	// TimeoutMS bounds the request (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -733,8 +734,7 @@ type CacheInfo struct {
 	Result bool `json:"result_hit"`
 	// Algorithm is the algorithm the request actually ran — it
 	// differs from the requested one when the auto tuner routed the
-	// count or oversized-structure routing moved it to the sharded
-	// path.
+	// count.
 	Algorithm string `json:"algorithm,omitempty"`
 	Warning   string `json:"warning,omitempty"`
 }
@@ -841,6 +841,11 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
+	if req.Shards < 0 || req.Shards > shard.MaxGrid {
+		writeErr(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("shards %d must be in [0, %d]", req.Shards, shard.MaxGrid))
+		return
+	}
 	algo := req.Algorithm
 	if algo == "" {
 		algo = s.cfg.DefaultAlgorithm
@@ -896,19 +901,18 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			s.met.Add(obs.TuneCacheHits, 1)
 		}
 	}
-	var prepared *shard.Grid
-	var lotusHit bool
-	shards := req.Shards
-	// Route oversized "lotus" requests through the sharded kernel: a
-	// flat structure bigger than the single-structure budget can never
+	// A "lotus" count runs over a gridP-way grid: the request's
+	// shards, or 1 (the flat structure) unless that structure would
+	// exceed the single-structure budget. An oversized one can never
 	// be cached, but p per-shard structures each 1/p the size can.
+	gridP := 0
 	var cacheWarning string
 	if algo == "lotus" && !g.Oriented {
+		gridP = max(req.Shards, 1)
 		if est := estimateLotusBytes(g, req.HubCount); est > s.cfg.MaxStructureBytes {
-			algo = "lotus-sharded"
-			if shards == 0 {
+			if req.Shards == 0 {
 				var clamped bool
-				shards, clamped = autoGrid(est, s.cfg.MaxStructureBytes)
+				gridP, clamped = autoGrid(est, s.cfg.MaxStructureBytes)
 				if clamped {
 					// Even the largest grid can't honor the budget. The
 					// estimate is an upper bound and per-shard H2H shrinks
@@ -929,33 +933,21 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			}
 			s.met.Add("serve.sharded_routed", 1)
 		}
-	}
-	// Both LOTUS kernels count over a grid: "lotus" over the p = 1
-	// grid, the flat structure, "lotus-sharded" over its p-way one.
-	gridP := 0
-	if !g.Oriented {
-		switch algo {
-		case "lotus":
-			gridP = 1
-		case "lotus-sharded":
-			if shards == 0 {
-				shards = shard.DefaultGrid
-			}
-			gridP = shards
+		if gridP > 1 {
 			s.met.Add("serve.sharded_counts", 1)
 		}
 	}
+	var prepared *shard.Grid
+	var lotusHit bool
+	// Reusable per-worker kernel scratch: LOTUS counts run with
+	// bitmaps from a previous count instead of allocating fresh ones
+	// per request.
+	var scratch *core.CountScratch
 	if gridP > 0 {
 		if prepared, lotusHit, err = s.getShardGrid(ctx, &req.Graph, req.HubCount, req.FrontFraction, gridP); err != nil {
 			s.countError(w, req, algo, start, err)
 			return
 		}
-	}
-	// Reusable per-worker kernel scratch: the LOTUS counts, flat and
-	// sharded, run with bitmaps from a previous count instead of
-	// allocating fresh ones per request.
-	var scratch *core.CountScratch
-	if algo == "lotus" || algo == "lotus-sharded" {
 		scratch = s.scratch.Get().(*core.CountScratch)
 		defer s.scratch.Put(scratch)
 	}
@@ -967,7 +959,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			Params: engine.Params{
 				HubCount:        req.HubCount,
 				FrontFraction:   req.FrontFraction,
-				Shards:          shards,
+				Shards:          gridP,
 				Phase1Kernel:    tunePhase1,
 				IntersectKernel: tuneIntersect,
 				Prepared:        prepared,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"slices"
 	"strings"
@@ -39,15 +40,11 @@ func TestAlgorithmsCapabilities(t *testing.T) {
 	if len(byName) != len(engine.Algorithms()) {
 		t.Fatalf("listed %d algorithms, registry has %d", len(byName), len(engine.Algorithms()))
 	}
-	sharded, ok := byName["lotus-sharded"]
-	if !ok {
-		t.Fatalf("lotus-sharded missing from %v", byName)
-	}
-	if !sharded.Shardable || !sharded.Cancellable || !sharded.Parallel {
-		t.Fatalf("lotus-sharded capabilities = %+v", sharded)
+	if _, ok := byName["lotus-sharded"]; ok {
+		t.Fatalf("retired lotus-sharded still listed: %v", byName)
 	}
 	lotus := byName["lotus"]
-	if !lotus.Streaming || !lotus.Cancellable || lotus.Shardable {
+	if !lotus.Streaming || !lotus.Cancellable || !lotus.Shardable || !lotus.Parallel {
 		t.Fatalf("lotus capabilities = %+v", lotus)
 	}
 	if fwd := byName["forward"]; fwd.Streaming || fwd.Shardable || !fwd.Cancellable {
@@ -57,10 +54,10 @@ func TestAlgorithmsCapabilities(t *testing.T) {
 
 // TestShardedRoutingServesOversizedGraph is the serving acceptance
 // criterion: with a cache budget far below the graph's monolithic
-// LOTUS structure, a plain "lotus" count is routed through per-shard
-// structures — the count is exact, the response says lotus-sharded,
-// the shard entries are resident (each fits the budget where the
-// monolithic one cannot), and a second request is served warm.
+// LOTUS structure, a plain "lotus" count runs over a wider grid of
+// per-shard structures — the count is exact, the response still says
+// lotus, the shard entries are resident (each fits the budget where
+// the monolithic one cannot), and a second request is served warm.
 func TestShardedRoutingServesOversizedGraph(t *testing.T) {
 	// R-MAT scale 12 / ef 8: the monolithic structure estimate is a
 	// few hundred KiB, far over this budget; the per-shard pieces fit.
@@ -83,8 +80,9 @@ func TestShardedRoutingServesOversizedGraph(t *testing.T) {
 		t.Fatalf("cold: status %d: %s", status, raw)
 	}
 	cold := decodeCount(t, raw)
-	if cold.Algorithm != "lotus-sharded" {
-		t.Fatalf("oversized graph was not routed to the sharded path: algorithm %q", cold.Algorithm)
+	if cold.Algorithm != "lotus" || cold.Cache.Algorithm != "lotus" {
+		t.Fatalf("oversized graph: algorithm %q, cache.algorithm %q; want lotus for both",
+			cold.Algorithm, cold.Cache.Algorithm)
 	}
 	if cold.Triangles != want.Triangles {
 		t.Fatalf("sharded count %d != monolithic %d", cold.Triangles, want.Triangles)
@@ -123,7 +121,7 @@ func TestShardedRoutingServesOversizedGraph(t *testing.T) {
 	if warm.Triangles != want.Triangles {
 		t.Fatalf("warm sharded count %d != monolithic %d", warm.Triangles, want.Triangles)
 	}
-	if warm.Algorithm != "lotus-sharded" {
+	if warm.Algorithm != "lotus" {
 		t.Fatalf("warm request algorithm %q", warm.Algorithm)
 	}
 	if srv.Metrics().Get("serve.sharded_routed") == 0 {
@@ -131,11 +129,11 @@ func TestShardedRoutingServesOversizedGraph(t *testing.T) {
 	}
 }
 
-// TestExplicitShardedRequest: asking for lotus-sharded with a pinned
-// grid works below the routing threshold too.
+// TestExplicitShardedRequest: asking for lotus with a pinned grid
+// works below the routing threshold too.
 func TestExplicitShardedRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := `{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 4}, "algorithm": "lotus-sharded", "shards": 3}`
+	body := `{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 4}, "algorithm": "lotus", "shards": 3}`
 	status, raw := postJSON(t, ts.URL+"/v1/count", body)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, raw)
@@ -152,7 +150,7 @@ func TestExplicitShardedRequest(t *testing.T) {
 	// Under the default (ample) budget the whole grid stays resident,
 	// so a repeat request hits every shard entry.
 	status, raw = postJSON(t, ts.URL+"/v1/count",
-		`{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 4}, "algorithm": "lotus-sharded", "shards": 3, "no_cache": true}`)
+		`{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 4}, "algorithm": "lotus", "shards": 3, "no_cache": true}`)
 	if status != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", status, raw)
 	}
@@ -165,7 +163,7 @@ func TestExplicitShardedRequest(t *testing.T) {
 	// previous count left behind, must agree in every class.
 	for i := 0; i < 2; i++ {
 		status, raw = postJSON(t, ts.URL+"/v1/count",
-			`{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 4}, "algorithm": "lotus-sharded", "shards": 3, "no_cache": true}`)
+			`{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 4}, "algorithm": "lotus", "shards": 3, "no_cache": true}`)
 		if status != http.StatusOK {
 			t.Fatalf("no_cache count %d: status %d: %s", i, status, raw)
 		}
@@ -177,8 +175,8 @@ func TestExplicitShardedRequest(t *testing.T) {
 	}
 }
 
-// TestOneStructurePerSpec: "lotus", "lotus-sharded" at shards 1 and
-// /v1/topk on one spec share one LOTUS structure, the p = 1 grid. The
+// TestOneStructurePerSpec: "lotus", "lotus" at shards 1 and /v1/topk
+// on one spec share one LOTUS structure, the p = 1 grid. The
 // first count builds its plan and its one shard; the other two are
 // served from them, and no other structure entry is ever resident.
 func TestOneStructurePerSpec(t *testing.T) {
@@ -210,13 +208,13 @@ func TestOneStructurePerSpec(t *testing.T) {
 		t.Fatalf("after lotus: structure entries %v, want %v", got, want)
 	}
 
-	status, raw = postJSON(t, ts.URL+"/v1/count", `{"graph": `+graphJSON+`, "algorithm": "lotus-sharded", "shards": 1}`)
+	status, raw = postJSON(t, ts.URL+"/v1/count", `{"graph": `+graphJSON+`, "algorithm": "lotus", "shards": 1}`)
 	if status != http.StatusOK {
-		t.Fatalf("lotus-sharded: status %d: %s", status, raw)
+		t.Fatalf("lotus at shards 1: status %d: %s", status, raw)
 	}
 	one := decodeCount(t, raw)
 	if !one.Cache.Lotus {
-		t.Fatal("lotus-sharded at shards 1 did not hit the lotus count's structure")
+		t.Fatal("lotus at shards 1 did not hit the lotus count's structure")
 	}
 	if one.Triangles != flat.Triangles || one.Classes == nil || flat.Classes == nil || *one.Classes != *flat.Classes {
 		t.Fatalf("shards 1: %d triangles, classes %+v; lotus %d, %+v", one.Triangles, one.Classes, flat.Triangles, flat.Classes)
@@ -294,7 +292,7 @@ func TestCorruptPreparedEntriesEvictedAndRetried(t *testing.T) {
 	srv.cache.mu.Unlock()
 	before := srv.Metrics().Get("cache.corrupt_evictions")
 
-	body = `{"graph": {"type": "complete", "n": 64}, "algorithm": "lotus-sharded", "shards": 2, "no_cache": true}`
+	body = `{"graph": {"type": "complete", "n": 64}, "algorithm": "lotus", "shards": 2, "no_cache": true}`
 	status, raw = postJSON(t, ts.URL+"/v1/count", body)
 	if status != http.StatusOK {
 		t.Fatalf("sharded: status %d: %s", status, raw)
@@ -329,8 +327,8 @@ func TestShardClampWarnsAndRefuses(t *testing.T) {
 		t.Fatalf("clamped count: status %d: %s", status, raw)
 	}
 	resp := decodeCount(t, raw)
-	if resp.Algorithm != "lotus-sharded" || resp.Triangles != want.Triangles {
-		t.Fatalf("clamped count wrong: algo %q triangles %d, want lotus-sharded %d",
+	if resp.Algorithm != "lotus" || resp.Triangles != want.Triangles {
+		t.Fatalf("clamped count wrong: algo %q triangles %d, want lotus %d",
 			resp.Algorithm, resp.Triangles, want.Triangles)
 	}
 	if resp.Cache.Warning == "" {
@@ -369,5 +367,82 @@ func TestShardClampWarnsAndRefuses(t *testing.T) {
 	}
 	if resp = decodeCount(t, raw); resp.Triangles != want.Triangles {
 		t.Fatalf("explicit shards count %d, want %d", resp.Triangles, want.Triangles)
+	}
+}
+
+// TestDefaultAlgorithmHonorsShards: "shards" sets the grid of every
+// lotus count, also one the default route (auto) resolves to lotus:
+// the p = 3 plan and all three shard entries become resident, and
+// nothing is built at p = 1.
+func TestDefaultAlgorithmHonorsShards(t *testing.T) {
+	for _, algo := range []string{"", "auto", "lotus"} {
+		t.Run("algo="+algo, func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{})
+			spec := GraphSpec{Type: "rmat", Scale: 10, EdgeFactor: 8, Seed: 3}
+			body := `{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 3}, "shards": 3`
+			if algo != "" {
+				body += `, "algorithm": "` + algo + `"`
+			}
+			status, raw := postJSON(t, ts.URL+"/v1/count", body+`}`)
+			if status != http.StatusOK {
+				t.Fatalf("status %d: %s", status, raw)
+			}
+			if got := decodeCount(t, raw).Cache.Algorithm; got != "lotus" {
+				t.Fatalf("cache.algorithm %q, want lotus", got)
+			}
+			if !srv.cache.peek(shardPlanKey(&spec, 0, 0, 3)) {
+				t.Fatal("p=3 plan entry not resident")
+			}
+			for b := 0; b < 3; b++ {
+				if !srv.cache.peek(shardKey(&spec, 0, 0, 3, b)) {
+					t.Fatalf("p=3 shard entry %d not resident", b)
+				}
+			}
+			if srv.cache.peek(shardPlanKey(&spec, 0, 0, 1)) || srv.cache.peek(shardKey(&spec, 0, 0, 1, 0)) {
+				t.Fatal("a p=1 structure was built for a shards=3 request")
+			}
+		})
+	}
+}
+
+// TestShardsValidatedBeforeWork: a grid dimension outside
+// [0, shard.MaxGrid] is the client's mistake: 400 bad_request before
+// the graph is built, and no server error on the books.
+func TestShardsValidatedBeforeWork(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	for _, shards := range []int{-1, shard.MaxGrid + 1, 1000000} {
+		body := fmt.Sprintf(`{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 3}, "shards": %d}`, shards)
+		status, raw := postJSON(t, ts.URL+"/v1/count", body)
+		if status != http.StatusBadRequest || !bytes.Contains(raw, []byte("bad_request")) {
+			t.Fatalf("shards %d: status %d, body %s; want 400 bad_request", shards, status, raw)
+		}
+	}
+	for _, name := range []string{"serve.errors", "serve.graph_builds", "cache.builds"} {
+		if got := srv.Metrics().Get(name); got != 0 {
+			t.Fatalf("%s = %d after rejected requests, want 0", name, got)
+		}
+	}
+}
+
+// TestShardedNameRetired: "lotus-sharded" is no longer an algorithm:
+// a count naming it is a 400 unknown_algorithm, and /metrics carries
+// no decision counter for it.
+func TestShardedNameRetired(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, raw := postJSON(t, ts.URL+"/v1/count",
+		`{"graph": {"type": "rmat", "scale": 8, "edge_factor": 8, "seed": 1}, "algorithm": "lotus-sharded", "shards": 2}`)
+	if status != http.StatusBadRequest || !bytes.Contains(raw, []byte("unknown_algorithm")) {
+		t.Fatalf("lotus-sharded: status %d, body %s; want 400 unknown_algorithm", status, raw)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"tune.decision.lotus"`) {
+		t.Fatalf("/metrics: status %d, no tune.decision.lotus: %s", resp.StatusCode, body)
+	}
+	if strings.Contains(body, "tune.decision.lotus-sharded") {
+		t.Fatal("/metrics still carries tune.decision.lotus-sharded")
 	}
 }

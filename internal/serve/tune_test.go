@@ -145,16 +145,14 @@ func TestAlgorithmsListsTunerFamily(t *testing.T) {
 	if byName["cover-edge"].Shardable {
 		t.Error("cover-edge must not advertise shardable")
 	}
-	if !byName["lotus-sharded"].Shardable {
-		t.Error("lotus-sharded must advertise shardable")
+	if !byName["lotus"].Shardable {
+		t.Error("lotus must advertise shardable")
 	}
 	// The class split is its own tag: the LOTUS-structured kernels
 	// carry it, cover-edge and auto report phases without it, and the
 	// comparators carry neither.
-	for _, name := range []string{"lotus", "lotus-sharded"} {
-		if caps := byName[name]; !caps.ReportsClasses || !caps.ReportsPhases {
-			t.Errorf("%s must advertise reports_classes and reports_phases: %+v", name, caps)
-		}
+	if caps := byName["lotus"]; !caps.ReportsClasses || !caps.ReportsPhases {
+		t.Errorf("lotus must advertise reports_classes and reports_phases: %+v", caps)
 	}
 	for _, name := range []string{"cover-edge", "auto", "forward"} {
 		if byName[name].ReportsClasses {

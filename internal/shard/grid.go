@@ -15,9 +15,6 @@ import (
 // relabeled vertex IDs.
 type VertexRange = core.VertexRange
 
-// DefaultGrid is the grid dimension used when none is requested.
-const DefaultGrid = 2
-
 // MaxGrid bounds the grid dimension: triple enumeration is
 // O(p^3 / 6) and per-apex range restriction is O(p^2), so an absurd p
 // would turn scheduling overhead into the dominant cost long before
@@ -26,23 +23,15 @@ const MaxGrid = 64
 
 // Options configure a grid build.
 type Options struct {
-	// Grid is the dimension p of the p×p block grid (0 = DefaultGrid;
-	// 1 yields a single block: the flat LOTUS structure).
+	// Options are the LOTUS preprocessing options, with core's meaning
+	// and defaults: the grid's shared relabeling is computed exactly as
+	// core.TryPreprocess computes it. Metrics, when non-nil, receives
+	// core.TryPreprocess's build counters (summed over shards) and
+	// shard.blocks.
+	core.Options
+	// Grid is the dimension p of the p×p block grid (0 or 1 = a single
+	// block: the flat LOTUS structure).
 	Grid int
-	// HubCount and FrontFraction are the LOTUS preprocessing knobs,
-	// with the same meaning and defaults as core.Options: the grid's
-	// shared relabeling is computed exactly as core.TryPreprocess
-	// computes it.
-	HubCount      int
-	FrontFraction float64
-	// Pool supplies workers for parallel preprocessing; nil uses a
-	// GOMAXPROCS pool.
-	Pool *sched.Pool
-	// Metrics, when non-nil, receives the build counters of
-	// core.TryPreprocess (preprocess.ns, preprocess.relabel.ns, the
-	// walk timings and the lotus.* structure counters, summed over
-	// shards) and shard.blocks.
-	Metrics *obs.Metrics
 }
 
 // Plan is the cheap, shard-independent half of a grid build: the
@@ -62,17 +51,17 @@ type Plan struct {
 	// HubCount is the global hub count.
 	HubCount uint32
 
-	hubOpt      int
-	frontFrac   float64
-	numVertices int
+	// build holds the hub count and front fraction every shard is
+	// built with.
+	build core.Options
 }
 
 // NumVertices returns |V|.
-func (pl *Plan) NumVertices() int { return pl.numVertices }
+func (pl *Plan) NumVertices() int { return len(pl.Relabeling) }
 
 // SizeBytes estimates the plan's resident footprint (the relabeling
 // array dominates).
-func (pl *Plan) SizeBytes() int64 { return 4*int64(pl.numVertices) + 8*int64(pl.P) + 64 }
+func (pl *Plan) SizeBytes() int64 { return 4*int64(len(pl.Relabeling)) + 8*int64(pl.P) + 64 }
 
 // NewPlan computes the shared relabeling and the degree-aware
 // partition for a p-way grid over g. Blocks are balanced by oriented
@@ -87,19 +76,16 @@ func NewPlan(g *graph.Graph, opt Options) (*Plan, error) {
 	if g.Oriented {
 		return nil, core.ErrOriented
 	}
-	p := opt.Grid
-	if p == 0 {
-		p = DefaultGrid
+	if opt.Grid < 0 || opt.Grid > MaxGrid {
+		return nil, fmt.Errorf("shard: grid dimension %d out of range [0, %d]", opt.Grid, MaxGrid)
 	}
-	if p < 1 || p > MaxGrid {
-		return nil, fmt.Errorf("shard: grid dimension %d out of range [1, %d]", p, MaxGrid)
-	}
+	p := max(opt.Grid, 1)
 	pool := opt.Pool
 	if pool == nil {
 		pool = sched.NewPool(0)
 	}
 	n := g.NumVertices()
-	hubCount := uint32(core.Options{HubCount: opt.HubCount}.EffectiveHubCount(n))
+	hubCount := uint32(opt.EffectiveHubCount(n))
 	t0 := time.Now()
 	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hubCount), FrontFraction: opt.FrontFraction})
 	opt.Metrics.AddDuration(obs.PreprocessRelabelNS, time.Since(t0))
@@ -109,13 +95,11 @@ func NewPlan(g *graph.Graph, opt Options) (*Plan, error) {
 		ranges = PartitionByWeight(orientedWeights(g, ra, pool), p)
 	}
 	return &Plan{
-		P:           p,
-		Ranges:      ranges,
-		Relabeling:  ra,
-		HubCount:    hubCount,
-		hubOpt:      opt.HubCount,
-		frontFrac:   opt.FrontFraction,
-		numVertices: n,
+		P:          p,
+		Ranges:     ranges,
+		Relabeling: ra,
+		HubCount:   hubCount,
+		build:      core.Options{HubCount: opt.HubCount, FrontFraction: opt.FrontFraction},
 	}, nil
 }
 
@@ -150,39 +134,24 @@ func (pl *Plan) BuildShard(g *graph.Graph, b int, pool *sched.Pool, m *obs.Metri
 	if b < 0 || b >= pl.P {
 		return nil, fmt.Errorf("shard: block %d out of range [0, %d)", b, pl.P)
 	}
-	return core.TryPreprocessRange(g, core.Options{
-		HubCount:      pl.hubOpt,
-		FrontFraction: pl.frontFrac,
-		Pool:          pool,
-		Metrics:       m,
-	}, pl.Relabeling, pl.Ranges[b])
+	opt := pl.build
+	opt.Pool, opt.Metrics = pool, m
+	return core.TryPreprocessRange(g, opt, pl.Relabeling, pl.Ranges[b])
 }
 
-// Grid is a complete LOTUS structure over a row partition: the plan's
-// ranges plus one built shard per block. At P = 1 its one shard is the
-// flat structure (core.LotusGraph's rows). It is the value
-// engine.Params.Prepared carries for both LOTUS kernels.
+// Grid is a complete LOTUS structure over a row partition: the plan
+// it is built from plus one built shard per block. At P = 1 its one
+// shard is the flat structure (core.LotusGraph's rows). It is the
+// value engine.Params.Prepared carries for the LOTUS kernel.
 type Grid struct {
-	// P is the grid dimension.
-	P int
-	// Ranges[b] is shard b's relabeled-ID range.
-	Ranges []VertexRange
-	// HubCount is the global hub count.
-	HubCount uint32
-	// Relabeling maps original ID -> relabeled ID.
-	Relabeling []uint32
+	*Plan
 	// Shards are the per-block structures, Shards[b] covering
 	// Ranges[b].
 	Shards []*core.LotusShard
 	// PreprocessTime is the wall time of Build (plan + all shards);
 	// grids assembled from cached shards report zero.
 	PreprocessTime time.Duration
-
-	numVertices int
 }
-
-// NumVertices returns |V|.
-func (gr *Grid) NumVertices() int { return gr.numVertices }
 
 // TopologyBytes returns the summed structure footprint of every
 // shard.
@@ -214,31 +183,24 @@ func Assemble(pl *Plan, shards []*core.LotusShard) (*Grid, error) {
 		if s.HubCount != pl.HubCount {
 			return nil, fmt.Errorf("shard: block %d built with %d hubs, plan says %d", b, s.HubCount, pl.HubCount)
 		}
-		if s.NumVertices() != pl.numVertices {
+		if s.NumVertices() != pl.NumVertices() {
 			return nil, fmt.Errorf("shard: block %d built from a %d-vertex graph, plan says %d",
-				b, s.NumVertices(), pl.numVertices)
+				b, s.NumVertices(), pl.NumVertices())
 		}
 	}
-	return &Grid{
-		P:           pl.P,
-		Ranges:      pl.Ranges,
-		HubCount:    pl.HubCount,
-		Relabeling:  pl.Relabeling,
-		Shards:      shards,
-		numVertices: pl.numVertices,
-	}, nil
+	return &Grid{Plan: pl, Shards: shards}, nil
 }
 
 // Build runs the whole pipeline: plan, build every shard, assemble.
 func Build(g *graph.Graph, opt Options) (*Grid, error) {
 	t0 := time.Now()
+	if opt.Pool == nil {
+		opt.Pool = sched.NewPool(0)
+	}
+	pool := opt.Pool
 	pl, err := NewPlan(g, opt)
 	if err != nil {
 		return nil, err
-	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = sched.NewPool(0)
 	}
 	shards := make([]*core.LotusShard, pl.P)
 	for b := range shards {

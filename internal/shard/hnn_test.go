@@ -108,7 +108,7 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 			want, wantPerVertex := bruteForceClasses(g, lg.Relabeling, lg.HubCount)
 			grids := make([]*Grid, 5)
 			for p := 1; p <= 4; p++ {
-				if grids[p], err = Build(g, Options{Grid: p, HubCount: hubs}); err != nil {
+				if grids[p], err = Build(g, Options{Grid: p, Options: core.Options{HubCount: hubs}}); err != nil {
 					t.Fatalf("%s hubs=%d p=%d: Build: %v", name, hubs, p, err)
 				}
 			}

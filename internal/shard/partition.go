@@ -14,8 +14,8 @@
 // (HHH/HHN/HNN/NNN) are identical to the flat structure's — the
 // per-class counts come out bit-identical by construction, and the
 // whole grid is simply a row-partition of the flat structure, which
-// is itself the p = 1 grid: the engine's "lotus" and "lotus-sharded"
-// kernels both build and count a Grid.
+// is itself the p = 1 grid: the engine's "lotus" kernel builds and
+// counts a Grid of the requested dimension.
 package shard
 
 // PartitionByWeight cuts the ID space [0, len(w)) into p contiguous

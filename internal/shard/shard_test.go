@@ -70,7 +70,7 @@ func TestShardEquivalence(t *testing.T) {
 		for _, hubs := range []int{0, 7, n / 2} {
 			want := monolithic(t, g, hubs)
 			for p := 1; p <= 4; p++ {
-				gr, err := Build(g, Options{Grid: p, HubCount: hubs})
+				gr, err := Build(g, Options{Grid: p, Options: core.Options{HubCount: hubs}})
 				if err != nil {
 					t.Fatalf("%s hubs=%d p=%d: Build: %v", name, hubs, p, err)
 				}
@@ -127,7 +127,7 @@ func TestShardRowsMatchMonolithic(t *testing.T) {
 			}
 			for _, p := range []int{1, 2, 4} {
 				label := fmt.Sprintf("%s hubs=%d p=%d", name, hubs, p)
-				gr, err := Build(g, Options{Grid: p, HubCount: hubs})
+				gr, err := Build(g, Options{Grid: p, Options: core.Options{HubCount: hubs}})
 				if err != nil {
 					t.Fatalf("%s: Build: %v", label, err)
 				}
@@ -179,7 +179,7 @@ func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 		n := g.NumVertices()
 		for _, hubs := range []int{0, 5, n / 2} {
 			for p := 1; p <= 4; p++ {
-				gr, err := Build(g, Options{Grid: p, HubCount: hubs})
+				gr, err := Build(g, Options{Grid: p, Options: core.Options{HubCount: hubs}})
 				if err != nil {
 					t.Fatalf("Build: %v", err)
 				}
@@ -296,7 +296,7 @@ func TestBuildValidation(t *testing.T) {
 func TestBuildPublishesRelabelTime(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
 	m := obs.New()
-	if _, err := Build(g, Options{Grid: 2, Metrics: m}); err != nil {
+	if _, err := Build(g, Options{Grid: 2, Options: core.Options{Metrics: m}}); err != nil {
 		t.Fatal(err)
 	}
 	rl, pre := m.Get(obs.PreprocessRelabelNS), m.Get(obs.PreprocessNS)

@@ -56,13 +56,7 @@ type Algorithm string
 // The available algorithms. AlgoLotus is the paper's contribution;
 // the others are the §5.1.4 comparators.
 const (
-	AlgoLotus Algorithm = "lotus"
-	// AlgoLotusSharded partitions the relabeled ID space into a
-	// Shards-way grid, builds one LOTUS structure per block, and counts
-	// by block triple through AlgoLotus's three phases; totals,
-	// classes and the Phase1/HNNPhase/NNNPhase fields come out as for
-	// AlgoLotus, which is the same kernel over the one-block grid.
-	AlgoLotusSharded  Algorithm = "lotus-sharded"
+	AlgoLotus         Algorithm = "lotus"
 	AlgoForward       Algorithm = "forward"        // GAP-style, merge join
 	AlgoForwardBinary Algorithm = "forward-binary" // binary-search intersection
 	AlgoForwardHash   Algorithm = "forward-hash"   // Forward-hashed
@@ -111,9 +105,12 @@ type Options struct {
 	// FrontFraction overrides the §4.3.1 relabeling front block
 	// (0 = the paper's 10%).
 	FrontFraction float64
-	// Shards is the grid dimension p for AlgoLotusSharded
-	// (0 = the default 2; 1 = a single block, which counts exactly as
-	// AlgoLotus does). Other algorithms ignore it.
+	// Shards is the grid dimension p of AlgoLotus: the relabeled ID
+	// space is cut into p ranges, one LOTUS structure is built per
+	// range, and the count runs by block triple (0 or 1 = a single
+	// block, the flat structure). Totals and the class split are the
+	// same at every p. AlgoAuto passes it on when it routes to
+	// AlgoLotus; other algorithms ignore it.
 	Shards int
 	// TuneAlgorithm pins the algorithm AlgoAuto routes to, for
 	// ablation (e.g. AlgoLotus to measure what the tuner saved).
