@@ -35,9 +35,10 @@ check:
 	# (with a third of the edges removed and re-added) against LOTUS's
 	# class split over the same random hubs.
 	$(GO) run ./cmd/lotus-verify -rounds 50
-	# The one Algorithm 3 count (core.CountBlocks) over a LOTUS grid,
-	# the flat structure being its p=1 case: every HNN and NNN path
-	# (p=1..4 on one shared CountScratch, per-vertex; both NNN kernels)
+	# The one Algorithm 3 count (core.LotusGraph.CountWithOptions) over
+	# a LOTUS grid, the flat structure being its p=1 case: every HNN
+	# and NNN path (p=1..4 on one shared CountScratch, per-vertex; both
+	# NNN kernels)
 	# against a brute-force oracle, racing the per-worker hub and
 	# vertex bitmaps and the dense-row index each path must build; the
 	# bitmap-vs-merge NNN equivalence with its dispatch counters;
@@ -50,7 +51,7 @@ check:
 	# held to the scalar probe, over one block and over grid blocks
 	# with pair tiles; the walk's timed passes; and the phase-1 tile
 	# work at worker counts below 1.
-	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence|TestShardRowsMatchMonolithic' ./internal/shard/
+	$(GO) test -race -run 'TestShardEquivalence|TestHNNBitmapEquivalence|TestShardRowsMatchMonolithic' ./internal/core/
 	$(GO) test -race -run 'TestIntersectKernelEquivalence|TestHNNCancellationLeavesBitmapsClear|TestCountScratchReuseAcrossGraphs|TestPreprocessBitIdentical|TestPreprocessPhaseSplit|TestPhase1KernelEquivalence|TestPhase1TileWorkClampsWorkers' ./internal/core/
 	# Auto-tuner surface: the probe's parallel reductions, the policy,
 	# and the cover-edge kernel's parallel sweep all race-tested in
@@ -108,7 +109,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/compress
 	$(GO) test -run=^$$ -fuzz=FuzzReadLotusGraph -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzIntersectAgreement -fuzztime=10s ./internal/intersect
-	$(GO) test -run=^$$ -fuzz=FuzzPartition -fuzztime=10s ./internal/shard
+	$(GO) test -run=^$$ -fuzz=FuzzPartition -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDegreeOrder -fuzztime=10s ./internal/reorder
 	$(GO) test -run=^$$ -fuzz=FuzzTriest$$ -fuzztime=10s ./internal/approx
 	$(GO) test -run=^$$ -fuzz=FuzzWALDecode -fuzztime=10s ./internal/serve

@@ -2,7 +2,6 @@ package lotustc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"lotustc/internal/approx"
 	"lotustc/internal/core"
@@ -14,44 +13,12 @@ import (
 
 // PerVertexTriangles returns, for every vertex, the number of
 // triangles it participates in — the building block of local
-// clustering analysis. Workers 0 uses GOMAXPROCS.
+// clustering analysis. It builds the flat LOTUS structure and runs
+// its per-vertex count, as LotusCounter.PerVertexTriangles does.
+// Workers 0 uses GOMAXPROCS.
 func PerVertexTriangles(g *Graph, workers int) []uint64 {
 	pool := sched.NewPool(workers)
-	ra := reorder.DegreeOrder(g)
-	og := g.Relabel(ra).Orient()
-	n := og.NumVertices()
-	counts := make([]uint64, n)
-	pool.For(n, 0, func(_, start, end int) {
-		for v := start; v < end; v++ {
-			nv := og.Neighbors(uint32(v))
-			for _, u := range nv {
-				nu := og.Neighbors(u)
-				i, j := 0, 0
-				for i < len(nv) && j < len(nu) {
-					switch {
-					case nv[i] < nu[j]:
-						i++
-					case nv[i] > nu[j]:
-						j++
-					default:
-						// Triangle (v, u, nv[i]): corners may be
-						// claimed by other workers concurrently.
-						atomic.AddUint64(&counts[v], 1)
-						atomic.AddUint64(&counts[u], 1)
-						atomic.AddUint64(&counts[nv[i]], 1)
-						i++
-						j++
-					}
-				}
-			}
-		}
-	})
-	// Map back to original IDs.
-	out := make([]uint64, n)
-	for old := 0; old < n; old++ {
-		out[old] = counts[ra[old]]
-	}
-	return out
+	return perVertexTriangles(core.Preprocess(g, core.Options{Pool: pool}), pool)
 }
 
 // LocalClusteringCoefficients returns lcc(v) = 2T(v)/(d(v)(d(v)-1))
@@ -110,7 +77,12 @@ func NewStreamingCounter(n int, hubIDs []uint32) (*StreamingCounter, error) {
 // (or empty) the hub-aware counter is used: all-hub cliques are
 // enumerated on dense bitsets and mixed cliques on the split HE/NHE
 // lists; any other algorithm selects the generic ordered enumeration.
+// k-cliques count over the flat structure, so Options.Shards above 1
+// is an error.
 func CountKCliques(g *Graph, k int, opt Options) (uint64, error) {
+	if opt.Shards > 1 {
+		return 0, fmt.Errorf("lotustc: k-cliques count over the flat structure, not a %d-way grid", opt.Shards)
+	}
 	pool := sched.NewPool(opt.Workers)
 	switch opt.Algorithm {
 	case "", AlgoLotus:

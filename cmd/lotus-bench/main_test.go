@@ -78,3 +78,14 @@ func TestRemovedExperimentsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestExpiredTimeoutExits1: a -timeout that has passed before the
+// experiment's LOTUS builds makes lotus-bench exit 1 with the
+// deadline, not panic.
+func TestExpiredTimeoutExits1(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-exp", "table7", "-scale", "8", "-edgefactor", "6", "-timeout", "1ns"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "deadline exceeded") {
+		t.Fatalf("exit %d, stderr %q; want 1 and the deadline", code, stderr.String())
+	}
+}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -101,8 +102,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	pool := sched.NewPool(0).Bind(ctx)
 	defer pool.Release()
-	lg := core.Preprocess(g, core.Options{HubCount: *hubs, Pool: pool})
-	if err := ctx.Err(); err != nil {
+	lg, err := core.TryPreprocess(g, core.Options{HubCount: *hubs, Pool: pool})
+	if err = cmp.Or(ctx.Err(), err); err != nil {
 		fmt.Fprintf(stderr, "lotus-perf: %v\n", err)
 		return 1
 	}

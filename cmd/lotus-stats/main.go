@@ -10,6 +10,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -89,11 +90,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  hub relative density: %.0f\n", t1.RelativeDensity)
 	fmt.Fprintf(stdout, "  fruitless searches:   %6.1f%%\n", t1.FruitlessSearchPct)
 
-	if err := ctx.Err(); err != nil {
+	lg, err := core.TryPreprocess(g, core.Options{HubCount: *hubs, Pool: pool})
+	if err = cmp.Or(ctx.Err(), err); err != nil {
 		fmt.Fprintf(stderr, "lotus-stats: %v\n", err)
 		return 1
 	}
-	lg := core.Preprocess(g, core.Options{HubCount: *hubs, Pool: pool})
 	t7 := stats.ComputeTable7(g, lg)
 	fmt.Fprintf(stdout, "\nTable 7 (LOTUS hub count %d):\n", lg.HubCount)
 	fmt.Fprintf(stdout, "  CSX edges: %d B   CSX: %d B   LOTUS: %d B   growth: %.1f%%\n",

@@ -51,3 +51,13 @@ func TestStatsErrors(t *testing.T) {
 		t.Fatal("bad flag should exit 2")
 	}
 }
+
+// TestExpiredTimeoutExits1: a -timeout that has passed before
+// preprocessing makes lotus-stats exit 1 with the deadline, not panic.
+func TestExpiredTimeoutExits1(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-rmat", "8", "-timeout", "1ns"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "deadline exceeded") {
+		t.Fatalf("exit %d, stderr %q; want 1 and the deadline", code, stderr.String())
+	}
+}

@@ -16,10 +16,10 @@ import (
 	"os"
 
 	"lotustc"
+	"lotustc/internal/core"
 	"lotustc/internal/engine"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
-	"lotustc/internal/shard"
 )
 
 func main() {
@@ -80,12 +80,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -shards is range-checked up front, and with a -algo that never
 	// counts over a LOTUS grid it is rejected rather than silently
 	// ignored.
-	if *shards < 0 || *shards > shard.MaxGrid {
-		fmt.Fprintf(stderr, "lotus-tc: -shards %d must be in [0, %d]\n", *shards, shard.MaxGrid)
+	if *shards < 0 || *shards > core.MaxGrid {
+		fmt.Fprintf(stderr, "lotus-tc: -shards %d must be in [0, %d]\n", *shards, core.MaxGrid)
 		return 2
 	}
 	if *shards > 0 && *algo != "lotus" && *algo != "auto" {
 		fmt.Fprintf(stderr, "lotus-tc: -shards applies to lotus and auto, not %q\n", *algo)
+		return 2
+	}
+	if *shards > 1 && *k > 3 {
+		fmt.Fprintln(stderr, "lotus-tc: -shards covers triangle counting only (k = 3); k-cliques count over the flat structure")
 		return 2
 	}
 	if *tuneAlgo != "" {

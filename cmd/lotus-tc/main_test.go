@@ -161,6 +161,20 @@ func TestShardsFlag(t *testing.T) {
 	}
 }
 
+// TestKCliquesRejectShards: k-cliques count over the flat structure,
+// so -shards above 1 with -k > 3 is a usage error that names the
+// flag, not a silently flat count; -shards 1 is the flat structure
+// and still counts.
+func TestKCliquesRejectShards(t *testing.T) {
+	code, out, errOut := runTC(t, "-rmat", "8", "-k", "4", "-shards", "3")
+	if code != 2 || strings.Contains(out, "cliques:") || !strings.Contains(errOut, "-shards") {
+		t.Fatalf("-k 4 -shards 3: exit %d, stdout %q, stderr %q; want exit 2, no count, a -shards message", code, out, errOut)
+	}
+	if code, out, errOut := runTC(t, "-rmat", "8", "-k", "4", "-shards", "1"); code != 0 || !strings.Contains(out, "4-cliques:") {
+		t.Fatalf("-k 4 -shards 1: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+}
+
 // classesLine returns the "classes:" line of a -v run's output.
 func classesLine(out string) string {
 	for _, line := range strings.Split(out, "\n") {

@@ -2,7 +2,6 @@ package lotustc
 
 import (
 	"lotustc/internal/core"
-	"lotustc/internal/reorder"
 	"lotustc/internal/sched"
 )
 
@@ -64,11 +63,16 @@ func (c *LotusCounter) Count() *Result {
 // PerVertexTriangles returns the triangle participation count of
 // every vertex, indexed by the graph's original vertex IDs.
 func (c *LotusCounter) PerVertexTriangles() []uint64 {
-	per := c.lg.CountPerVertex(c.pool)
-	inv := reorder.Inverse(c.lg.Relabeling)
+	return perVertexTriangles(c.lg, c.pool)
+}
+
+// perVertexTriangles runs the per-vertex count over the one shard of
+// a flat structure and maps it back to original vertex IDs.
+func perVertexTriangles(lg *core.LotusGraph, pool *sched.Pool) []uint64 {
+	per := lg.Flat().CountPerVertex(pool)
 	out := make([]uint64, len(per))
-	for newID, count := range per {
-		out[inv[newID]] = count
+	for old, nw := range lg.Relabeling {
+		out[old] = per[nw]
 	}
 	return out
 }

@@ -33,8 +33,7 @@ func Doulion(g *graph.Graph, p float64, seed int64, pool *sched.Pool) float64 {
 		return 0
 	}
 	if p >= 1 {
-		lg := core.Preprocess(g, core.Options{Pool: pool})
-		return float64(lg.Count(pool).Total)
+		return float64(exactCount(g, pool))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var kept []graph.Edge
@@ -44,9 +43,18 @@ func Doulion(g *graph.Graph, p float64, seed int64, pool *sched.Pool) float64 {
 		}
 	}
 	sg := graph.FromEdges(kept, graph.BuildOptions{NumVertices: g.NumVertices()})
-	lg := core.Preprocess(sg, core.Options{Pool: pool})
-	t := lg.Count(pool).Total
-	return float64(t) / (p * p * p)
+	return float64(exactCount(sg, pool)) / (p * p * p)
+}
+
+// exactCount counts g's triangles with LOTUS. A build cut short by a
+// cancelled pool counts 0: like any count on a cancelled pool the
+// result is partial, and the caller's context reports the abort.
+func exactCount(g *graph.Graph, pool *sched.Pool) uint64 {
+	lg := core.Preprocess(g, core.Options{Pool: pool})
+	if lg == nil {
+		return 0
+	}
+	return lg.Count(pool).Total
 }
 
 // WedgeSampling estimates the triangle count by sampling `samples`
@@ -116,6 +124,9 @@ type HybridResult struct {
 // probability p on the non-hub sub-graph.
 func Hybrid(g *graph.Graph, p float64, seed int64, opt core.Options, pool *sched.Pool) HybridResult {
 	lg := core.Preprocess(g, opt)
+	if lg == nil {
+		return HybridResult{} // cancelled: partial, see exactCount
+	}
 	// Exact hub phases only; NNN is replaced by sampling.
 	res := lg.CountWithOptions(pool, core.CountOptions{SkipNNN: p < 1})
 	exact := res.HHH + res.HHN + res.HNN
@@ -132,8 +143,7 @@ func Hybrid(g *graph.Graph, p float64, seed int64, opt core.Options, pool *sched
 			}
 		}
 		sg := graph.FromEdges(kept, graph.BuildOptions{NumVertices: sub.NumVertices()})
-		slg := core.Preprocess(sg, core.Options{Pool: pool})
-		nnn = float64(slg.Count(pool).Total) / (p * p * p)
+		nnn = float64(exactCount(sg, pool)) / (p * p * p)
 	}
 	est := float64(exact) + nnn
 	share := 0.0

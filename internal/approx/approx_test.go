@@ -1,7 +1,9 @@
 package approx
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"lotustc/internal/baseline"
@@ -122,5 +124,28 @@ func TestHybridPartsConsistent(t *testing.T) {
 	}
 	if h.NNNShare != 0 {
 		t.Fatalf("NNN share = %v, want 0", h.NNNShare)
+	}
+}
+
+// TestCancelledPoolEstimatesZero: an estimator whose pool is cancelled
+// before or during its LOTUS build reports 0 rather than panicking;
+// the caller's context reports the abort (serve's /v1/estimate answers
+// the deadline).
+func TestCancelledPoolEstimatesZero(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(10, 8, 4))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cp := sched.NewPool(2).Bind(ctx)
+	defer cp.Release()
+	for !cp.Cancelled() { // Bind observes the context asynchronously
+		runtime.Gosched()
+	}
+	for _, p := range []float64{0.5, 1} {
+		if d := Doulion(g, p, 1, cp); d != 0 {
+			t.Errorf("Doulion(p=%v) on a cancelled pool = %v, want 0", p, d)
+		}
+		if h := Hybrid(g, p, 1, core.Options{Pool: cp}, cp); h != (HybridResult{}) {
+			t.Errorf("Hybrid(p=%v) on a cancelled pool = %+v, want zero", p, h)
+		}
 	}
 }

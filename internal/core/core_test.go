@@ -175,7 +175,7 @@ func TestValidateAfterPreprocess(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 		// HE+NHE must partition the oriented edges.
-		if got := lg.HE.NumEdges() + lg.NHE.NumEdges(); got != g.NumEdges() {
+		if got := lg.Shards[0].HE.NumEdges() + lg.Shards[0].NHE.NumEdges(); got != g.NumEdges() {
 			t.Errorf("%s: HE+NHE = %d, want %d", name, got, g.NumEdges())
 		}
 	}
@@ -270,7 +270,7 @@ func TestPhase1TileWorkClampsWorkers(t *testing.T) {
 	lg := Preprocess(g, Options{HubCount: 64, Pool: pool})
 	var pairs uint64
 	for v := 0; v < g.NumVertices(); v++ {
-		d := uint64(lg.HE.Degree(uint32(v)))
+		d := uint64(lg.Shards[0].HE.Degree(uint32(v)))
 		pairs += d * (d - 1) / 2
 	}
 	opt := CountOptions{TileThreshold: 8}
@@ -319,8 +319,8 @@ func TestPaperTilingExample(t *testing.T) {
 func TestTopologyBytesAccounting(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 2))
 	lg := Preprocess(g, Options{HubCount: 256, Pool: pool})
-	want := 2*8*int64(g.NumVertices()+1) + lg.H2H.SizeBytes() +
-		2*lg.HE.NumEdges() + 4*lg.NHE.NumEdges()
+	want := 2*8*int64(g.NumVertices()+1) + lg.Shards[0].H2H.SizeBytes() +
+		2*lg.Shards[0].HE.NumEdges() + 4*lg.Shards[0].NHE.NumEdges()
 	if got := lg.TopologyBytes(); got != want {
 		t.Fatalf("TopologyBytes = %d, want %d", got, want)
 	}
@@ -355,7 +355,10 @@ func relabelSplitOracle(g *graph.Graph, opt Options) *LotusGraph {
 		nhe.offsets = append(nhe.offsets, int64(len(nhe.nbrs)))
 	}
 	rows := &LotusShard{Range: VertexRange{Hi: uint32(n)}, HubCount: hubCount, H2H: h2h, HE: he, NHE: nhe, numVertices: n}
-	return &LotusGraph{LotusShard: rows, Relabeling: ra}
+	return &LotusGraph{
+		Plan:   &Plan{P: 1, Ranges: []VertexRange{rows.Range}, Relabeling: ra, HubCount: hubCount},
+		Shards: []*LotusShard{rows},
+	}
 }
 
 // TestPreprocessBitIdentical holds TryPreprocess (the on-the-fly walk
@@ -384,15 +387,15 @@ func TestPreprocessBitIdentical(t *testing.T) {
 			if a.HubCount != b.HubCount {
 				t.Fatalf("%s hubs=%d: hub counts differ", name, hubs)
 			}
-			if !reflect.DeepEqual(a.HE.Offsets(), b.HE.Offsets()) ||
-				!reflect.DeepEqual(a.HE.Raw(), b.HE.Raw()) {
+			if !reflect.DeepEqual(a.Shards[0].HE.Offsets(), b.Shards[0].HE.Offsets()) ||
+				!reflect.DeepEqual(a.Shards[0].HE.Raw(), b.Shards[0].HE.Raw()) {
 				t.Fatalf("%s hubs=%d: HE differs", name, hubs)
 			}
-			if !reflect.DeepEqual(a.NHE.Offsets(), b.NHE.Offsets()) ||
-				!reflect.DeepEqual(a.NHE.Raw(), b.NHE.Raw()) {
+			if !reflect.DeepEqual(a.Shards[0].NHE.Offsets(), b.Shards[0].NHE.Offsets()) ||
+				!reflect.DeepEqual(a.Shards[0].NHE.Raw(), b.Shards[0].NHE.Raw()) {
 				t.Fatalf("%s hubs=%d: NHE differs", name, hubs)
 			}
-			if !reflect.DeepEqual(a.H2H.Words(), b.H2H.Words()) {
+			if !reflect.DeepEqual(a.Shards[0].H2H.Words(), b.Shards[0].H2H.Words()) {
 				t.Fatalf("%s hubs=%d: H2H differs", name, hubs)
 			}
 			if err := b.Validate(); err != nil {
@@ -404,7 +407,7 @@ func TestPreprocessBitIdentical(t *testing.T) {
 				t.Fatalf("%s hubs=%d: counts differ %d vs %d", name, hubs, ra.Total, rb.Total)
 			}
 			for v := 0; v < g.NumVertices(); v++ {
-				if b.HE.Degree(uint32(v)) >= denseRowMin(b.HubCount) {
+				if b.Shards[0].HE.Degree(uint32(v)) >= denseRowMin(b.HubCount) {
 					dense[int(b.HubCount)] = true
 					break
 				}

@@ -116,10 +116,38 @@ func (lg *LotusGraph) Count(pool *sched.Pool) *Result {
 	return lg.CountWithOptions(pool, CountOptions{})
 }
 
-// CountWithOptions runs Algorithm 3 over the whole graph: the single
-// block (0, 0, 0) of the one-range row partition (CountBlocks).
+// CountWithOptions runs Algorithm 3 over the structure: it lists
+// every live block triple (i <= j <= k) and runs the three phases
+// over them (countBlocks); at P = 1 the one triple (0, 0, 0) is the
+// flat count. For a triple, apexes x stream from shard k's rows;
+// phase 1 probes shard j's H2H rows with the apex's hub pairs (h1 in
+// R_j, h2 in R_i), HNN probes shard j's HE rows against the apex's
+// R_i hubs, and NNN shard j's NHE rows against its R_i non-hub
+// neighbours. Each triangle z < y < x is counted exactly once: by the
+// unique triple (block(z), block(y), block(x)), at the same apex and
+// with the same hubness pattern at every P, which is why the
+// per-class totals match bit for bit. opt.Metrics also receives
+// shard.triples, the live triples.
 func (lg *LotusGraph) CountWithOptions(pool *sched.Pool, opt CountOptions) *Result {
-	return CountBlocks(pool, []*LotusShard{lg.LotusShard}, []Block{{}}, opt)
+	blocks := lg.blocks()
+	opt.Metrics.Add(obs.ShardTriples, int64(len(blocks)))
+	return countBlocks(pool, lg.Shards, blocks, opt)
+}
+
+// blocks lists the block triples i <= j <= k that can hold a
+// triangle (block.live), in enumeration order.
+func (lg *LotusGraph) blocks() []block {
+	var bs []block
+	for k := 0; k < lg.P; k++ {
+		for j := 0; j <= k; j++ {
+			for i := 0; i <= j; i++ {
+				if b := (block{I: i, J: j, K: k}); b.live(lg.Shards) {
+					bs = append(bs, b)
+				}
+			}
+		}
+	}
+	return bs
 }
 
 // withDefaults fills in the tiling defaults for a pool of the given
@@ -134,18 +162,18 @@ func (opt CountOptions) withDefaults(workers int) CountOptions {
 	return opt
 }
 
-// Block is one block triple (I, J, K) of a row partition, as indices
-// into the rows passed to CountBlocks. Apexes x stream from rows[K],
+// block is one block triple (I, J, K) of a row partition, as indices
+// into the rows passed to countBlocks. Apexes x stream from rows[K],
 // middle vertices y from rows[J] (its H2H rows in phase 1, its HE and
 // NHE rows in HNN and NNN), and the closing vertex z must fall in the
 // range of rows[I]. With ascending ranges and I <= J <= K, a triangle
 // z < y < x lands in exactly one block, (block(z), block(y),
 // block(x)), at the same apex and with the same class as in the flat
 // count.
-type Block struct{ I, J, K int }
+type block struct{ I, J, K int }
 
-// Live reports whether any phase can close a triangle in b.
-func (b Block) Live(rows []*LotusShard) bool {
+// live reports whether any phase can close a triangle in b.
+func (b block) live(rows []*LotusShard) bool {
 	p1, hnn, nnn := b.phases(rows)
 	return p1 || hnn || nnn
 }
@@ -154,7 +182,7 @@ func (b Block) Live(rows []*LotusShard) bool {
 // needs hubs in I and J and an apex in K, HNN hubs in I and non-hubs
 // in J and K, NNN non-hubs in all three. Hubs are the IDs below the
 // hub count, so every range holds a hub prefix and a non-hub suffix.
-func (b Block) phases(rows []*LotusShard) (p1, hnn, nnn bool) {
+func (b block) phases(rows []*LotusShard) (p1, hnn, nnn bool) {
 	h := rows[0].HubCount
 	hubs := func(r VertexRange) bool { return r.Lo < min(r.Hi, h) }
 	nonHubs := func(r VertexRange) bool { return max(r.Lo, h) < r.Hi }
@@ -184,7 +212,7 @@ func (c cut) any() bool { return c.i || c.j }
 
 // resolve returns the spans of the blocks each phase can close a
 // triangle in, in block order.
-func resolve(rows []*LotusShard, blocks []Block) (p1, hnn, nnn []span) {
+func resolve(rows []*LotusShard, blocks []block) (p1, hnn, nnn []span) {
 	h, n := rows[0].HubCount, uint32(rows[0].numVertices)
 	// cuts reports which of i and j leave out part of [lo, hi).
 	cuts := func(i, j VertexRange, lo, hi uint32) cut {
@@ -208,6 +236,15 @@ func resolve(rows []*LotusShard, blocks []Block) (p1, hnn, nnn []span) {
 		}
 	}
 	return p1, hnn, nnn
+}
+
+// middleHubs returns the hubs of apex x's row in J, whose indices
+// phase-1 tiles split.
+func (s *span) middleHubs(x uint32) int {
+	if s.hubCut.j {
+		return len(restrict(s.apex.HENeighbors(x), s.j))
+	}
+	return s.apex.HE.Degree(x - s.apex.Range.Lo)
 }
 
 // cutRow returns an apex row restricted, as c says, to I (the closing
@@ -249,17 +286,17 @@ func lowerBound[T uint16 | uint32](row []T, bound uint32) int {
 	return base
 }
 
-// CountBlocks runs Algorithm 3 over blocks of a row partition. rows
+// countBlocks runs Algorithm 3 over blocks of a row partition. rows
 // must be non-empty, built with one relabeling and hub count, with
-// ranges that ascend and cover every vertex: a grid's shards, of which
-// a LotusGraph is the one-shard case. Phase 1 counts HHH and HHN triangles against the H2H
-// rows of J, phase 2 HNN triangles by probing the HE rows of J against
-// the apex's hubs in I, and phase 3 (unless SkipNNN) NNN triangles by
+// ranges that ascend and cover every vertex: a LotusGraph's shards.
+// Phase 1 counts HHH and HHN triangles against the H2H rows of J,
+// phase 2 HNN triangles by probing the HE rows of J against the
+// apex's hubs in I, and phase 3 (unless SkipNNN) NNN triangles by
 // probing the NHE rows of J against the apex's non-hub neighbours in
 // I. Each phase runs the blocks it can close a triangle in as one task
 // list. The totals are exact when the blocks hold every triangle
 // exactly once.
-func CountBlocks(pool *sched.Pool, rows []*LotusShard, blocks []Block, opt CountOptions) *Result {
+func countBlocks(pool *sched.Pool, rows []*LotusShard, blocks []block, opt CountOptions) *Result {
 	if pool == nil {
 		pool = sched.NewPool(0)
 	}
@@ -327,21 +364,11 @@ func phase1Tiles(spans []span, opt CountOptions, workers int) []tile {
 	for k := 0; k <= p; k++ {
 		sqrtF[k] = math.Sqrt(float64(k) / float64(p))
 	}
-	// degree returns the middle hubs of apex x, whose indices tiles
-	// split.
-	degree := func(he *HE16, base uint32, cutJ bool, j VertexRange, x uint32) int {
-		if cutJ {
-			return len(restrict(he.Neighbors(x-base), j))
-		}
-		return he.Degree(x - base)
-	}
-
 	var totalSmallWork uint64
 	for si := range spans {
 		s := &spans[si]
-		he, r, cutJ := s.apex.HE, s.apex.Range, s.hubCut.j
-		for x := r.Lo; x < r.Hi; x++ {
-			if d := degree(he, r.Lo, cutJ, s.j, x); d <= opt.TileThreshold {
+		for x := s.apex.Range.Lo; x < s.apex.Range.Hi; x++ {
+			if d := s.middleHubs(x); d <= opt.TileThreshold {
 				totalSmallWork += uint64(d) * uint64(d-1) / 2
 			}
 		}
@@ -350,7 +377,7 @@ func phase1Tiles(spans []span, opt CountOptions, workers int) []tile {
 
 	for si := range spans {
 		s := &spans[si]
-		he, r, cutJ := s.apex.HE, s.apex.Range, s.hubCut.j
+		r := s.apex.Range
 		rangeStart := r.Lo
 		var rangeWork uint64
 		flush := func(endExclusive uint32) {
@@ -361,7 +388,7 @@ func phase1Tiles(spans []span, opt CountOptions, workers int) []tile {
 			rangeWork = 0
 		}
 		for x := r.Lo; x < r.Hi; x++ {
-			d := degree(he, r.Lo, cutJ, s.j, x)
+			d := s.middleHubs(x)
 			if d > opt.TileThreshold {
 				flush(x)
 				rangeStart = x + 1
@@ -394,14 +421,14 @@ func phase1Tiles(spans []span, opt CountOptions, workers int) []tile {
 // core count of the host. A worker count below 1 is taken as 1.
 func (lg *LotusGraph) Phase1TileWork(opt CountOptions, workers int) []uint64 {
 	workers = max(workers, 1)
-	p1, _, _ := resolve([]*LotusShard{lg.LotusShard}, []Block{{}})
+	p1, _, _ := resolve(lg.Shards, lg.blocks())
 	tiles := phase1Tiles(p1, opt.withDefaults(workers), workers)
 	work := make([]uint64, len(tiles))
 	for i, t := range tiles {
 		if t.vEnd > 0 {
 			var sum uint64
 			for v := t.vStart; v < t.vEnd; v++ {
-				d := uint64(lg.HE.Degree(v))
+				d := uint64(p1[t.s].middleHubs(v))
 				sum += d * (d - 1) / 2
 			}
 			work[i] = sum

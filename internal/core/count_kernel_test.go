@@ -85,8 +85,8 @@ func TestPhase1KernelEquivalence(t *testing.T) {
 // TileThreshold splits every hub's row range across tiles) where the
 // word kernel's bitmap covers the whole neighbour list but each tile
 // only walks a sub-range of h1 indices. It runs the flat count and a
-// p-way grid of range shards at p = 1..4 (every block triple i <= j
-// <= k, through CountBlocks), whose pair tiles split an apex's hubs
+// p-way grid of equal-width range shards at p = 1..4 (every live
+// block triple i <= j <= k), whose pair tiles split an apex's hubs
 // of one block while the closing hubs come from another; every run
 // must match the flat scalar count, and tiling must add tiles.
 func TestPhase1KernelEquivalenceTiled(t *testing.T) {
@@ -101,23 +101,23 @@ func TestPhase1KernelEquivalenceTiled(t *testing.T) {
 		}}
 		n := uint32(lg.NumVertices())
 		for p := 1; p <= 4; p++ {
-			var rows []*LotusShard
-			var blocks []Block
-			for b := 0; b < p; b++ {
-				r := VertexRange{Lo: n * uint32(b) / uint32(p), Hi: n * uint32(b+1) / uint32(p)}
-				s, err := TryPreprocessRange(g, Options{HubCount: hubs, Pool: pool}, lg.Relabeling, r)
-				if err != nil {
+			// Equal-width ranges rather than NewPlan's weighted ones, so
+			// the hub range is cut at p = 2 already.
+			pl := &Plan{P: p, Relabeling: lg.Relabeling, HubCount: lg.HubCount}
+			shards := make([]*LotusShard, p)
+			for b := range shards {
+				pl.Ranges = append(pl.Ranges, VertexRange{Lo: n * uint32(b) / uint32(p), Hi: n * uint32(b+1) / uint32(p)})
+				var err error
+				if shards[b], err = pl.BuildShard(g, b, pool, nil); err != nil {
 					t.Fatal(err)
 				}
-				rows = append(rows, s)
-				for j := 0; j <= b; j++ {
-					for i := 0; i <= j; i++ {
-						blocks = append(blocks, Block{I: i, J: j, K: b})
-					}
-				}
+			}
+			grid, err := Assemble(pl, shards)
+			if err != nil {
+				t.Fatal(err)
 			}
 			counts[fmt.Sprintf("grid p=%d", p)] = func(opt CountOptions) *Result {
-				return CountBlocks(pool, rows, blocks, opt)
+				return grid.CountWithOptions(pool, opt)
 			}
 		}
 		for name, count := range counts {
@@ -269,8 +269,8 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 	want := lg.Count(pool)
 	scratch := NewCountScratch()
 	opt := CountOptions{Scratch: scratch}
-	rows := []*LotusShard{lg.LotusShard}
-	_, hnn, nnn := resolve(rows, []Block{{}})
+	rows := lg.Shards
+	_, hnn, nnn := resolve(rows, lg.blocks())
 	for name, run := range map[string]func(p *sched.Pool, res *Result, sc *CountScratch){
 		"hnn": func(p *sched.Pool, res *Result, sc *CountScratch) {
 			sc.dense.build(p, rows)
@@ -322,9 +322,9 @@ func TestHNNCancellationLeavesBitmapsClear(t *testing.T) {
 func hnnReference(lg *LotusGraph) uint64 {
 	var n uint64
 	for v := 0; v < lg.NumVertices(); v++ {
-		hv := lg.HE.Neighbors(uint32(v))
-		for _, u := range lg.NHE.Neighbors(uint32(v)) {
-			hu := lg.HE.Neighbors(u)
+		hv := lg.Shards[0].HE.Neighbors(uint32(v))
+		for _, u := range lg.Shards[0].NHE.Neighbors(uint32(v)) {
+			hu := lg.Shards[0].HE.Neighbors(u)
 			for i, j := 0, 0; i < len(hv) && j < len(hu); {
 				switch {
 				case hv[i] < hu[j]:

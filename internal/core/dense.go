@@ -40,7 +40,7 @@ func grow[T any](s []T, n int) []T {
 }
 
 // build indexes the dense non-hub HE rows of a row partition (see
-// CountBlocks), keyed by global vertex ID. Both passes run in
+// countBlocks), keyed by global vertex ID. Both passes run in
 // parallel over isDense words and poll cancellation per word; a
 // cancelled build leaves the index partial, which is safe because the
 // HNN loops poll before every vertex and probe nothing once the pool

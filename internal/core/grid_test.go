@@ -1,15 +1,15 @@
-package shard
+package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 
-	"lotustc/internal/core"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
@@ -17,9 +17,9 @@ import (
 )
 
 // monolithic runs the reference count and returns its result.
-func monolithic(t *testing.T, g *graph.Graph, hubCount int) *core.Result {
+func monolithic(t *testing.T, g *graph.Graph, hubCount int) *Result {
 	t.Helper()
-	lg, err := core.TryPreprocess(g, core.Options{HubCount: hubCount})
+	lg, err := TryPreprocess(g, Options{HubCount: hubCount})
 	if err != nil {
 		t.Fatalf("monolithic preprocess: %v", err)
 	}
@@ -28,7 +28,7 @@ func monolithic(t *testing.T, g *graph.Graph, hubCount int) *core.Result {
 
 // assertSameCounts compares a sharded result against the monolithic
 // reference, class by class.
-func assertSameCounts(t *testing.T, label string, want, got *core.Result) {
+func assertSameCounts(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if got.Total != want.Total || got.HHH != want.HHH || got.HHN != want.HHN ||
 		got.HNN != want.HNN || got.NNN != want.NNN {
@@ -70,19 +70,19 @@ func TestShardEquivalence(t *testing.T) {
 		for _, hubs := range []int{0, 7, n / 2} {
 			want := monolithic(t, g, hubs)
 			for p := 1; p <= 4; p++ {
-				gr, err := Build(g, Options{Grid: p, Options: core.Options{HubCount: hubs}})
+				gr, err := TryPreprocess(g, Options{Grid: p, HubCount: hubs})
 				if err != nil {
-					t.Fatalf("%s hubs=%d p=%d: Build: %v", name, hubs, p, err)
+					t.Fatalf("%s hubs=%d p=%d: TryPreprocess: %v", name, hubs, p, err)
 				}
 				label := fmt.Sprintf("%s hubs=%d p=%d", name, hubs, p)
-				assertSameCounts(t, label, want, gr.Count(pool, core.CountOptions{}))
+				assertSameCounts(t, label, want, gr.CountWithOptions(pool, CountOptions{}))
 				// The forced kernels must agree too (auto is covered
 				// above; word and scalar exercise both probe paths on
 				// every row).
 				assertSameCounts(t, label+" word", want,
-					gr.Count(pool, core.CountOptions{Phase1Kernel: core.Phase1Word, Intersect: core.IntersectMerge}))
+					gr.CountWithOptions(pool, CountOptions{Phase1Kernel: Phase1Word, Intersect: IntersectMerge}))
 				assertSameCounts(t, label+" scalar", want,
-					gr.Count(pool, core.CountOptions{Phase1Kernel: core.Phase1Scalar}))
+					gr.CountWithOptions(pool, CountOptions{Phase1Kernel: Phase1Scalar}))
 			}
 		}
 	}
@@ -102,11 +102,11 @@ func TestShardEquivalenceAtScale(t *testing.T) {
 		g := gen.RMAT(gen.DefaultRMAT(scale, 16, 1))
 		want := monolithic(t, g, 0)
 		for _, p := range []int{1, 2, 4} {
-			gr, err := Build(g, Options{Grid: p})
+			gr, err := TryPreprocess(g, Options{Grid: p})
 			if err != nil {
-				t.Fatalf("scale %d p=%d: Build: %v", scale, p, err)
+				t.Fatalf("scale %d p=%d: TryPreprocess: %v", scale, p, err)
 			}
-			got := gr.Count(pool, core.CountOptions{})
+			got := gr.CountWithOptions(pool, CountOptions{})
 			assertSameCounts(t, fmt.Sprintf("scale %d p=%d", scale, p), want, got)
 		}
 	}
@@ -121,15 +121,15 @@ func TestShardEquivalenceAtScale(t *testing.T) {
 func TestShardRowsMatchMonolithic(t *testing.T) {
 	for name, g := range corpus() {
 		for _, hubs := range []int{1, 64, g.NumVertices()} {
-			lg, err := core.TryPreprocess(g, core.Options{HubCount: hubs})
+			lg, err := TryPreprocess(g, Options{HubCount: hubs})
 			if err != nil {
 				t.Fatalf("%s hubs=%d: preprocess: %v", name, hubs, err)
 			}
 			for _, p := range []int{1, 2, 4} {
 				label := fmt.Sprintf("%s hubs=%d p=%d", name, hubs, p)
-				gr, err := Build(g, Options{Grid: p, Options: core.Options{HubCount: hubs}})
+				gr, err := TryPreprocess(g, Options{Grid: p, HubCount: hubs})
 				if err != nil {
-					t.Fatalf("%s: Build: %v", label, err)
+					t.Fatalf("%s: TryPreprocess: %v", label, err)
 				}
 				if gr.HubCount != lg.HubCount {
 					t.Fatalf("%s: grid hub count %d != monolithic %d", label, gr.HubCount, lg.HubCount)
@@ -139,16 +139,16 @@ func TestShardRowsMatchMonolithic(t *testing.T) {
 						t.Fatalf("%s shard %d: %v", label, b, err)
 					}
 					for v := s.Range.Lo; v < s.Range.Hi; v++ {
-						if !slices.Equal(s.HENeighbors(v), lg.HE.Neighbors(v)) {
+						if !slices.Equal(s.HENeighbors(v), lg.Shards[0].HE.Neighbors(v)) {
 							t.Fatalf("%s shard %d vertex %d: HE row %v != %v",
-								label, b, v, s.HENeighbors(v), lg.HE.Neighbors(v))
+								label, b, v, s.HENeighbors(v), lg.Shards[0].HE.Neighbors(v))
 						}
-						if !slices.Equal(s.NHENeighbors(v), lg.NHE.Neighbors(v)) {
+						if !slices.Equal(s.NHENeighbors(v), lg.Shards[0].NHE.Neighbors(v)) {
 							t.Fatalf("%s shard %d vertex %d: NHE row %v != %v",
-								label, b, v, s.NHENeighbors(v), lg.NHE.Neighbors(v))
+								label, b, v, s.NHENeighbors(v), lg.Shards[0].NHE.Neighbors(v))
 						}
 						for h2 := uint32(0); h2 < v && v < gr.HubCount; h2++ {
-							if s.H2H.IsSet(v, h2) != lg.H2H.IsSet(v, h2) {
+							if s.H2H.IsSet(v, h2) != lg.Shards[0].H2H.IsSet(v, h2) {
 								t.Fatalf("%s shard %d: H2H bit (%d,%d) disagrees with monolithic", label, b, v, h2)
 							}
 						}
@@ -164,7 +164,7 @@ func TestShardRowsMatchMonolithic(t *testing.T) {
 // counted by exactly one block triple. Triangles are enumerated brute
 // force in relabeled ID space, each is assigned to the unique triple
 // (block(z), block(y), block(x)), and the per-triple expectation must
-// match exactly what core.CountBlocks counts over each listed triple
+// match exactly what countBlocks counts over each listed triple
 // alone — a double-count or a drop shifts at least one triple's
 // total.
 func TestEveryTriangleExactlyOneTriple(t *testing.T) {
@@ -179,12 +179,12 @@ func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 		n := g.NumVertices()
 		for _, hubs := range []int{0, 5, n / 2} {
 			for p := 1; p <= 4; p++ {
-				gr, err := Build(g, Options{Grid: p, Options: core.Options{HubCount: hubs}})
+				gr, err := TryPreprocess(g, Options{Grid: p, HubCount: hubs})
 				if err != nil {
-					t.Fatalf("Build: %v", err)
+					t.Fatalf("TryPreprocess: %v", err)
 				}
 				pool := sched.NewPool(0)
-				res := gr.Count(pool, core.CountOptions{})
+				res := gr.CountWithOptions(pool, CountOptions{})
 
 				// Brute-force: adjacency in relabeled IDs, each
 				// triangle z < y < x assigned to its unique triple.
@@ -200,7 +200,7 @@ func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 						}
 					}
 				}
-				block := func(v uint32) int {
+				blockOf := func(v uint32) int {
 					for b, r := range gr.Ranges {
 						if r.Contains(v) {
 							return b
@@ -220,7 +220,7 @@ func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 								y, z = z, y
 							}
 							if adj[uint64(y)<<32|uint64(z)] {
-								want[[3]int{block(z), block(y), block(x)}]++
+								want[[3]int{blockOf(z), blockOf(y), blockOf(x)}]++
 								total++
 							}
 						}
@@ -232,7 +232,7 @@ func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 				// Each listed triple counted on its own.
 				got := map[[3]int]uint64{}
 				for _, b := range gr.blocks() {
-					if n := core.CountBlocks(pool, gr.Shards, []core.Block{b}, core.CountOptions{}).Total; n > 0 {
+					if n := countBlocks(pool, gr.Shards, []block{b}, CountOptions{}).Total; n > 0 {
 						got[[3]int{b.I, b.J, b.K}] = n
 					}
 				}
@@ -255,18 +255,18 @@ func TestEveryTriangleExactlyOneTriple(t *testing.T) {
 // graphs are rejected with the core sentinels, out-of-range grids
 // fail, and Assemble refuses shards that contradict the plan.
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, Options{}); !errors.Is(err, core.ErrNilGraph) {
+	if _, err := TryPreprocess(nil, Options{}); !errors.Is(err, ErrNilGraph) {
 		t.Fatalf("nil graph: got %v, want ErrNilGraph", err)
 	}
 	g := gen.Complete(10)
 	og := g.Orient()
-	if _, err := Build(og, Options{}); !errors.Is(err, core.ErrOriented) {
+	if _, err := TryPreprocess(og, Options{}); !errors.Is(err, ErrOriented) {
 		t.Fatalf("oriented graph: got %v, want ErrOriented", err)
 	}
-	if _, err := Build(g, Options{Grid: -1}); err == nil {
+	if _, err := TryPreprocess(g, Options{Grid: -1}); err == nil {
 		t.Fatal("negative grid accepted")
 	}
-	if _, err := Build(g, Options{Grid: MaxGrid + 1}); err == nil {
+	if _, err := TryPreprocess(g, Options{Grid: MaxGrid + 1}); err == nil {
 		t.Fatal("oversized grid accepted")
 	}
 
@@ -278,10 +278,10 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildShard: %v", err)
 	}
-	if _, err := Assemble(pl, []*core.LotusShard{s0}); err == nil {
+	if _, err := Assemble(pl, []*LotusShard{s0}); err == nil {
 		t.Fatal("Assemble accepted a short shard list")
 	}
-	if _, err := Assemble(pl, []*core.LotusShard{s0, s0}); err == nil {
+	if _, err := Assemble(pl, []*LotusShard{s0, s0}); err == nil {
 		t.Fatal("Assemble accepted a shard under the wrong block")
 	}
 	if _, err := pl.BuildShard(g, 2, nil, nil); err == nil {
@@ -296,7 +296,7 @@ func TestBuildValidation(t *testing.T) {
 func TestBuildPublishesRelabelTime(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
 	m := obs.New()
-	if _, err := Build(g, Options{Grid: 2, Options: core.Options{Metrics: m}}); err != nil {
+	if _, err := TryPreprocess(g, Options{Grid: 2, Metrics: m}); err != nil {
 		t.Fatal(err)
 	}
 	rl, pre := m.Get(obs.PreprocessRelabelNS), m.Get(obs.PreprocessNS)
@@ -309,7 +309,7 @@ func TestBuildPublishesRelabelTime(t *testing.T) {
 		}
 	}
 	flat := obs.New()
-	core.Preprocess(g, core.Options{Metrics: flat})
+	Preprocess(g, Options{Metrics: flat})
 	for _, name := range []string{"lotus.hubs", "lotus.he_edges", "lotus.nhe_edges", "lotus.h2h_bits"} {
 		if got, want := m.Get(name), flat.Get(name); got != want || want <= 0 {
 			t.Errorf("%s = %d over the grid, %d flat", name, got, want)
@@ -323,17 +323,65 @@ func TestBuildPublishesRelabelTime(t *testing.T) {
 // sweep returns; the engine tests assert no partial results).
 func TestShardCancellation(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(12, 16, 2))
-	gr, err := Build(g, Options{Grid: 3})
+	gr, err := TryPreprocess(g, Options{Grid: 3})
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("TryPreprocess: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	pool := sched.NewPool(0).Bind(ctx)
 	defer pool.Release()
 	cancel()
 	start := time.Now()
-	gr.Count(pool, core.CountOptions{})
+	gr.CountWithOptions(pool, CountOptions{})
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("cancelled count took %v", d)
 	}
+}
+
+// TestCancelledBuild: a build on a cancelled pool is an error from
+// TryPreprocess and nil from Preprocess, at p = 1 and on a grid, while
+// an invalid input still panics in Preprocess.
+func TestCancelledBuild(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(10, 8, 2))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pool := sched.NewPool(2).Bind(ctx)
+	defer pool.Release()
+	for !pool.Cancelled() { // Bind observes the context asynchronously
+		runtime.Gosched()
+	}
+	for _, p := range []int{1, 3} {
+		if lg, err := TryPreprocess(g, Options{Pool: pool, Grid: p}); err == nil || lg != nil {
+			t.Fatalf("p=%d: TryPreprocess on a cancelled pool = %v, %v; want nil and an error", p, lg, err)
+		}
+		if lg := Preprocess(g, Options{Pool: pool, Grid: p}); lg != nil {
+			t.Fatalf("p=%d: Preprocess on a cancelled pool returned a structure", p)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Preprocess accepted an oriented graph")
+		}
+	}()
+	Preprocess(g.Orient(), Options{Pool: pool})
+}
+
+// TestFlatRejectsGrid: the flat readers' one shard exists only at
+// P = 1; a grid is an error from TryFlat and a panic from Flat.
+func TestFlatRejectsGrid(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(9, 8, 3))
+	lg := Preprocess(g, Options{})
+	if s, err := lg.TryFlat(); err != nil || s != lg.Shards[0] {
+		t.Fatalf("TryFlat at P = 1: %v, %v", s, err)
+	}
+	gr := Preprocess(g, Options{Grid: 2})
+	if _, err := gr.TryFlat(); err == nil {
+		t.Fatal("TryFlat accepted a 2-way grid")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Flat returned a shard of a 2-way grid")
+		}
+	}()
+	gr.Flat()
 }

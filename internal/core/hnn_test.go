@@ -1,11 +1,10 @@
-package shard
+package core
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
-	"lotustc/internal/core"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
@@ -79,9 +78,9 @@ func bruteForceClasses(g *graph.Graph, relabel []uint32, hubCount uint32) (class
 // most two hubs and never two below a non-hub. `make check` runs it
 // with -race.
 func TestHNNBitmapEquivalence(t *testing.T) {
-	scratch := map[int]*core.CountScratch{}
+	scratch := map[int]*CountScratch{}
 	for _, w := range []int{1, 2, 4} {
-		scratch[w] = core.NewCountScratch()
+		scratch[w] = NewCountScratch()
 	}
 	graphs := corpus()
 	for i, n := range []int{63, 64, 65, 129} {
@@ -92,24 +91,24 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 		graphs[fmt.Sprintf("er-%d", n)] = g
 	}
 	graphs["ring-200"] = gen.Ring(200)
-	kernels := []core.IntersectKernel{core.IntersectBitmap, core.IntersectMerge}
+	kernels := []IntersectKernel{IntersectBitmap, IntersectMerge}
 	for name, g := range graphs {
 		seen := map[int]bool{}
 		for _, hubs := range []int{1, 63, 64, 65, 512, 1 << 16} {
-			eff := core.Options{HubCount: hubs}.EffectiveHubCount(g.NumVertices())
+			eff := Options{HubCount: hubs}.EffectiveHubCount(g.NumVertices())
 			if seen[eff] {
 				continue
 			}
 			seen[eff] = true
-			lg, err := core.TryPreprocess(g, core.Options{HubCount: hubs})
+			lg, err := TryPreprocess(g, Options{HubCount: hubs})
 			if err != nil {
 				t.Fatalf("%s hubs=%d: preprocess: %v", name, hubs, err)
 			}
 			want, wantPerVertex := bruteForceClasses(g, lg.Relabeling, lg.HubCount)
-			grids := make([]*Grid, 5)
+			grids := make([]*LotusGraph, 5)
 			for p := 1; p <= 4; p++ {
-				if grids[p], err = Build(g, Options{Grid: p, Options: core.Options{HubCount: hubs}}); err != nil {
-					t.Fatalf("%s hubs=%d p=%d: Build: %v", name, hubs, p, err)
+				if grids[p], err = TryPreprocess(g, Options{Grid: p, HubCount: hubs}); err != nil {
+					t.Fatalf("%s hubs=%d p=%d: TryPreprocess: %v", name, hubs, p, err)
 				}
 			}
 			for _, workers := range []int{1, 2, 4} {
@@ -140,13 +139,13 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 				}
 				for _, k := range kernels {
 					m := obs.New()
-					r := lg.CountWithOptions(pool, core.CountOptions{Scratch: scratch[workers], Intersect: k, Metrics: m})
+					r := lg.CountWithOptions(pool, CountOptions{Scratch: scratch[workers], Intersect: k, Metrics: m})
 					check("flat "+k.String(), classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
 					checkDense("flat "+k.String(), m)
 					for p := 1; p <= 4; p++ {
 						m := obs.New()
 						path := fmt.Sprintf("sharded p=%d %s", p, k)
-						r := grids[p].Count(pool, core.CountOptions{Scratch: scratch[workers], Intersect: k, Metrics: m})
+						r := grids[p].CountWithOptions(pool, CountOptions{Scratch: scratch[workers], Intersect: k, Metrics: m})
 						check(path, classCounts{r.Total, r.HHH, r.HHN, r.HNN, r.NNN})
 						checkDense(path, m)
 						for _, c := range []struct {
@@ -161,7 +160,7 @@ func TestHNNBitmapEquivalence(t *testing.T) {
 					}
 				}
 				var sum uint64
-				for v, c := range lg.CountPerVertex(pool) {
+				for v, c := range lg.Shards[0].CountPerVertex(pool) {
 					sum += c
 					if c != wantPerVertex[v] {
 						t.Errorf("%s hubs=%d workers=%d: vertex %d in %d triangles, brute force %d",

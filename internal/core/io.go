@@ -35,25 +35,30 @@ const (
 	lotusVersion = 1
 )
 
-// Write serializes the LotusGraph.
+// Write serializes the LotusGraph. The format holds one shard, so a
+// structure of more than one block is an error.
 func (lg *LotusGraph) Write(w io.Writer) error {
+	s, err := lg.TryFlat()
+	if err != nil {
+		return err
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(lotusMagic); err != nil {
 		return err
 	}
 	hdr := []any{
-		uint32(lotusVersion), lg.HubCount,
-		uint64(lg.numVertices), uint64(lg.HE.NumEdges()), uint64(lg.NHE.NumEdges()),
+		uint32(lotusVersion), s.HubCount,
+		uint64(s.numVertices), uint64(s.HE.NumEdges()), uint64(s.NHE.NumEdges()),
 	}
 	for _, h := range hdr {
 		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
 			return err
 		}
 	}
-	words := lg.H2H.Words()
+	words := s.H2H.Words()
 	payload := []any{
-		lg.HE.offsets, lg.HE.nbrs,
-		lg.NHE.offsets, lg.NHE.nbrs,
+		s.HE.offsets, s.HE.nbrs,
+		s.NHE.offsets, s.NHE.nbrs,
 		uint64(len(words)), words,
 		lg.Relabeling,
 	}
@@ -110,11 +115,11 @@ func ReadLotusGraph(r io.Reader) (*LotusGraph, error) {
 	if hubCount > DefaultHubCount {
 		return nil, fmt.Errorf("core: hub count %d exceeds the 16-bit hub ID space (%d)", hubCount, DefaultHubCount)
 	}
-	lg := &LotusGraph{LotusShard: &LotusShard{
+	s := &LotusShard{
 		Range:       VertexRange{Hi: uint32(nv)},
 		HubCount:    hubCount,
 		numVertices: int(nv),
-	}}
+	}
 	// Arrays are read in bounded chunks so a corrupt header cannot
 	// force a huge up-front allocation (memory grows only as data
 	// actually arrives), and each offsets array is validated against
@@ -141,8 +146,8 @@ func ReadLotusGraph(r io.Reader) (*LotusGraph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading NHE neighbours: %w", err)
 	}
-	lg.HE = &HE16{offsets: heOffsets, nbrs: heNbrs}
-	lg.NHE = &NHE32{offsets: nheOffsets, nbrs: nheNbrs}
+	s.HE = &HE16{offsets: heOffsets, nbrs: heNbrs}
+	s.NHE = &NHE32{offsets: nheOffsets, nbrs: nheNbrs}
 	var nWords uint64
 	if err := binary.Read(br, binary.LittleEndian, &nWords); err != nil {
 		return nil, fmt.Errorf("core: reading H2H size: %w", err)
@@ -161,10 +166,14 @@ func ReadLotusGraph(r io.Reader) (*LotusGraph, error) {
 	if err := binary.Read(br, binary.LittleEndian, words); err != nil {
 		return nil, fmt.Errorf("core: reading H2H: %w", err)
 	}
-	lg.H2H = h2h
-	lg.Relabeling, err = readChunkedU32(br, nv)
+	s.H2H = h2h
+	ra, err := readChunkedU32(br, nv)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading relabeling: %w", err)
+	}
+	lg := &LotusGraph{
+		Plan:   &Plan{P: 1, Ranges: []VertexRange{s.Range}, Relabeling: ra, HubCount: hubCount},
+		Shards: []*LotusShard{s},
 	}
 	if err := lg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid structure: %w", err)
@@ -243,8 +252,12 @@ func minChunk(n uint64) uint64 {
 	return n
 }
 
-// SaveFile persists the LotusGraph at path.
+// SaveFile persists the LotusGraph at path. A structure of more than
+// one block is an error, and no file is created.
 func (lg *LotusGraph) SaveFile(path string) error {
+	if _, err := lg.TryFlat(); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -126,8 +126,8 @@ func TestLotusGraphRoundTripRMAT12(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(lg2.HE.Raw(), lg.HE.Raw()) ||
-		!reflect.DeepEqual(lg2.NHE.Raw(), lg.NHE.Raw()) ||
+	if !reflect.DeepEqual(lg2.Shards[0].HE.Raw(), lg.Shards[0].HE.Raw()) ||
+		!reflect.DeepEqual(lg2.Shards[0].NHE.Raw(), lg.Shards[0].NHE.Raw()) ||
 		!reflect.DeepEqual(lg2.Relabeling, lg.Relabeling) {
 		t.Fatal("scale-12 payload mismatch after round trip")
 	}

@@ -24,12 +24,12 @@ func TestLotusGraphRoundTrip(t *testing.T) {
 	if lg2.HubCount != lg.HubCount || lg2.NumVertices() != lg.NumVertices() {
 		t.Fatal("shape mismatch")
 	}
-	if !reflect.DeepEqual(lg2.HE.Raw(), lg.HE.Raw()) ||
-		!reflect.DeepEqual(lg2.NHE.Raw(), lg.NHE.Raw()) ||
+	if !reflect.DeepEqual(lg2.Shards[0].HE.Raw(), lg.Shards[0].HE.Raw()) ||
+		!reflect.DeepEqual(lg2.Shards[0].NHE.Raw(), lg.Shards[0].NHE.Raw()) ||
 		!reflect.DeepEqual(lg2.Relabeling, lg.Relabeling) {
 		t.Fatal("payload mismatch")
 	}
-	if lg2.H2H.PopCount() != lg.H2H.PopCount() {
+	if lg2.Shards[0].H2H.PopCount() != lg.Shards[0].H2H.PopCount() {
 		t.Fatal("H2H mismatch")
 	}
 	a := lg.Count(pool)
@@ -55,6 +55,22 @@ func TestLotusGraphFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadLotusFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestSaveFileRejectsGrid: the file format holds one shard, so saving
+// (or writing) a 2-way structure fails, and SaveFile creates no file.
+func TestSaveFileRejectsGrid(t *testing.T) {
+	lg := Preprocess(gen.RMAT(gen.DefaultRMAT(8, 8, 3)), Options{Grid: 2, Pool: pool})
+	path := filepath.Join(t.TempDir(), "grid.lots")
+	if err := lg.SaveFile(path); err == nil {
+		t.Fatal("SaveFile accepted a 2-way structure")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("SaveFile left a file behind: stat error %v", err)
+	}
+	if err := lg.Write(new(bytes.Buffer)); err == nil {
+		t.Fatal("Write accepted a 2-way structure")
 	}
 }
 
@@ -126,7 +142,7 @@ func TestReadLotusGraphRejectsGarbage(t *testing.T) {
 func TestCountPerVertexSumsAndMatches(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 8, 3))
 	lg := Preprocess(g, Options{HubCount: 32, Pool: pool})
-	per := lg.CountPerVertex(pool)
+	per := lg.Shards[0].CountPerVertex(pool)
 	var sum uint64
 	for _, c := range per {
 		sum += c
@@ -140,14 +156,14 @@ func TestCountPerVertexSumsAndMatches(t *testing.T) {
 func TestCountPerVertexKnown(t *testing.T) {
 	// K5 with 2 hubs: every vertex sits in C(4,2) = 6 triangles.
 	lg := Preprocess(gen.Complete(5), Options{HubCount: 2, Pool: pool})
-	for v, c := range lg.CountPerVertex(pool) {
+	for v, c := range lg.Shards[0].CountPerVertex(pool) {
 		if c != 6 {
 			t.Fatalf("K5 vertex %d count %d, want 6", v, c)
 		}
 	}
 	// Star: all zeros.
 	lgS := Preprocess(gen.Star(20), Options{HubCount: 2, Pool: pool})
-	for v, c := range lgS.CountPerVertex(pool) {
+	for v, c := range lgS.Shards[0].CountPerVertex(pool) {
 		if c != 0 {
 			t.Fatalf("star vertex %d count %d", v, c)
 		}
@@ -158,7 +174,7 @@ func TestCountPerVertexMatchesOracle(t *testing.T) {
 	// Compare against a brute-force per-vertex count in original IDs.
 	g := gen.HubAndSpokes(6, 50, 3, 2)
 	lg := Preprocess(g, Options{HubCount: 6, Pool: pool})
-	per := lg.CountPerVertex(pool)
+	per := lg.Shards[0].CountPerVertex(pool)
 	// Map back to original IDs via the relabeling array.
 	orig := make([]uint64, g.NumVertices())
 	for old := 0; old < g.NumVertices(); old++ {

@@ -147,7 +147,7 @@ type Phase1Stats struct {
 // vertex it counts the hub pairs (h1, h2) with h1 = h1s[i] for i in
 // [lo, hi), h2 in h2s, h2 < h1 and the H2H bit (h1, h2) set; rows must
 // hold every such h1 row. Both lists must be strictly ascending.
-// CountBlocks passes a flat count's vertex its whole HE row as both
+// countBlocks passes a flat count's vertex its whole HE row as both
 // lists, and a grid block's apex its row restricted to the blocks that
 // hold h2 and h1.
 //

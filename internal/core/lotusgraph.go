@@ -5,6 +5,22 @@
 // Squared Edge Tiling (§4.6). The paper's streaming future-work
 // extension (§6.2, hub TC under edge insertions and deletions) lives
 // in streaming.go.
+//
+// A LotusGraph is a row partition of one LOTUS structure: the
+// relabeled vertex ID space is cut into p contiguous, work-balanced
+// ranges (Options.Grid; p = 1 is the paper's flat structure), one
+// LotusShard holds the rows of each range, and the count enumerates
+// the block triples (i <= j <= k) of the implied p×p grid — the
+// in-process analogue of the 2D block-partitioned distributed TC
+// designs (Tom & Karypis, arXiv:1907.09575; Sanders & Uhl,
+// arXiv:2302.11443).
+//
+// The crucial design decision is that all shards share ONE global
+// LOTUS relabeling. Shard rows keep global relabeled IDs, so the hub
+// set, the apex of every triangle, and therefore the class of every
+// triangle (HHH/HHN/HNN/NNN) are the same at every p — the per-class
+// counts come out bit-identical by construction, and a p-way
+// structure is simply a row partition of the p = 1 one.
 package core
 
 import (
@@ -14,7 +30,6 @@ import (
 
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
-	"lotustc/internal/reorder"
 	"lotustc/internal/sched"
 )
 
@@ -42,8 +57,12 @@ type Options struct {
 	// Metrics, when non-nil, receives the preprocessing counters
 	// (preprocess.ns, preprocess.relabel.ns, preprocess.walk.count.ns,
 	// preprocess.walk.fill.ns, lotus.hubs, lotus.he_edges,
-	// lotus.nhe_edges, lotus.h2h_bits — names in DESIGN.md).
+	// lotus.nhe_edges, lotus.h2h_bits, shard.blocks — names in
+	// DESIGN.md), the lotus.* ones summed over the shards.
 	Metrics *obs.Metrics
+	// Grid is the dimension p of the p×p block grid, in [0, MaxGrid]
+	// (0 or 1 = a single block: the flat LOTUS structure).
+	Grid int
 }
 
 // EffectiveHubCount resolves the hub count for a graph of n vertices.
@@ -121,14 +140,52 @@ func (s *NHE32) Offsets() []int64 { return s.offsets }
 // Raw exposes the flat neighbour array.
 func (s *NHE32) Raw() []uint32 { return s.nbrs }
 
-// LotusGraph is the LOTUS graph structure of §4.2: the one-range row
-// partition — a LotusShard over every vertex [0, |V|), whose H2H,
-// HE and NHE rows, hub count and build time it promotes — plus the
-// relabeling. Vertex IDs are the relabeled IDs.
+// LotusGraph is the LOTUS graph structure of §4.2 over a row
+// partition: the plan (relabeling, hub count, vertex ranges) and one
+// shard per range, Shards[b] holding the H2H, HE and NHE rows of
+// Ranges[b]. Vertex IDs are the relabeled IDs. At P = 1 the one shard
+// holds every vertex's rows — the flat structure that the per-vertex
+// count, the LotusGraph file and the analysis helpers read.
 type LotusGraph struct {
-	*LotusShard
-	// Relabeling is the §4.3.1 relabeling array (old ID -> new ID).
-	Relabeling []uint32
+	*Plan
+	// Shards are the per-block structures, Shards[b] covering
+	// Ranges[b].
+	Shards []*LotusShard
+	// PreprocessTime is the wall time of TryPreprocess (plan and every
+	// shard); structures assembled from cached shards or read from a
+	// file report zero.
+	PreprocessTime time.Duration
+}
+
+// TopologyBytes returns the summed structure footprint of every
+// shard (Table 7).
+func (lg *LotusGraph) TopologyBytes() int64 {
+	var b int64
+	for _, s := range lg.Shards {
+		b += s.TopologyBytes()
+	}
+	return b
+}
+
+// TryFlat returns the one shard of a P = 1 structure: the paper's
+// flat LOTUS structure, which the file format, the per-vertex count,
+// k-clique counting, the cache replays and the structure statistics
+// read. A grid (P > 1) is an error.
+func (lg *LotusGraph) TryFlat() (*LotusShard, error) {
+	if lg.P != 1 {
+		return nil, fmt.Errorf("core: a flat reader needs a 1-block structure, this one has %d", lg.P)
+	}
+	return lg.Shards[0], nil
+}
+
+// Flat is the panicking wrapper over TryFlat, for readers whose
+// structure is built in-process at P = 1.
+func (lg *LotusGraph) Flat() *LotusShard {
+	s, err := lg.TryFlat()
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // NonHubSubgraph extracts the symmetric sub-graph induced by the
@@ -136,16 +193,21 @@ type LotusGraph struct {
 // v - HubCount. The approximate hybrid samples it in place of phase 3
 // and the k-clique experiment counts it to measure the hub share.
 func (lg *LotusGraph) NonHubSubgraph() *graph.Graph {
-	n := lg.numVertices
-	hub := int(lg.HubCount)
-	sub := n - hub
+	hub := lg.HubCount
+	sub := lg.NumVertices() - int(hub)
 	if sub <= 0 {
 		return graph.FromEdges(nil, graph.BuildOptions{})
 	}
-	edges := make([]graph.Edge, 0, lg.NHE.NumEdges())
-	for v := hub; v < n; v++ {
-		for _, u := range lg.NHE.Neighbors(uint32(v)) {
-			edges = append(edges, graph.Edge{U: u - uint32(hub), V: uint32(v) - uint32(hub)})
+	var m int64
+	for _, s := range lg.Shards {
+		m += s.NHE.NumEdges()
+	}
+	edges := make([]graph.Edge, 0, m)
+	for _, s := range lg.Shards {
+		for v := max(s.Range.Lo, hub); v < s.Range.Hi; v++ {
+			for _, u := range s.NHENeighbors(v) {
+				edges = append(edges, graph.Edge{U: u - hub, V: v - hub})
+			}
 		}
 	}
 	return graph.FromEdges(edges, graph.BuildOptions{NumVertices: sub})
@@ -159,8 +221,12 @@ var ErrOriented = errors.New("core: preprocessing requires a symmetric graph, go
 // ErrNilGraph is returned by the Try preprocessors on a nil graph.
 var ErrNilGraph = errors.New("core: nil graph")
 
-// checkPreprocessInput validates the preprocessing input contract
-// shared by both implementations.
+// errBuildCancelled is TryPreprocess's error for a build cut short by
+// its pool's context.
+var errBuildCancelled = errors.New("core: build cancelled")
+
+// checkPreprocessInput validates the preprocessing input contract of
+// NewPlan and Plan.BuildShard.
 func checkPreprocessInput(g *graph.Graph) error {
 	if g == nil {
 		return ErrNilGraph
@@ -171,72 +237,122 @@ func checkPreprocessInput(g *graph.Graph) error {
 	return nil
 }
 
-// mustLotusGraph backs the thin panicking wrappers kept for
-// known-good inputs.
-func mustLotusGraph(lg *LotusGraph, err error) *LotusGraph {
+// TryPreprocess builds the LotusGraph from a symmetric simple graph,
+// implementing Algorithm 2 over a max(opt.Grid, 1)-way row partition:
+// the plan (reorder.Lotus relabeling, then the vertex ranges), every
+// shard (Plan.BuildShard: split each vertex's N^< into hub and
+// non-hub neighbours and populate the H2H bit array), then the
+// assembled structure. IDs are mapped through the relabeling on the
+// fly rather than materializing the relabeled graph first (measured
+// 1.5-2.4x faster; EXPERIMENTS.md, "Preprocessing strategies").
+// PreprocessTime covers every step; opt.Metrics also receives
+// shard.blocks.
+//
+// Invalid inputs (nil or oriented graphs, a grid outside
+// [0, MaxGrid]) are rejected with an error, and so is a build whose
+// pool is cancelled; the serving path depends on this never
+// panicking.
+func TryPreprocess(g *graph.Graph, opt Options) (*LotusGraph, error) {
+	t0 := time.Now()
+	opt.Pool = opt.pool()
+	pl, err := NewPlan(g, opt)
 	if err != nil {
+		return nil, err
+	}
+	shards := make([]*LotusShard, pl.P)
+	for b := range shards {
+		if opt.Pool.Cancelled() {
+			break
+		}
+		if shards[b], err = pl.BuildShard(g, b, opt.Pool, opt.Metrics); err != nil {
+			return nil, err
+		}
+	}
+	if opt.Pool.Cancelled() {
+		// The engine discards the run on a done context; return a
+		// well-formed error rather than a half-built structure.
+		return nil, errBuildCancelled
+	}
+	lg := &LotusGraph{Plan: pl, Shards: shards, PreprocessTime: time.Since(t0)}
+	opt.Metrics.Set(obs.ShardBlocks, int64(pl.P))
+	opt.Metrics.AddDuration(obs.PreprocessNS, lg.PreprocessTime)
+	return lg, nil
+}
+
+// Preprocess is the wrapper over TryPreprocess for inputs built
+// in-process (generators, benchmarks, the analytics helpers): an
+// invalid input panics. A build whose pool is cancelled returns nil,
+// so a caller on a context-bound pool (the harness experiments, the
+// estimators) stops on nil and lets its context report the abort.
+func Preprocess(g *graph.Graph, opt Options) *LotusGraph {
+	lg, err := TryPreprocess(g, opt)
+	if err != nil {
+		if errors.Is(err, errBuildCancelled) {
+			return nil
+		}
 		panic(err)
 	}
 	return lg
 }
 
-// TryPreprocess builds the LotusGraph from a symmetric simple graph,
-// implementing Algorithm 2: relabel (reorder.Lotus), then split each
-// vertex's N^< into hub and non-hub neighbours and populate the H2H
-// bit array — TryPreprocessRange over [0, |V|), the walk every shard
-// of a grid runs over its own range. IDs are mapped through the
-// relabeling on the fly rather than materializing the relabeled graph
-// first (measured 1.5-2.4x faster; EXPERIMENTS.md, "Preprocessing
-// strategies"). PreprocessTime covers both steps.
-//
-// Invalid inputs (nil or oriented graphs) are rejected with an error;
-// the serving path depends on this never panicking.
-func TryPreprocess(g *graph.Graph, opt Options) (*LotusGraph, error) {
-	if err := checkPreprocessInput(g); err != nil {
-		return nil, err
+// Assemble checks that the shards match the plan — same ranges, same
+// hub count, same graph — and wraps them into a LotusGraph. The
+// checks are the serving layer's corruption firewall: shards arrive
+// from a cache keyed by request parameters, and a stale or crossed
+// entry must fail the assembly, not corrupt a count.
+func Assemble(pl *Plan, shards []*LotusShard) (*LotusGraph, error) {
+	if len(shards) != pl.P || len(pl.Ranges) != pl.P {
+		return nil, fmt.Errorf("core: %d shards and %d ranges for a %d-way plan", len(shards), len(pl.Ranges), pl.P)
 	}
-	t0 := time.Now()
-	n := g.NumVertices()
-	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: opt.EffectiveHubCount(n), FrontFraction: opt.FrontFraction})
-	opt.Metrics.AddDuration(obs.PreprocessRelabelNS, time.Since(t0))
-	s, err := TryPreprocessRange(g, opt, ra, VertexRange{Hi: uint32(n)})
-	if err != nil {
-		return nil, err
+	for b, s := range shards {
+		if s == nil {
+			return nil, fmt.Errorf("core: block %d is nil", b)
+		}
+		if s.Range != pl.Ranges[b] {
+			return nil, fmt.Errorf("core: block %d covers [%d, %d), plan says [%d, %d)",
+				b, s.Range.Lo, s.Range.Hi, pl.Ranges[b].Lo, pl.Ranges[b].Hi)
+		}
+		if s.HubCount != pl.HubCount {
+			return nil, fmt.Errorf("core: block %d built with %d hubs, plan says %d", b, s.HubCount, pl.HubCount)
+		}
+		if s.NumVertices() != pl.NumVertices() {
+			return nil, fmt.Errorf("core: block %d built from a %d-vertex graph, plan says %d",
+				b, s.NumVertices(), pl.NumVertices())
+		}
 	}
-	s.PreprocessTime = time.Since(t0)
-	opt.Metrics.AddDuration(obs.PreprocessNS, s.PreprocessTime)
-	return &LotusGraph{LotusShard: s, Relabeling: ra}, nil
+	return &LotusGraph{Plan: pl, Shards: shards}, nil
 }
 
-// Preprocess is the thin panicking wrapper over TryPreprocess, kept
-// for call sites whose inputs are built in-process (generators,
-// benchmarks, the analytics helpers).
-func Preprocess(g *graph.Graph, opt Options) *LotusGraph {
-	return mustLotusGraph(TryPreprocess(g, opt))
-}
-
-// Validate checks the structural invariants of the LotusGraph: a
-// shard over every vertex that passes LotusShard.Validate, and a
-// relabeling that is a permutation of [0, |V|). Intended for tests
+// Validate checks the structural invariants of the LotusGraph: shards
+// that match the plan (Assemble's checks) and each pass
+// LotusShard.Validate, ranges that ascend and cover every vertex, and
+// a relabeling that is a permutation of [0, |V|). Intended for tests
 // and for ReadLotusGraph.
 func (lg *LotusGraph) Validate() error {
-	n := uint32(lg.numVertices)
-	if lg.Range != (VertexRange{Hi: n}) {
-		return fmt.Errorf("rows cover [%d, %d), not every vertex [0, %d)", lg.Range.Lo, lg.Range.Hi, n)
-	}
-	if err := lg.LotusShard.Validate(); err != nil {
+	if _, err := Assemble(lg.Plan, lg.Shards); err != nil {
 		return err
+	}
+	n := lg.NumVertices()
+	var next uint32
+	for b, s := range lg.Shards {
+		if s.Range.Lo != next {
+			return fmt.Errorf("block %d starts at %d, not %d", b, s.Range.Lo, next)
+		}
+		if err := s.Validate(); err != nil {
+			return err
+		}
+		next = s.Range.Hi
+	}
+	if int(next) != n {
+		return fmt.Errorf("rows cover [0, %d), not every vertex [0, %d)", next, n)
 	}
 	// Relabeling must be a permutation of [0, n): anything else makes
 	// code that maps original IDs through it index out of range or
 	// silently alias two vertices (corrupt files are the realistic
 	// source — ReadLotusGraph relies on this check).
-	if len(lg.Relabeling) != lg.numVertices {
-		return fmt.Errorf("relabeling has %d entries for %d vertices", len(lg.Relabeling), lg.numVertices)
-	}
-	seen := make([]uint64, (lg.numVertices+63)/64)
+	seen := make([]uint64, (n+63)/64)
 	for old, nw := range lg.Relabeling {
-		if nw >= n {
+		if nw >= uint32(n) {
 			return fmt.Errorf("relabeling[%d] = %d out of range", old, nw)
 		}
 		if seen[nw>>6]&(1<<(nw&63)) != 0 {

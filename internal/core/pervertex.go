@@ -8,10 +8,9 @@ import (
 
 // CountPerVertex counts, for every (relabeled) vertex, the number of
 // triangles it participates in, using the three LOTUS phases. s must
-// hold every vertex's rows — a LotusGraph, or the one shard of a
-// p = 1 grid. The per-vertex totals sum to 3x the triangle count. Use
-// the relabeling (reorder.Inverse) to map the counts back to original
-// vertex IDs.
+// hold every vertex's rows: the one shard of a P = 1 LotusGraph. The
+// per-vertex totals sum to 3x the triangle count. Use the relabeling
+// (reorder.Inverse) to map the counts back to original vertex IDs.
 //
 // Unlike the scalar Count, triangle corners here are scattered across
 // vertices owned by other workers, so increments use atomics; the

@@ -13,10 +13,9 @@ import (
 )
 
 // VertexRange is a contiguous range [Lo, Hi) of relabeled vertex IDs.
-// The sharded execution path partitions the relabeled ID space into
-// such ranges; because LOTUS relabeling puts all hubs at the lowest
-// IDs, a range's hub part (IDs < HubCount) and non-hub part are each
-// contiguous too.
+// A LotusGraph partitions the relabeled ID space into such ranges;
+// because LOTUS relabeling puts all hubs at the lowest IDs, a range's
+// hub part (IDs < HubCount) and non-hub part are each contiguous too.
 type VertexRange struct {
 	Lo, Hi uint32
 }
@@ -30,11 +29,12 @@ func (r VertexRange) Contains(v uint32) bool { return v >= r.Lo && v < r.Hi }
 // LotusShard is the LOTUS structure restricted to one vertex range of
 // the relabeled ID space: the HE and NHE rows of every v in Range
 // (indexed locally by v - Range.Lo) and the H2H rows of the range's
-// hubs. The flat structure (LotusGraph) is the shard over [0, |V|).
-// Neighbour IDs inside rows stay global relabeled IDs — the same IDs
-// the flat structure uses — which is what makes a grid's count
-// bit-identical per class: hubness is still "ID < HubCount" and every
-// triangle is attributed to the same apex row.
+// hubs. The flat structure is the one shard of a p = 1 LotusGraph,
+// over [0, |V|). Neighbour IDs inside rows stay global relabeled IDs
+// — the same IDs the flat structure uses — which is what makes a
+// grid's count bit-identical per class: hubness is still
+// "ID < HubCount" and every triangle is attributed to the same apex
+// row.
 type LotusShard struct {
 	// Range is the relabeled-ID range this shard holds rows for.
 	Range VertexRange
@@ -51,9 +51,6 @@ type LotusShard struct {
 	// vertices, locally indexed (row v lives at v - Range.Lo).
 	HE  *HE16
 	NHE *NHE32
-	// PreprocessTime is the wall time of this shard's build; a
-	// LotusGraph's also covers the relabeling.
-	PreprocessTime time.Duration
 
 	numVertices int // global |V|, for cross-checks
 }
@@ -79,7 +76,7 @@ func (s *LotusShard) TopologyBytes() int64 {
 }
 
 // buildRows is the Algorithm 2 walk (lines 10-23) of
-// TryPreprocessRange. It fills the HE and NHE rows of every
+// Plan.BuildShard. It fills the HE and NHE rows of every
 // relabeled vertex in r, stored at v - r.Lo, and sets the H2H bit of
 // every hub-to-hub edge whose higher end lies in r; h2h must hold
 // those rows. Pass 1 counts each row's hub and non-hub neighbours;
@@ -175,50 +172,6 @@ func buildRows(g *graph.Graph, pool *sched.Pool, ra []uint32, hubCount uint32, r
 	})
 	m.AddDuration(obs.PreprocessWalkFillNS, time.Since(t1))
 	return he, nhe
-}
-
-// TryPreprocessRange builds the LOTUS structure restricted to the
-// vertex range r, given the global relabeling ra (as produced by
-// reorder.Lotus with the same Options — the caller owns computing it
-// once and sharing it across a grid's shards). It is the one
-// Algorithm 2 build: TryPreprocess runs it over [0, |V|), and each
-// shard of a grid over its own range, so a shard row is byte-identical
-// to the flat structure's row. opt.Metrics receives the walk's timed
-// passes and the structure counters: lotus.hubs, and lotus.he_edges,
-// lotus.nhe_edges and lotus.h2h_bits added per range, so a grid
-// publishes its shards' sums.
-func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange) (*LotusShard, error) {
-	if err := checkPreprocessInput(g); err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	if len(ra) != n {
-		return nil, fmt.Errorf("core: relabeling has %d entries for %d vertices", len(ra), n)
-	}
-	if r.Lo > r.Hi || int(r.Hi) > n {
-		return nil, fmt.Errorf("core: vertex range [%d, %d) out of bounds for %d vertices", r.Lo, r.Hi, n)
-	}
-	t0 := time.Now()
-	hubCount := uint32(opt.EffectiveHubCount(n))
-	hubHi := min(r.Hi, hubCount)
-	h2h := bitarray.NewTriRows(min(r.Lo, hubHi), hubHi)
-	he, nhe := buildRows(g, opt.pool(), ra, hubCount, r, h2h, opt.Metrics)
-	s := &LotusShard{
-		Range:          r,
-		HubCount:       hubCount,
-		H2H:            h2h,
-		HE:             he,
-		NHE:            nhe,
-		PreprocessTime: time.Since(t0),
-		numVertices:    n,
-	}
-	if m := opt.Metrics; m != nil {
-		m.Set("lotus.hubs", int64(hubCount))
-		m.Add("lotus.he_edges", he.NumEdges())
-		m.Add("lotus.nhe_edges", nhe.NumEdges())
-		m.Add("lotus.h2h_bits", int64(h2h.PopCount()))
-	}
-	return s, nil
 }
 
 // Validate checks the shard's structural invariants over the rows of

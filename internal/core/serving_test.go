@@ -17,8 +17,13 @@ func TestTryPreprocessReturnsErrOriented(t *testing.T) {
 	og := gen.Complete(6).Orient()
 	for name, try := range map[string]func() error{
 		"TryPreprocess": func() error { _, err := TryPreprocess(og, Options{HubCount: 2}); return err },
-		"TryPreprocessRange": func() error {
-			_, err := TryPreprocessRange(og, Options{HubCount: 2}, make([]uint32, 6), VertexRange{Hi: 6})
+		"NewPlan":       func() error { _, err := NewPlan(og, Options{HubCount: 2}); return err },
+		"BuildShard": func() error {
+			pl, err := NewPlan(gen.Complete(6), Options{HubCount: 2})
+			if err != nil {
+				return err
+			}
+			_, err = pl.BuildShard(og, 0, nil, nil)
 			return err
 		},
 	} {
@@ -36,8 +41,12 @@ func TestTryPreprocessReturnsErrNilGraph(t *testing.T) {
 	if _, err := TryPreprocess(nil, Options{}); !errors.Is(err, ErrNilGraph) {
 		t.Fatalf("TryPreprocess(nil): got %v, want ErrNilGraph", err)
 	}
-	if _, err := TryPreprocessRange(nil, Options{}, nil, VertexRange{}); !errors.Is(err, ErrNilGraph) {
-		t.Fatalf("TryPreprocessRange(nil): got %v, want ErrNilGraph", err)
+	pl, err := NewPlan(gen.Complete(6), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.BuildShard(nil, 0, nil, nil); !errors.Is(err, ErrNilGraph) {
+		t.Fatalf("BuildShard(nil): got %v, want ErrNilGraph", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"lotustc/internal/baseline"
 	"lotustc/internal/core"
-	"lotustc/internal/shard"
 )
 
 // The built-in registrations: LOTUS, the §5.1.4 comparators, and the
@@ -52,47 +51,46 @@ func init() {
 	})
 }
 
-// lotusKernel runs LOTUS over a p-way shard grid, p =
+// lotusKernel runs LOTUS over a p-way row partition, p =
 // max(Params.Shards, 1); p = 1 is the flat structure. It builds the
-// grid (Algorithm 2 per shard over one shared relabeling) and
-// counts its live block triples through the three phases of
-// Algorithm 3 (core.CountBlocks); totals and the class split are the
-// same at every p, because every triangle keeps its apex and class. A
-// Params.Prepared grid (a serving cache hit) skips the build, and the
-// preprocess phase is then reported as zero; a grid of another graph
-// or another dimension wraps ErrPreparedMismatch.
+// structure (core.TryPreprocess: Algorithm 2 per shard over one
+// shared relabeling) and counts its live block triples through the
+// three phases of Algorithm 3 (core.LotusGraph.CountWithOptions);
+// totals and the class split are the same at every p, because every
+// triangle keeps its apex and class. A Params.Prepared structure (a
+// serving cache hit) skips the build, and the preprocess phase is
+// then reported as zero; a structure of another graph or another
+// dimension wraps ErrPreparedMismatch.
 func lotusKernel(t *Task) (uint64, error) {
-	if t.Params.Shards < 0 || t.Params.Shards > shard.MaxGrid {
-		return 0, fmt.Errorf("engine: shard grid %d out of range [0, %d]", t.Params.Shards, shard.MaxGrid)
+	if t.Params.Shards < 0 || t.Params.Shards > core.MaxGrid {
+		return 0, fmt.Errorf("engine: shard grid %d out of range [0, %d]", t.Params.Shards, core.MaxGrid)
 	}
 	p := max(t.Params.Shards, 1)
-	gr := t.Params.Prepared
-	if gr != nil {
-		if gr.NumVertices() != t.Graph.NumVertices() {
-			return 0, fmt.Errorf("engine: prepared LOTUS grid has %d vertices, graph has %d: %w",
-				gr.NumVertices(), t.Graph.NumVertices(), ErrPreparedMismatch)
+	lg := t.Params.Prepared
+	if lg != nil {
+		if lg.NumVertices() != t.Graph.NumVertices() {
+			return 0, fmt.Errorf("engine: prepared LOTUS structure has %d vertices, graph has %d: %w",
+				lg.NumVertices(), t.Graph.NumVertices(), ErrPreparedMismatch)
 		}
-		if gr.P != p {
-			return 0, fmt.Errorf("engine: prepared LOTUS grid is %d-way, run asked for %d: %w",
-				gr.P, p, ErrPreparedMismatch)
+		if lg.P != p {
+			return 0, fmt.Errorf("engine: prepared LOTUS structure is %d-way, run asked for %d: %w",
+				lg.P, p, ErrPreparedMismatch)
 		}
 		t.Report.AddPhase(PhasePreprocess, 0)
 		t.Metrics().Set("preprocess.cached", 1)
 	} else {
 		var err error
-		gr, err = shard.Build(t.Graph, shard.Options{
-			Options: core.Options{
-				HubCount:      t.Params.HubCount,
-				FrontFraction: t.Params.FrontFraction,
-				Pool:          t.Pool,
-				Metrics:       t.Metrics(),
-			},
-			Grid: p,
+		lg, err = core.TryPreprocess(t.Graph, core.Options{
+			HubCount:      t.Params.HubCount,
+			FrontFraction: t.Params.FrontFraction,
+			Pool:          t.Pool,
+			Metrics:       t.Metrics(),
+			Grid:          p,
 		})
 		if err != nil {
 			return 0, err
 		}
-		t.Report.AddPhase(PhasePreprocess, gr.PreprocessTime)
+		t.Report.AddPhase(PhasePreprocess, lg.PreprocessTime)
 	}
 	if err := t.Err(); err != nil {
 		return 0, err
@@ -108,7 +106,7 @@ func lotusKernel(t *Task) (uint64, error) {
 	if copt.Intersect, err = core.ParseIntersectKernel(t.Params.IntersectKernel); err != nil {
 		return 0, fmt.Errorf("engine: %w", err)
 	}
-	cr := gr.Count(t.Pool, copt)
+	cr := lg.CountWithOptions(t.Pool, copt)
 	t.Report.AddPhase(PhaseHub, cr.Phase1Time)
 	t.Report.AddPhase(PhaseHNN, cr.HNNTime)
 	t.Report.AddPhase(PhaseNNN, cr.NNNTime)

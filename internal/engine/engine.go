@@ -11,7 +11,6 @@ import (
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
 	"lotustc/internal/sched"
-	"lotustc/internal/shard"
 )
 
 // DefaultAlgorithm is used when Spec.Algorithm is empty.
@@ -27,7 +26,7 @@ var ErrNilGraph = errors.New("engine: nil graph")
 var ErrNeedsSymmetric = errors.New("requires a symmetric graph")
 
 // ErrPreparedMismatch is wrapped into the error a kernel returns when
-// a Params.Prepared grid does not match the run's graph or grid
+// a Params.Prepared structure does not match the run's graph or grid
 // dimension. A serving layer matches it with errors.Is to tell
 // cache corruption (evict the entry and rebuild) apart from a caller
 // mistake.
@@ -87,13 +86,13 @@ type Params struct {
 	// grid (0 or 1 = a single block, the flat structure); "auto"
 	// passes it on when it routes to "lotus". Other kernels ignore it.
 	Shards int
-	// Prepared supplies an already-built LOTUS grid for the same
+	// Prepared supplies an already-built LOTUS structure for the same
 	// graph, letting a resident service amortize preprocessing across
 	// queries: "lotus" skips the build and records a zero-length
-	// preprocess phase. A grid of another vertex count, or whose
-	// dimension is not max(Shards, 1), fails the run with an error
-	// wrapping ErrPreparedMismatch. Other kernels ignore it.
-	Prepared *shard.Grid
+	// preprocess phase. A structure of another vertex count, or whose
+	// grid dimension is not max(Shards, 1), fails the run with an
+	// error wrapping ErrPreparedMismatch. Other kernels ignore it.
+	Prepared *core.LotusGraph
 	// TuneAlgorithm pins the "auto" kernel's routed algorithm for
 	// ablation runs (the decision is recorded as overridden); empty
 	// lets the tune policy choose. Other kernels ignore it.

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"lotustc/internal/core"
 	"lotustc/internal/gen"
-	"lotustc/internal/shard"
 )
 
 // TestRunWithPreparedStructure covers the serving-cache injection
@@ -19,7 +19,7 @@ func TestRunWithPreparedStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := shard.Build(g, shard.Options{Grid: 1})
+	gr, err := core.TryPreprocess(g, core.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunWithPreparedStructure(t *testing.T) {
 // different graph must be an error, not a silent wrong answer.
 func TestRunPreparedVertexMismatch(t *testing.T) {
 	small := gen.Complete(8)
-	gr, err := shard.Build(small, shard.Options{Grid: 1})
+	gr, err := core.TryPreprocess(small, core.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,10 @@ import (
 	"slices"
 	"testing"
 
+	"lotustc/internal/core"
 	"lotustc/internal/gen"
-	"lotustc/internal/shard"
+	"lotustc/internal/obs"
+	"lotustc/internal/sched"
 )
 
 // TestShardedMatchesLotus: lotus over a p-way grid must report the
@@ -102,7 +104,7 @@ func TestAutoPassesShardsToLotus(t *testing.T) {
 // with ErrPreparedMismatch.
 func TestShardedPreparedGrid(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 8, 3))
-	gr, err := shard.Build(g, shard.Options{Grid: 3})
+	gr, err := core.TryPreprocess(g, core.Options{Grid: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestShardedPreparedGrid(t *testing.T) {
 // TestPreparedStructureMismatchTyped: the flat kernel's long-standing
 // vertex-count cross-check is now a typed error serve can match on.
 func TestPreparedStructureMismatchTyped(t *testing.T) {
-	gr, err := shard.Build(gen.Complete(10), shard.Options{Grid: 1})
+	gr, err := core.TryPreprocess(gen.Complete(10), core.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestPreparedStructureMismatchTyped(t *testing.T) {
 // TestShardedOutOfRangeGrid rejects absurd grid dimensions up front.
 func TestShardedOutOfRangeGrid(t *testing.T) {
 	g := gen.Complete(8)
-	for _, p := range []int{-1, shard.MaxGrid + 1} {
+	for _, p := range []int{-1, core.MaxGrid + 1} {
 		if _, err := Run(context.Background(), g, Spec{
 			Algorithm: "lotus",
 			Params:    Params{Shards: p},
@@ -208,6 +210,43 @@ func TestShardedCapabilities(t *testing.T) {
 	for i, name := range builtins {
 		if regs[i].Name != name {
 			t.Fatalf("Registrations()[%d] = %q, want %q (registration order)", i, regs[i].Name, name)
+		}
+	}
+}
+
+// TestDirectCoreMatchesEngine: the direct core calls (TryPreprocess,
+// then CountWithOptions) at Grid p publish the same metric names,
+// totals and class split as engine.Run("lotus") at Shards p, so a
+// layer-by-layer timing of those calls times the engine's own code.
+// The engine's own run bookkeeping (graph.edges, graph.vertices,
+// run.workers) is the only thing a direct run does not publish.
+func TestDirectCoreMatchesEngine(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(10, 16, 5))
+	for _, p := range []int{1, 2, 3} {
+		rep, err := Run(context.Background(), g, Spec{Algorithm: "lotus", Workers: 2, CollectMetrics: true, Params: Params{Shards: p}})
+		if err != nil {
+			t.Fatalf("p=%d: engine: %v", p, err)
+		}
+		m := obs.New()
+		pool := sched.NewPool(2)
+		lg, err := core.TryPreprocess(g, core.Options{Pool: pool, Metrics: m, Grid: p})
+		if err != nil {
+			t.Fatalf("p=%d: TryPreprocess: %v", p, err)
+		}
+		res := lg.CountWithOptions(pool, core.CountOptions{Metrics: m})
+		if res.Total != rep.Triangles || res.HHH != rep.HHH || res.HHN != rep.HHN || res.HNN != rep.HNN || res.NNN != rep.NNN {
+			t.Fatalf("p=%d: direct %+v, engine %+v", p, res, rep)
+		}
+		direct := m.Snapshot()
+		for _, name := range []string{"graph.edges", "graph.vertices", "run.workers"} {
+			direct[name] = 0
+		}
+		if a, b := slices.Sorted(maps.Keys(direct)), slices.Sorted(maps.Keys(rep.Metrics)); !slices.Equal(a, b) {
+			t.Fatalf("p=%d: direct metric names %v, engine metric names %v", p, a, b)
+		}
+		if got := m.Get(obs.ShardBlocks); got != int64(p) || rep.Metrics[obs.ShardTriples] != m.Get(obs.ShardTriples) {
+			t.Fatalf("p=%d: direct shard.blocks %d, shard.triples %d; engine %d, %d",
+				p, got, m.Get(obs.ShardTriples), rep.Metrics[obs.ShardBlocks], rep.Metrics[obs.ShardTriples])
 		}
 	}
 }

@@ -27,10 +27,10 @@ func packPair(h1, h2 uint32) uint64 {
 	return uint64(h1)<<32 | uint64(h2)
 }
 
-func buildHashH2H(lg *core.LotusGraph) hashH2H {
+func buildHashH2H(s *core.LotusShard) hashH2H {
 	h := make(hashH2H)
-	for v := uint32(0); v < lg.HubCount && int(v) < lg.NumVertices(); v++ {
-		for _, u := range lg.HE.Neighbors(v) {
+	for v := uint32(0); v < s.HubCount && int(v) < s.NumVertices(); v++ {
+		for _, u := range s.HE.Neighbors(v) {
 			h[packPair(v, uint32(u))] = struct{}{}
 		}
 	}
@@ -38,11 +38,11 @@ func buildHashH2H(lg *core.LotusGraph) hashH2H {
 }
 
 // phase1WithHash counts HHH+HHN probing the hash set.
-func phase1WithHash(lg *core.LotusGraph, h hashH2H) uint64 {
+func phase1WithHash(s *core.LotusShard, h hashH2H) uint64 {
 	var triangles uint64
-	n := lg.NumVertices()
+	n := s.NumVertices()
 	for v := 0; v < n; v++ {
-		nv := lg.HE.Neighbors(uint32(v))
+		nv := s.HE.Neighbors(uint32(v))
 		for i := 1; i < len(nv); i++ {
 			for j := 0; j < i; j++ {
 				if _, ok := h[packPair(uint32(nv[i]), uint32(nv[j]))]; ok {
@@ -57,14 +57,14 @@ func phase1WithHash(lg *core.LotusGraph, h hashH2H) uint64 {
 // phase1WithBits is the serial bit-array phase 1 for a like-for-like
 // single-thread comparison: the counting path's scalar hub-pair kernel
 // run vertex by vertex on one worker.
-func phase1WithBits(lg *core.LotusGraph) uint64 {
+func phase1WithBits(s *core.LotusShard) uint64 {
 	pool := sched.NewPool(1)
 	var bm intersect.HubBitmap
 	var triangles uint64
-	n := lg.NumVertices()
+	n := s.NumVertices()
 	for v := 0; v < n; v++ {
-		if nv := lg.HE.Neighbors(uint32(v)); len(nv) >= 2 {
-			found, _ := core.CountHubPairs(core.Phase1Scalar, pool, lg.H2H, &bm, nv, nv, 1, len(nv))
+		if nv := s.HE.Neighbors(uint32(v)); len(nv) >= 2 {
+			found, _ := core.CountHubPairs(core.Phase1Scalar, pool, s.H2H, &bm, nv, nv, 1, len(nv))
 			triangles += found
 		}
 	}
@@ -81,20 +81,24 @@ func RunAblationH2H(w io.Writer, s Suite) {
 	for _, d := range s.Datasets() {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
-		h := buildHashH2H(lg)
+		if lg == nil {
+			return
+		}
+		flat := lg.Flat()
+		h := buildHashH2H(flat)
 
 		t0 := time.Now()
-		a := phase1WithBits(lg)
+		a := phase1WithBits(flat)
 		bitS := time.Since(t0).Seconds()
 		t1 := time.Now()
-		b := phase1WithHash(lg, h)
+		b := phase1WithHash(flat, h)
 		hashS := time.Since(t1).Seconds()
 		if a != b {
 			fmt.Fprintf(w, "%-12s COUNT MISMATCH %d vs %d\n", d.Name, a, b)
 			continue
 		}
 		fmt.Fprintf(w, "%-12s %12.3f %12.3f %9.2fx %14d %14d\n",
-			d.Name, bitS, hashS, hashS/bitS, lg.H2H.SizeBytes(), len(h))
+			d.Name, bitS, hashS, hashS/bitS, flat.H2H.SizeBytes(), len(h))
 	}
 	fmt.Fprintln(w, "(paper §5.7: hashing imposes more instructions per access and more memory; bit array wins)")
 }
@@ -139,6 +143,9 @@ func RunAblationRelabel(w io.Writer, s Suite, workers int) {
 		g := d.Build()
 		// LOTUS relabeling.
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		r1 := lg.Count(pool)
 		// Full degree ordering first, then LOTUS on the ordered
 		// graph: the front block is already ordered, so the combined
@@ -146,6 +153,9 @@ func RunAblationRelabel(w io.Writer, s Suite, workers int) {
 		t0 := time.Now()
 		gd := g.Relabel(reorder.DegreeOrder(g))
 		lgd := core.Preprocess(gd, core.Options{Pool: pool})
+		if lgd == nil {
+			return
+		}
 		pre2 := time.Since(t0)
 		r2 := lgd.Count(pool)
 		if r1.Total != r2.Total {
@@ -178,7 +188,7 @@ func RunBaselinesClassic(w io.Writer, s Suite, workers int) {
 			{"ni-core", func() uint64 { return baseline.NodeIteratorCore(g, pool) }},
 			{"ayz", func() uint64 { return baseline.AYZ(g, pool, 0) }},
 			{"forward", func() uint64 { return baseline.Forward(g, pool, baseline.KernelMerge) }},
-			{"lotus", func() uint64 { return core.Preprocess(g, core.Options{Pool: pool}).Count(pool).Total }},
+			{"lotus", func() uint64 { return lotusTotal(g, pool) }},
 		}
 		fmt.Fprintf(w, "%-12s", d.Name)
 		var first uint64
@@ -210,6 +220,9 @@ func RunExtensionKClique(w io.Writer, s Suite, workers int) {
 		g := d.Build()
 		og := g.Orient()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		nonHub := lg.NonHubSubgraph().Orient()
 		for k := 3; k <= 5; k++ {
 			t0 := time.Now()
@@ -254,6 +267,9 @@ func RunExtensionApprox(w io.Writer, s Suite, workers int) {
 	for _, d := range s.Datasets() {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		truth := float64(lg.Count(pool).Total)
 		if truth == 0 {
 			continue
@@ -295,6 +311,9 @@ func RunAblationPhase1(w io.Writer, s Suite, workers int) {
 		}
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		var times [3]float64
 		var results [3]*core.Result
 		var autoMetrics *obs.Metrics

@@ -8,6 +8,7 @@ package harness
 import (
 	"context"
 
+	"lotustc/internal/core"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/sched"
@@ -51,6 +52,18 @@ func (s Suite) Context() context.Context {
 // goroutine exits with the context.
 func (s Suite) NewPool(workers int) *sched.Pool {
 	return sched.NewPool(workers).Bind(s.Context())
+}
+
+// lotusTotal is LOTUS end to end (build, then count) for the timed
+// comparator tables. A build cut short by the suite's deadline counts
+// 0, a partial result like any count on a cancelled pool; RunAll and
+// lotus-bench report the abort.
+func lotusTotal(g *graph.Graph, pool *sched.Pool) uint64 {
+	lg := core.Preprocess(g, core.Options{Pool: pool})
+	if lg == nil {
+		return 0
+	}
+	return lg.Count(pool).Total
 }
 
 // SmallSuite sizes experiments for quick runs and benchmarks.

@@ -137,6 +137,9 @@ func RunMRC(w io.Writer, s Suite) {
 	for _, d := range rs.Datasets() {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		fwd := perf.ForwardMRC(g, caps)
 		lot := perf.LotusMRC(lg, caps)
 		fmt.Fprintf(w, "%-12s %-8s", d.Name, "forward")
@@ -175,6 +178,9 @@ func RunFig6(w io.Writer, s Suite, workers int) {
 	for _, d := range ds {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		res := lg.Count(pool)
 		pre := lg.PreprocessTime.Seconds()
 		p1, p2, p3 := res.Phase1Time.Seconds(), res.HNNTime.Seconds(), res.NNNTime.Seconds()
@@ -201,6 +207,9 @@ func RunFig7(w io.Writer, s Suite) {
 	for _, d := range ds {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		res := lg.Count(pool)
 		ts := stats.ComputeTriangleSplit(res)
 		fmt.Fprintf(w, "%-12s %14d %14d %8.1f%% %8.1f%%\n",
@@ -222,6 +231,9 @@ func RunFig8(w io.Writer, s Suite) {
 	for _, d := range ds {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		split := stats.ComputeEdgeSplit(lg)
 		fmt.Fprintf(w, "%-12s %14d %14d %8.1f%% %8.1f%%\n",
 			d.Name, split.HEEdges, split.NHEEdges, split.HEPct, split.NHEPct)
@@ -246,6 +258,9 @@ func RunFig9(w io.Writer, s Suite) {
 	for _, d := range s.Datasets() {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool, HubCount: paperHubCount(g.NumVertices())})
+		if lg == nil {
+			return
+		}
 		p := perf.H2HProfile(lg)
 		if p.Total() == 0 {
 			fmt.Fprintf(w, "%-12s (no hub pairs)\n", d.Name)

@@ -2,8 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tinySuite keeps harness smoke tests fast.
@@ -206,5 +210,22 @@ func TestTable5OutputFinite(t *testing.T) {
 		if strings.Contains(out, bad) {
 			t.Fatalf("table5 output contains %s:\n%s", bad, out)
 		}
+	}
+}
+
+// TestExperimentsStopOnExpiredDeadline: every experiment run under a
+// suite whose deadline has already passed returns without panicking —
+// LOTUS builds on its bound pools are cut short — and RunAll reports
+// the deadline.
+func TestExperimentsStopOnExpiredDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	s := Suite{Scale: 8, EdgeFactor: 6, Ctx: ctx}
+	for _, id := range IDs() {
+		Find(id).Run(io.Discard, s, 2)
+	}
+	if err := RunAll(io.Discard, s, 2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunAll = %v, want the deadline", err)
 	}
 }

@@ -61,10 +61,7 @@ func runAllAlgorithms(g *graph.Graph, pool *sched.Pool) []algoRun {
 	timeIt("GGrnd", func() uint64 { return baseline.EdgeIterator(g, pool) })
 	timeIt("GAP", func() uint64 { return baseline.Forward(g, pool, baseline.KernelMerge) })
 	timeIt("GBBS", func() uint64 { return baseline.GBBS(g, pool) })
-	timeIt("Lotus", func() uint64 {
-		lg := core.Preprocess(g, core.Options{Pool: pool})
-		return lg.Count(pool).Total
-	})
+	timeIt("Lotus", func() uint64 { return lotusTotal(g, pool) })
 	return runs
 }
 
@@ -134,6 +131,9 @@ func RunTable7(w io.Writer, s Suite) {
 	for _, d := range ds {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		t7 := stats.ComputeTable7(g, lg)
 		fmt.Fprintf(w, "%-12s %14d %14d %14d %9.1f\n",
 			d.Name, t7.CSXEdgesBytes, t7.CSXBytes, t7.LotusBytes, t7.GrowthPct)
@@ -164,6 +164,9 @@ func RunTable8(w io.Writer, s Suite) {
 	for _, d := range s.Datasets() {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool, HubCount: paperHubCount(g.NumVertices())})
+		if lg == nil {
+			return
+		}
 		t8 := stats.ComputeTable8(lg)
 		fmt.Fprintf(w, "%-12s %12.2f %18.2f\n", d.Name, t8.DensityPct, t8.ZeroCachelinePct)
 	}
@@ -225,15 +228,15 @@ func safeDiv(a, b float64) float64 {
 // (H2H probes) is summed. A chunk that lands on the tail of a
 // high-degree vertex's neighbour list carries quadratically more
 // work — the imbalance the paper measures.
-func edgeBalancedChunkWork(lg *core.LotusGraph, parts int) []uint64 {
-	total := lg.HE.NumEdges()
+func edgeBalancedChunkWork(s *core.LotusShard, parts int) []uint64 {
+	total := s.HE.NumEdges()
 	if total == 0 || parts <= 0 {
 		return nil
 	}
 	per := (total + int64(parts) - 1) / int64(parts)
 	work := make([]uint64, parts)
-	off := lg.HE.Offsets()
-	n := lg.NumVertices()
+	off := s.HE.Offsets()
+	n := s.NumVertices()
 	for v := 0; v < n; v++ {
 		d := int(off[v+1] - off[v])
 		for i := 0; i < d; i++ {
@@ -269,6 +272,9 @@ func RunTable9(w io.Writer, s Suite, workers int) {
 	for _, d := range s.Datasets() {
 		g := d.Build()
 		lg := core.Preprocess(g, core.Options{Pool: pool})
+		if lg == nil {
+			return
+		}
 		// Verify the squared-tiling path still counts correctly.
 		ref := lg.CountWithOptions(pool, core.CountOptions{TileThreshold: 1 << 30})
 		sqRes := lg.CountWithOptions(pool, core.CountOptions{TileThreshold: thr, TilesPerVertex: 2 * simThreads})
@@ -276,8 +282,8 @@ func RunTable9(w io.Writer, s Suite, workers int) {
 			fmt.Fprintf(w, "%-12s COUNT MISMATCH\n", d.Name)
 			continue
 		}
-		ebCoarse := edgeBalancedChunkWork(lg, 2*simThreads)
-		ebFine := edgeBalancedChunkWork(lg, 256*simThreads)
+		ebCoarse := edgeBalancedChunkWork(lg.Flat(), 2*simThreads)
+		ebFine := edgeBalancedChunkWork(lg.Flat(), 256*simThreads)
 		sqWork := lg.Phase1TileWork(core.CountOptions{TileThreshold: thr, TilesPerVertex: 2 * simThreads}, simThreads)
 		ebCSpan, ebCIdle := simulateSchedule(ebCoarse, simThreads)
 		_, ebFIdle := simulateSchedule(ebFine, simThreads)

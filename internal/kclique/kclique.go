@@ -91,7 +91,8 @@ func intersectInto(dst, a, b []uint32) []uint32 {
 	return dst
 }
 
-// CountLotus counts k-cliques using the LOTUS structures. A clique's
+// CountLotus counts k-cliques using the LOTUS structures of a flat
+// (P = 1) LotusGraph, whose one shard holds every row. A clique's
 // maximum vertex is a hub iff all its vertices are hubs (hubs occupy
 // the lowest IDs), so the count splits exactly into:
 //
@@ -103,12 +104,13 @@ func CountLotus(lg *core.LotusGraph, k int, pool *sched.Pool) uint64 {
 	if k < 1 {
 		return 0
 	}
+	s := lg.Flat()
 	n := lg.NumVertices()
 	if k == 1 {
 		return uint64(n)
 	}
 	if k == 2 {
-		return uint64(lg.HE.NumEdges() + lg.NHE.NumEdges())
+		return uint64(s.HE.NumEdges() + s.NHE.NumEdges())
 	}
 	hubs := int(lg.HubCount)
 	if hubs > n {
@@ -121,7 +123,7 @@ func CountLotus(lg *core.LotusGraph, k int, pool *sched.Pool) uint64 {
 	flat := make([]uint64, hubs*words)
 	for h := 0; h < hubs; h++ {
 		rows[h] = flat[h*words : (h+1)*words]
-		for _, w := range lg.HE.Neighbors(uint32(h)) {
+		for _, w := range s.HE.Neighbors(uint32(h)) {
 			rows[h][w>>6] |= 1 << (uint(w) & 63)
 		}
 	}
@@ -147,8 +149,8 @@ func CountLotus(lg *core.LotusGraph, k int, pool *sched.Pool) uint64 {
 		var local uint64
 		for i := start; i < end; i++ {
 			v := uint32(hubs + i)
-			cand := concatNeighbors(lg, v, nil)
-			local += lotusCliqueRec(lg, cand, k-1, scratch)
+			cand := concatNeighbors(s, v, nil)
+			local += lotusCliqueRec(s, cand, k-1, scratch)
 		}
 		acc.Add(worker, local)
 	})
@@ -156,15 +158,15 @@ func CountLotus(lg *core.LotusGraph, k int, pool *sched.Pool) uint64 {
 }
 
 // concatNeighbors returns HE[v] ++ NHE[v] as uint32s, appended to dst.
-func concatNeighbors(lg *core.LotusGraph, v uint32, dst []uint32) []uint32 {
-	for _, h := range lg.HE.Neighbors(v) {
+func concatNeighbors(s *core.LotusShard, v uint32, dst []uint32) []uint32 {
+	for _, h := range s.HE.Neighbors(v) {
 		dst = append(dst, uint32(h))
 	}
-	return append(dst, lg.NHE.Neighbors(v)...)
+	return append(dst, s.NHE.Neighbors(v)...)
 }
 
 // lotusCliqueRec mirrors cliqueRec over the split neighbour lists.
-func lotusCliqueRec(lg *core.LotusGraph, cand []uint32, depth int, scratch [][]uint32) uint64 {
+func lotusCliqueRec(s *core.LotusShard, cand []uint32, depth int, scratch [][]uint32) uint64 {
 	if depth == 1 {
 		return uint64(len(cand))
 	}
@@ -172,10 +174,10 @@ func lotusCliqueRec(lg *core.LotusGraph, cand []uint32, depth int, scratch [][]u
 	buf := scratch[depth]
 	nbuf := make([]uint32, 0, 16)
 	for i, u := range cand {
-		nbuf = concatNeighbors(lg, u, nbuf[:0])
+		nbuf = concatNeighbors(s, u, nbuf[:0])
 		buf = intersectInto(buf[:0], cand[:i], nbuf)
 		if len(buf) >= depth-1 {
-			total += lotusCliqueRec(lg, buf, depth-1, scratch)
+			total += lotusCliqueRec(s, buf, depth-1, scratch)
 		}
 	}
 	scratch[depth] = buf

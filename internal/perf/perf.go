@@ -178,9 +178,10 @@ func runForward(og *graph.Graph, m refSink) uint64 {
 	return triangles
 }
 
-// InstrumentedLotus runs Algorithm 3 serially on a preprocessed
-// LotusGraph, replaying its three phases' reference streams with the
-// scalar phase-1 kernel (the paper's probe loop).
+// InstrumentedLotus runs Algorithm 3 serially on a preprocessed flat
+// (P = 1) LotusGraph, replaying its three phases' reference streams
+// with the scalar phase-1 kernel (the paper's probe loop). The replays
+// read the structure's one shard.
 func InstrumentedLotus(lg *core.LotusGraph, cfg hwsim.MachineConfig) Events {
 	return InstrumentedLotusKernel(lg, cfg, false)
 }
@@ -207,29 +208,30 @@ func runLotus(lg *core.LotusGraph, m refSink) uint64 {
 }
 
 func runLotusKernel(lg *core.LotusGraph, m refSink, wordPhase1 bool) uint64 {
+	s := lg.Flat()
 	var triangles uint64
 	if wordPhase1 {
-		triangles = replayPhase1Word(lg, m)
+		triangles = replayPhase1Word(s, m)
 	} else {
-		triangles = replayPhase1Scalar(lg, m)
+		triangles = replayPhase1Scalar(s, m)
 	}
-	return triangles + replayPhases23(lg, m)
+	return triangles + replayPhases23(s, m)
 }
 
 // replayPhase1Scalar replays phase 1 (HHH + HHN) with per-pair bit
 // probes: sequential HE row reads, random H2H probes.
-func replayPhase1Scalar(lg *core.LotusGraph, m refSink) uint64 {
-	heOff := lg.HE.Offsets()
+func replayPhase1Scalar(s *core.LotusShard, m refSink) uint64 {
+	heOff := s.HE.Offsets()
 	var triangles uint64
-	n := lg.NumVertices()
+	n := s.NumVertices()
 	for v := 0; v < n; v++ {
 		m.load(baseHEOff+uint64(v)*8, 8)
 		m.load(baseHEOff+uint64(v+1)*8, 8)
-		nv := lg.HE.Neighbors(uint32(v))
+		nv := s.HE.Neighbors(uint32(v))
 		for i := 1; i < len(nv); i++ {
 			m.load(baseHENbr+uint64(heOff[v]+int64(i))*2, 2)
 			h1 := uint32(nv[i])
-			row := lg.H2H.Row(h1)
+			row := s.H2H.Row(h1)
 			for j := 0; j < i; j++ {
 				m.load(baseHENbr+uint64(heOff[v]+int64(j))*2, 2)
 				h2 := uint32(nv[j])
@@ -254,15 +256,15 @@ func replayPhase1Scalar(lg *core.LotusGraph, m refSink) uint64 {
 // read word-by-word from H2H and ANDed against the bitmap — no
 // per-pair branch, so the probe branch site disappears from the
 // stream, and the H2H traffic becomes sequential within each row.
-func replayPhase1Word(lg *core.LotusGraph, m refSink) uint64 {
-	heOff := lg.HE.Offsets()
+func replayPhase1Word(s *core.LotusShard, m refSink) uint64 {
+	heOff := s.HE.Offsets()
 	var triangles uint64
-	n := lg.NumVertices()
-	bm := make([]uint64, (int(lg.HubCount)+63)/64)
+	n := s.NumVertices()
+	bm := make([]uint64, (int(s.HubCount)+63)/64)
 	for v := 0; v < n; v++ {
 		m.load(baseHEOff+uint64(v)*8, 8)
 		m.load(baseHEOff+uint64(v+1)*8, 8)
-		nv := lg.HE.Neighbors(uint32(v))
+		nv := s.HE.Neighbors(uint32(v))
 		if len(nv) < 2 {
 			continue
 		}
@@ -274,7 +276,7 @@ func replayPhase1Word(lg *core.LotusGraph, m refSink) uint64 {
 		}
 		for i := 1; i < len(nv); i++ {
 			h1 := uint32(nv[i])
-			row := lg.H2H.Row(h1)
+			row := s.H2H.Row(h1)
 			rowBase := bitarray.BitIndex(h1, 0)
 			nw := row.NumWords()
 			for w := uint32(0); w < nw; w++ {
@@ -299,23 +301,23 @@ func replayPhase1Word(lg *core.LotusGraph, m refSink) uint64 {
 // phase-1 kernels). HNN is replayed as the paper's merge join over HE
 // rows (§4.4.3), not the library's hub-bitmap probe: the Fig 4/5
 // models reproduce the paper's reference stream on purpose.
-func replayPhases23(lg *core.LotusGraph, m refSink) uint64 {
-	heOff := lg.HE.Offsets()
-	nheOff := lg.NHE.Offsets()
+func replayPhases23(s *core.LotusShard, m refSink) uint64 {
+	heOff := s.HE.Offsets()
+	nheOff := s.NHE.Offsets()
 	var triangles uint64
-	n := lg.NumVertices()
+	n := s.NumVertices()
 
 	// Phase 2: HNN. Streamed NHE traversal; random HE row loads.
 	for v := 0; v < n; v++ {
 		m.load(baseNHEOff+uint64(v)*8, 8)
 		m.load(baseNHEOff+uint64(v+1)*8, 8)
-		hv := lg.HE.Neighbors(uint32(v))
-		nhe := lg.NHE.Neighbors(uint32(v))
+		hv := s.HE.Neighbors(uint32(v))
+		nhe := s.NHE.Neighbors(uint32(v))
 		for idx, u := range nhe {
 			m.load(baseNHENbr+uint64(nheOff[v]+int64(idx))*4, 4)
 			m.load(baseHEOff+uint64(u)*8, 8)
 			m.load(baseHEOff+uint64(u+1)*8, 8)
-			hu := lg.HE.Neighbors(u)
+			hu := s.HE.Neighbors(u)
 			triangles += mergeJoin16(m, hv, heOff[v], hu, heOff[u])
 		}
 	}
@@ -324,12 +326,12 @@ func replayPhases23(lg *core.LotusGraph, m refSink) uint64 {
 	for v := 0; v < n; v++ {
 		m.load(baseNHEOff+uint64(v)*8, 8)
 		m.load(baseNHEOff+uint64(v+1)*8, 8)
-		nv := lg.NHE.Neighbors(uint32(v))
+		nv := s.NHE.Neighbors(uint32(v))
 		for idx, u := range nv {
 			m.load(baseNHENbr+uint64(nheOff[v]+int64(idx))*4, 4)
 			m.load(baseNHEOff+uint64(u)*8, 8)
 			m.load(baseNHEOff+uint64(u+1)*8, 8)
-			nu := lg.NHE.Neighbors(u)
+			nu := s.NHE.Neighbors(u)
 			triangles += mergeJoin(m, nv, baseNHENbr, nheOff[v], nu, baseNHENbr, nheOff[u], 4)
 		}
 	}
@@ -367,10 +369,11 @@ func mergeJoin16(m refSink, a []uint16, aOff int64, b []uint16, bOff int64) uint
 // profiler, producing the Fig 9 data: how concentrated the random
 // H2H accesses are.
 func H2HProfile(lg *core.LotusGraph) *hwsim.LineProfiler {
-	p := hwsim.NewLineProfiler(lg.H2H.NumCachelines())
-	n := lg.NumVertices()
+	s := lg.Flat()
+	p := hwsim.NewLineProfiler(s.H2H.NumCachelines())
+	n := s.NumVertices()
 	for v := 0; v < n; v++ {
-		nv := lg.HE.Neighbors(uint32(v))
+		nv := s.HE.Neighbors(uint32(v))
 		for i := 1; i < len(nv); i++ {
 			h1 := uint32(nv[i])
 			for j := 0; j < i; j++ {

@@ -131,7 +131,7 @@ func TestH2HProfileCoversAllProbes(t *testing.T) {
 	res := lg.Count(pool)
 	var wantProbes uint64
 	for v := 0; v < lg.NumVertices(); v++ {
-		d := uint64(lg.HE.Degree(uint32(v)))
+		d := uint64(lg.Shards[0].HE.Degree(uint32(v)))
 		wantProbes += d * (d - 1) / 2
 	}
 	if p.Total() != wantProbes {

@@ -23,7 +23,6 @@ import (
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
-	"lotustc/internal/shard"
 )
 
 // TestLRUAddStaleEntryEvicted is the regression test for the stale
@@ -117,7 +116,7 @@ func TestEstimateLotusBytesUpperBound(t *testing.T) {
 	}
 	for name, g := range corpus {
 		for _, hubs := range []int{0, 1, 4, 16, 64, 1000} {
-			pl, err := shard.NewPlan(g, shard.Options{Grid: 1, Options: core.Options{HubCount: hubs}})
+			pl, err := core.NewPlan(g, core.Options{Grid: 1, HubCount: hubs})
 			if err != nil {
 				t.Fatalf("%s hubs=%d: plan: %v", name, hubs, err)
 			}

@@ -37,7 +37,6 @@ import (
 	"lotustc/internal/graph"
 	"lotustc/internal/obs"
 	"lotustc/internal/sched"
-	"lotustc/internal/shard"
 	"lotustc/internal/tune"
 )
 
@@ -600,7 +599,7 @@ func shardKey(spec *GraphSpec, hubCount int, frontFraction float64, p, b int) st
 // Assembly cross-checks each shard against the plan; a mismatch (a
 // corrupt or stale entry) purges the keys and rebuilds once before
 // giving up.
-func (s *Server) getShardGrid(ctx context.Context, spec *GraphSpec, hubCount int, frontFraction float64, p int) (*shard.Grid, bool, error) {
+func (s *Server) getShardGrid(ctx context.Context, spec *GraphSpec, hubCount int, frontFraction float64, p int) (*core.LotusGraph, bool, error) {
 	for attempt := 0; ; attempt++ {
 		gr, hit, err := s.tryShardGrid(ctx, spec, hubCount, frontFraction, p)
 		if err == nil || attempt > 0 || ctx.Err() != nil {
@@ -612,7 +611,7 @@ func (s *Server) getShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 	}
 }
 
-func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int, frontFraction float64, p int) (*shard.Grid, bool, error) {
+func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int, frontFraction float64, p int) (*core.LotusGraph, bool, error) {
 	bspec := copySpec(spec)
 	v, hit, rel, err := s.cache.getOrBuild(ctx, shardPlanKey(spec, hubCount, frontFraction, p), func(bctx context.Context) (any, int64, error) {
 		if err := faults.Inject(FaultPreprocess); err != nil {
@@ -628,10 +627,7 @@ func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 		}
 		defer relG()
 		pool := sched.NewPool(s.cfg.Workers).Bind(bctx)
-		pl, err := shard.NewPlan(g, shard.Options{
-			Options: core.Options{HubCount: hubCount, FrontFraction: frontFraction, Pool: pool},
-			Grid:    p,
-		})
+		pl, err := core.NewPlan(g, core.Options{HubCount: hubCount, FrontFraction: frontFraction, Pool: pool, Grid: p})
 		pool.Release()
 		if err != nil {
 			return nil, 0, err
@@ -648,7 +644,7 @@ func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 	}
 	// LOTUS structures are not arena-backed; the pins are no-ops.
 	rel()
-	pl := v.(*shard.Plan)
+	pl := v.(*core.Plan)
 	shards := make([]*core.LotusShard, p)
 	allHit := hit
 	for b := 0; b < p; b++ {
@@ -679,7 +675,7 @@ func (s *Server) tryShardGrid(ctx context.Context, spec *GraphSpec, hubCount int
 		shards[b] = v.(*core.LotusShard)
 		allHit = allHit && hitB
 	}
-	gr, err := shard.Assemble(pl, shards)
+	gr, err := core.Assemble(pl, shards)
 	if err != nil {
 		return nil, false, err
 	}
@@ -712,7 +708,7 @@ type CountRequest struct {
 	// Shards is the grid dimension of a "lotus" count, also when
 	// "auto" routes to it: 0 = the server's choice (1, or the size
 	// routing's grid when the flat structure would exceed the
-	// single-structure budget), otherwise 1..shard.MaxGrid. Other
+	// single-structure budget), otherwise 1..core.MaxGrid. Other
 	// algorithms ignore it.
 	Shards int `json:"shards,omitempty"`
 	// TimeoutMS bounds the request (0 = server default).
@@ -841,9 +837,9 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	if req.Shards < 0 || req.Shards > shard.MaxGrid {
+	if req.Shards < 0 || req.Shards > core.MaxGrid {
 		writeErr(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("shards %d must be in [0, %d]", req.Shards, shard.MaxGrid))
+			fmt.Sprintf("shards %d must be in [0, %d]", req.Shards, core.MaxGrid))
 		return
 	}
 	algo := req.Algorithm
@@ -937,7 +933,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			s.met.Add("serve.sharded_counts", 1)
 		}
 	}
-	var prepared *shard.Grid
+	var prepared *core.LotusGraph
 	var lotusHit bool
 	// Reusable per-worker kernel scratch: LOTUS counts run with
 	// bitmaps from a previous count instead of allocating fresh ones
@@ -1111,7 +1107,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pool := sched.NewPool(firstPositive(req.Workers, s.cfg.Workers)).Bind(ctx)
-	per := gr.Shards[0].CountPerVertex(pool)
+	per := gr.Flat().CountPerVertex(pool)
 	pool.Release()
 	if err := ctx.Err(); err != nil {
 		status, code := errStatus(err)

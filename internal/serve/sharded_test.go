@@ -10,9 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"lotustc/internal/core"
 	"lotustc/internal/engine"
 	"lotustc/internal/gen"
-	"lotustc/internal/shard"
 )
 
 // TestAlgorithmsCapabilities: /v1/algorithms exposes the capability
@@ -250,11 +250,11 @@ func TestCorruptPreparedEntriesEvictedAndRetried(t *testing.T) {
 
 	// Poison the flat structure's slots (the p = 1 plan and shard)
 	// with a foreign graph's structure: right keys, wrong vertex count.
-	foreign, err := shard.Build(gen.Complete(16), shard.Options{Grid: 1})
+	foreign, err := core.TryPreprocess(gen.Complete(16), core.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreignPlan, err := shard.NewPlan(gen.Complete(16), shard.Options{Grid: 1})
+	foreignPlan, err := core.NewPlan(gen.Complete(16), core.Options{Grid: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +276,11 @@ func TestCorruptPreparedEntriesEvictedAndRetried(t *testing.T) {
 	}
 
 	// Same for the sharded path: plan + shards from a foreign graph.
-	wrongGrid, err := shard.Build(gen.Complete(16), shard.Options{Grid: 2})
+	wrongGrid, err := core.TryPreprocess(gen.Complete(16), core.Options{Grid: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongPlan, err := shard.NewPlan(gen.Complete(16), shard.Options{Grid: 2})
+	wrongPlan, err := core.NewPlan(gen.Complete(16), core.Options{Grid: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,11 +406,11 @@ func TestDefaultAlgorithmHonorsShards(t *testing.T) {
 }
 
 // TestShardsValidatedBeforeWork: a grid dimension outside
-// [0, shard.MaxGrid] is the client's mistake: 400 bad_request before
+// [0, core.MaxGrid] is the client's mistake: 400 bad_request before
 // the graph is built, and no server error on the books.
 func TestShardsValidatedBeforeWork(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	for _, shards := range []int{-1, shard.MaxGrid + 1, 1000000} {
+	for _, shards := range []int{-1, core.MaxGrid + 1, 1000000} {
 		body := fmt.Sprintf(`{"graph": {"type": "rmat", "scale": 10, "edge_factor": 8, "seed": 3}, "shards": %d}`, shards)
 		status, raw := postJSON(t, ts.URL+"/v1/count", body)
 		if status != http.StatusBadRequest || !bytes.Contains(raw, []byte("bad_request")) {

@@ -150,7 +150,7 @@ func TestProbeHubSetMatchesLotusStructure(t *testing.T) {
 					t.Fatalf("%s hubs=%d workers=%d: HubDegreeMin %d, degree of new ID %d is %d",
 						name, hubs, workers, p.HubDegreeMin, h-1, want)
 				}
-				if got, want := int64(math.Round(p.H2HEdgePct*float64(m)/100)), int64(lg.H2H.PopCount()); got != want {
+				if got, want := int64(math.Round(p.H2HEdgePct*float64(m)/100)), int64(lg.Shards[0].H2H.PopCount()); got != want {
 					t.Fatalf("%s hubs=%d workers=%d: probe H2H edges %d, H2H bits %d", name, hubs, workers, got, want)
 				}
 			}

@@ -175,11 +175,13 @@ type Table8 struct {
 	ZeroCachelinePct float64
 }
 
-// ComputeTable8 reports the H2H bit array characteristics.
+// ComputeTable8 reports the H2H bit array characteristics of a flat
+// (P = 1) LotusGraph.
 func ComputeTable8(lg *core.LotusGraph) Table8 {
+	h2h := lg.Flat().H2H
 	return Table8{
-		DensityPct:       100 * lg.H2H.Density(),
-		ZeroCachelinePct: 100 * lg.H2H.ZeroCachelineFraction(),
+		DensityPct:       100 * h2h.Density(),
+		ZeroCachelinePct: 100 * h2h.ZeroCachelineFraction(),
 	}
 }
 
@@ -191,10 +193,11 @@ type EdgeSplit struct {
 	NHEEdges      int64
 }
 
-// ComputeEdgeSplit computes the Fig 8 split for a preprocessed graph.
+// ComputeEdgeSplit computes the Fig 8 split for a preprocessed flat
+// (P = 1) graph.
 func ComputeEdgeSplit(lg *core.LotusGraph) EdgeSplit {
-	he := lg.HE.NumEdges()
-	nhe := lg.NHE.NumEdges()
+	flat := lg.Flat()
+	he, nhe := flat.HE.NumEdges(), flat.NHE.NumEdges()
 	s := EdgeSplit{HEEdges: he, NHEEdges: nhe}
 	if tot := he + nhe; tot > 0 {
 		s.HEPct = 100 * float64(he) / float64(tot)

@@ -115,7 +115,7 @@ func TestTable7HESavesBytes(t *testing.T) {
 		t.Fatalf("expected ~all edges in HE, got %v%%", split.HEPct)
 	}
 	t7 := ComputeTable7(g, lg)
-	edgeBytesLotus := 2*lg.HE.NumEdges() + 4*lg.NHE.NumEdges()
+	edgeBytesLotus := 2*lg.Shards[0].HE.NumEdges() + 4*lg.Shards[0].NHE.NumEdges()
 	if edgeBytesLotus >= t7.CSXEdgesBytes {
 		t.Fatalf("LOTUS edge bytes %d not below CSX %d", edgeBytesLotus, t7.CSXEdgesBytes)
 	}

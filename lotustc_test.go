@@ -244,16 +244,55 @@ func TestLotusCounterHandle(t *testing.T) {
 	if _, err := LoadLotusCounter(filepath.Join(t.TempDir(), "nope"), 1); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	// Per-vertex counts in original IDs match the forward-based path.
-	a := c.PerVertexTriangles()
-	b := PerVertexTriangles(g, 2)
-	if len(a) != len(b) {
-		t.Fatal("length mismatch")
-	}
-	for v := range a {
-		if a[v] != b[v] {
-			t.Fatalf("per-vertex mismatch at %d: %d vs %d", v, a[v], b[v])
+	// Per-vertex counts in original IDs, from the handle and from the
+	// one-shot helper, match a brute-force count.
+	want := bruteForcePerVertex(g)
+	for name, got := range map[string][]uint64{
+		"LotusCounter":       c.PerVertexTriangles(),
+		"PerVertexTriangles": PerVertexTriangles(g, 2),
+	} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d counts for %d vertices", name, len(got), len(want))
 		}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("%s: vertex %d in %d triangles, brute force %d", name, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+// bruteForcePerVertex enumerates every triangle u < v < w of g by
+// adjacency lookup and bumps its three corners.
+func bruteForcePerVertex(g *Graph) []uint64 {
+	want := make([]uint64, g.NumVertices())
+	for u := 0; u < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(uint32(u)) {
+			if v <= uint32(u) {
+				continue
+			}
+			for _, w := range g.Neighbors(v) {
+				if w > v && g.HasEdge(uint32(u), w) {
+					want[u]++
+					want[v]++
+					want[w]++
+				}
+			}
+		}
+	}
+	return want
+}
+
+// TestCountKCliquesRejectsShards: k-cliques count over the flat
+// structure, so a grid dimension above 1 is an error rather than a
+// silently flat count; 1 is the flat structure.
+func TestCountKCliquesRejectsShards(t *testing.T) {
+	g := Complete(8)
+	if _, err := CountKCliques(g, 4, Options{Shards: 3}); err == nil {
+		t.Fatal("CountKCliques accepted Shards = 3")
+	}
+	if n, err := CountKCliques(g, 4, Options{Shards: 1}); err != nil || n != 70 {
+		t.Fatalf("CountKCliques(K8, 4, Shards 1) = %d, %v; want 70", n, err)
 	}
 }
 
